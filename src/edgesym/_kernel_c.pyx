@@ -1,9 +1,11 @@
 # cython: language_level=3, boundscheck=False, wraparound=False
-"""Compiled twin of _kernel_py.search_mapping.
+"""Compiled twin of _kernel_py: prepare(n, src, dst) and
+search_mapping(query, allowed).
 
 Same inputs, same deterministic policy (fewest-candidates-lowest-vertex
 branching, ascending image order), same witnesses. Limited to n <= 64 so
-candidate sets fit in one 64-bit word.
+candidate sets fit in one 64-bit word. A prepared Query owns its C buffers
+and can be searched any number of times.
 """
 
 from libc.stdlib cimport calloc, free, malloc
@@ -71,42 +73,82 @@ cdef bint _rec(int n, int *src, u64 *rows, int nlabels,
     return False
 
 
-def search_mapping(n, src, dst, allowed):
-    if n == 0:
-        return []
+cdef class Query:
+    """Label rows and histogram matches shared by every search over one
+    (src, dst) pair."""
+
+    cdef int n
+    cdef int nlabels
+    cdef int *src
+    cdef u64 *rows
+    cdef u64 *sig_match
+
+    def __dealloc__(self):
+        free(self.src)
+        free(self.rows)
+        free(self.sig_match)
+
+
+def prepare(n, src, dst):
     if n > 64:
         raise ValueError("compiled kernel supports at most 64 vertices")
+    cdef Query q = Query.__new__(Query)
     cdef int cn = n
     cdef int i, v, w, u, lab, ok
     cdef int nlabels = 0
-    cdef u64 full = ((<u64>1) << cn) - 1 if cn < 64 else <u64>~0
-    cdef u64 m, low, mm
+    q.n = cn
+    if cn == 0:
+        return q
 
-    cdef int *csrc = <int *> malloc(cn * cn * sizeof(int))
     cdef int *cdst = <int *> malloc(cn * cn * sizeof(int))
+    q.src = <int *> malloc(cn * cn * sizeof(int))
     for i in range(cn * cn):
-        csrc[i] = src[i]
+        q.src[i] = src[i]
         cdst[i] = dst[i]
-        if csrc[i] > nlabels:
-            nlabels = csrc[i]
+        if q.src[i] > nlabels:
+            nlabels = q.src[i]
         if cdst[i] > nlabels:
             nlabels = cdst[i]
     nlabels += 1
+    q.nlabels = nlabels
 
-    cdef u64 *rows = <u64 *> calloc(cn * nlabels, sizeof(u64))
+    q.rows = <u64 *> calloc(cn * nlabels, sizeof(u64))
     for w in range(cn):
         for u in range(cn):
             if u != w:
-                rows[w * nlabels + cdst[w * cn + u]] |= (<u64>1) << u
+                q.rows[w * nlabels + cdst[w * cn + u]] |= (<u64>1) << u
 
     cdef int *sig_src = <int *> calloc(cn * nlabels, sizeof(int))
     cdef int *sig_dst = <int *> calloc(cn * nlabels, sizeof(int))
     for v in range(cn):
         for u in range(cn):
             if u != v:
-                sig_src[v * nlabels + csrc[v * cn + u]] += 1
+                sig_src[v * nlabels + q.src[v * cn + u]] += 1
                 sig_dst[v * nlabels + cdst[v * cn + u]] += 1
 
+    q.sig_match = <u64 *> calloc(cn, sizeof(u64))
+    for v in range(cn):
+        for w in range(cn):
+            ok = 1
+            for lab in range(nlabels):
+                if sig_dst[w * nlabels + lab] != sig_src[v * nlabels + lab]:
+                    ok = 0
+                    break
+            if ok:
+                q.sig_match[v] |= (<u64>1) << w
+
+    free(cdst)
+    free(sig_src)
+    free(sig_dst)
+    return q
+
+
+def search_mapping(Query query not None, allowed):
+    cdef int cn = query.n
+    if cn == 0:
+        return []
+    cdef int i, v
+    cdef u64 full = ((<u64>1) << cn) - 1 if cn < 64 else <u64>~0
     cdef u64 *cand = <u64 *> malloc(cn * sizeof(u64))
     cdef u64 *scratch = <u64 *> malloc((cn + 1) * cn * sizeof(u64))
     cdef int *p = <int *> malloc(cn * sizeof(int))
@@ -114,36 +156,18 @@ def search_mapping(n, src, dst, allowed):
     cdef bint found = False
 
     for v in range(cn):
-        m = (<u64>allowed[v]) & full
-        mm = 0
-        while m:
-            low = m & (~m + 1)
-            w = __builtin_ctzll(low)
-            m ^= low
-            ok = 1
-            for lab in range(nlabels):
-                if sig_dst[w * nlabels + lab] != sig_src[v * nlabels + lab]:
-                    ok = 0
-                    break
-            if ok:
-                mm |= low
-        if mm == 0:
+        cand[v] = (<u64>allowed[v]) & full & query.sig_match[v]
+        if cand[v] == 0:
             feasible = False
             break
-        cand[v] = mm
 
     if feasible:
-        found = _rec(cn, csrc, rows, nlabels, full, cand, scratch, 0, p)
+        found = _rec(cn, query.src, query.rows, query.nlabels, full, cand, scratch, 0, p)
 
     result = None
     if found:
         result = [p[i] for i in range(cn)]
 
-    free(csrc)
-    free(cdst)
-    free(rows)
-    free(sig_src)
-    free(sig_dst)
     free(cand)
     free(scratch)
     free(p)

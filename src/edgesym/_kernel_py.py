@@ -1,9 +1,15 @@
 """Pure-Python backtracking kernel for constrained mapping search.
 
-Finds a bijection p on {0..n-1} with dst[p(u)*n + p(v)] == src[u*n + v] for
-every pair u != v, subject to per-vertex candidate bitmasks. Labels are small
-dense non-negative ints; entry 0 plays no special role. The diagonal is
-ignored.
+A search runs in two steps. ``prepare(n, src, dst)`` does the set-up that
+depends only on the two label matrices: it buckets the image rows by label
+and matches per-vertex label histograms. ``search_mapping(query, allowed)``
+then finds a bijection p on {0..n-1} with dst[p(u)*n + p(v)] == src[u*n + v]
+for every pair u != v, subject to the per-vertex candidate bitmasks in
+``allowed``. One prepared query can be searched any number of times with
+different masks; each search returns what a fresh ``prepare`` would give.
+
+Labels are small dense non-negative ints; entry 0 plays no special role. The
+diagonal is ignored.
 
 The compiled twin in _kernel_c.pyx implements the identical policy (lowest
 (candidate-count, vertex) branch choice, ascending image order) so both
@@ -12,45 +18,60 @@ backends return bit-identical witnesses.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 BACKEND = "python"
 
 
-def search_mapping(n, src, dst, allowed):
+class Query(NamedTuple):
+    """Set-up shared by every search over one (src, dst) pair. It keeps a
+    reference to src, which must not change while the query is in use."""
+
+    n: int
+    src: list
+    rows: list  # rows[w][l] = vertices w2 != w with dst[w][w2] == l
+    sig_match: list  # sig_match[v] = vertices w whose dst histogram equals v's src one
+
+
+def _label_rows(mat, n, nlabels):
+    """rows[v][l] = bitmask of the vertices u != v with mat[v*n + u] == l."""
+    rows = []
+    for v in range(n):
+        r = [0] * nlabels
+        bit = 1
+        for lab in mat[v * n : v * n + n]:
+            r[lab] |= bit
+            bit <<= 1
+        r[mat[v * n + v]] ^= 1 << v
+        rows.append(r)
+    return rows
+
+
+def prepare(n, src, dst) -> Query:
+    if n == 0:
+        return Query(0, [], [], [])
+    nlabels = max(max(src), max(dst)) + 1
+    rows = _label_rows(dst, n, nlabels)
+    src_rows = rows if src == dst else _label_rows(src, n, nlabels)
+
+    # per-vertex label histograms; mismatched histograms can never map
+    sig_dst: dict[tuple, int] = {}
+    for w in range(n):
+        h = tuple([x.bit_count() for x in rows[w]])
+        sig_dst[h] = sig_dst.get(h, 0) | 1 << w
+    sig_match = [sig_dst.get(tuple([x.bit_count() for x in r]), 0) for r in src_rows]
+    return Query(n, src, rows, sig_match)
+
+
+def search_mapping(query: Query, allowed):
+    n, src, rows, sig_match = query
     if n == 0:
         return []
     full = (1 << n) - 1
-    nlabels = max(max(src), max(dst)) + 1
-
-    # image rows bucketed by label: rows[w][l] = vertices w2 with dst[w][w2] == l
-    rows = [[0] * nlabels for _ in range(n)]
-    for w in range(n):
-        base = w * n
-        for w2 in range(n):
-            if w2 != w:
-                rows[w][dst[base + w2]] |= 1 << w2
-
-    # per-vertex label histograms; mismatched histograms can never map
-    def histo(mat, v):
-        h = [0] * nlabels
-        base = v * n
-        for u in range(n):
-            if u != v:
-                h[mat[base + u]] += 1
-        return tuple(h)
-
-    sig_src = [histo(src, v) for v in range(n)]
-    sig_dst = [histo(dst, w) for w in range(n)]
 
     cand = []
     for v in range(n):
-        m = allowed[v] & full
-        mm = 0
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
-            if sig_dst[w] == sig_src[v]:
-                mm |= low
+        mm = allowed[v] & full & sig_match[v]
         if mm == 0:
             return None
         cand.append(mm)

@@ -7,6 +7,7 @@ orbits, group order, and graph isomorphism all reduce to it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -140,11 +141,9 @@ def _build_query(g: Graph, c: AutConstraint):
     n = g.n
     full = (1 << n) - 1
 
-    colours = c.colour_preserve
-    colour_ids: dict[str, int] = {}
-    if colours is not None:
-        for col in sorted(set(colours.values())):
-            colour_ids[col] = len(colour_ids) + 1  # 0 = uncoloured edge
+    colours = c.colour_preserve or {}
+    colour_ids = {col: i + 1 for i, col in enumerate(sorted(set(colours.values())))}
+    edge_colour = {e: colour_ids[col] for e, col in colours.items()}  # 0 = uncoloured
 
     src_bits: dict[Edge, int] = {}
     dst_bits: dict[Edge, int] = {}
@@ -154,24 +153,19 @@ def _build_query(g: Graph, c: AutConstraint):
         for e in b:
             dst_bits[e] = dst_bits.get(e, 0) | 1 << j
 
-    ids: dict[tuple, int] = {}
-
-    def label(tup) -> int:
-        if tup not in ids:
-            ids[tup] = len(ids)
-        return ids[tup]
-
-    nonedge = label((0, 0, 0))
-    src = [nonedge] * (n * n)
-    dst = [nonedge] * (n * n)
-    for u, v in g.edges:
-        col = 0
-        if colours is not None and (u, v) in colours:
-            col = colour_ids[colours[(u, v)]]
-        ls = label((1, col, src_bits.get((u, v), 0)))
-        ld = label((1, col, dst_bits.get((u, v), 0)))
-        src[u * n + v] = src[v * n + u] = ls
-        dst[u * n + v] = dst[v * n + u] = ld
+    # an edge's key is its colour id above its edge-setwise bits; label ids are
+    # handed out in order of first use, with 0 for the non-edge (key -1).
+    # Without edge-setwise pairs both matrices are the same, so dst is src.
+    shift = len(c.edge_setwise_pairs)
+    ids = {-1: 0}
+    src = [0] * (n * n)
+    dst = [0] * (n * n) if shift else src
+    for e in g.edges:
+        u, v = e
+        key = edge_colour.get(e, 0) << shift
+        src[u * n + v] = src[v * n + u] = ids.setdefault(key | src_bits.get(e, 0), len(ids))
+        if shift:
+            dst[u * n + v] = dst[v * n + u] = ids.setdefault(key | dst_bits.get(e, 0), len(ids))
 
     allowed = [full] * n
     for v, w in c.pinned.items():
@@ -234,9 +228,10 @@ def find_automorphism(g: Graph, c: Optional[AutConstraint] = None) -> Optional[P
         if len(a) != len(b):
             return None
     src, dst, allowed = _build_query(g, c)
+    query = kernel.prepare(g.n, src, dst)
 
     def run(masks) -> Optional[Permutation]:
-        res = kernel.search_mapping(g.n, src, dst, masks)
+        res = kernel.search_mapping(query, masks)
         if res is None:
             return None
         p = Permutation(tuple(res))
@@ -270,11 +265,47 @@ def find_automorphism(g: Graph, c: Optional[AutConstraint] = None) -> Optional[P
 # -- groups via stabiliser chains -------------------------------------------
 
 
+def _equitable_cells(g: Graph, fixed: Sequence[int]) -> list[int]:
+    """Cell of each vertex in the coarsest equitable partition of g in which
+    every vertex of fixed has a cell of its own.
+
+    Cells are refined by the number of neighbours in each cell (bitmask
+    popcounts) until their number stops growing. Each round names the cells
+    by the rank of their sorted signatures, so the names depend only on the
+    graph and fixed, never on the vertex numbering within a cell.
+    """
+    n = g.n
+    adj = [g.adjacency_mask(v) for v in range(n)]
+    cell = [0] * n
+    for i, v in enumerate(fixed):
+        cell[v] = i + 1
+    count = len(set(cell))
+    while True:
+        masks = [0] * (max(cell) + 1)
+        for v in range(n):
+            masks[cell[v]] |= 1 << v
+        sigs = [(cell[v], *[(adj[v] & m).bit_count() for m in masks]) for v in range(n)]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        cell = [rank[sig] for sig in sigs]
+        if len(rank) == count:
+            return cell
+        count = len(rank)
+
+
 def _chain_transversals(g: Graph, start_fixed: Sequence[int]) -> list[Permutation]:
     """Transversal witnesses along the chain of pointwise stabilisers.
 
     The union of level transversals generates the pointwise stabiliser of
     start_fixed (the whole automorphism group when start_fixed is empty).
+    Level b holds, for each target w != b in ascending order, the witness of
+    find_automorphism(pinned={b: w}, pointwise_fixed=fixed) when one exists.
+
+    Targets are pruned by equitable refinement: an automorphism that fixes
+    every vertex of fixed maps each cell of the coarsest equitable partition
+    with those vertices individualised onto itself, so only targets in b's
+    cell are searched. The skipped searches are exactly ones that would fail;
+    the masks passed to the search are unchanged, so the witness list is the
+    same as without pruning, element for element.
     """
     gens: list[Permutation] = []
     fixed = list(dict.fromkeys(start_fixed))
@@ -282,8 +313,11 @@ def _chain_transversals(g: Graph, start_fixed: Sequence[int]) -> list[Permutatio
     for b in range(g.n):
         if b in fixed_set:
             continue
+        cell = _equitable_cells(g, fixed)
+        if len(set(cell)) == g.n:
+            break  # discrete: only the identity fixes fixed, here and below
         for w in range(g.n):
-            if w == b:
+            if w == b or cell[w] != cell[b]:
                 continue
             witness = find_automorphism(
                 g,
@@ -314,24 +348,17 @@ def pointwise_stabiliser_generators(g: Graph, fixed: Iterable[int]) -> list[Perm
 
 
 def group_order(g: Graph, max_n: int = 16) -> int:
-    """|Aut(G)| by an orbit-stabiliser chain. Guarded by max_n."""
+    """|Aut(G)| by an orbit-stabiliser chain. Guarded by max_n.
+
+    Every chain witness of level b fixes 0..b-1 and moves b, so the orbit of
+    b under its level's stabiliser is b plus those witnesses' images of b.
+    """
     if g.n > max_n:
         raise SizeGuardError(f"group_order guard: n={g.n} exceeds {max_n}")
-    order = 1
-    fixed: list[int] = []
-    for b in range(g.n):
-        orbit = 1
-        for w in range(g.n):
-            if w == b:
-                continue
-            witness = find_automorphism(
-                g, AutConstraint(pinned={b: w}, pointwise_fixed=frozenset(fixed))
-            )
-            if witness is not None:
-                orbit += 1
-        order *= orbit
-        fixed.append(b)
-    return order
+    orbit = [1] * g.n
+    for p in _chain_transversals(g, []):
+        orbit[p.moved()[0]] += 1
+    return math.prod(orbit)
 
 
 def all_automorphisms(g: Graph, limit: int = 1_000_000) -> Optional[list[Permutation]]:
@@ -426,7 +453,7 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[Permutation]:
         src[u * n + v] = src[v * n + u] = 1
     for u, v in h.edges:
         dst[u * n + v] = dst[v * n + u] = 1
-    res = kernel.search_mapping(n, src, dst, [(1 << n) - 1] * n)
+    res = kernel.search_mapping(kernel.prepare(n, src, dst), [(1 << n) - 1] * n)
     if res is None:
         return None
     p = Permutation(tuple(res))

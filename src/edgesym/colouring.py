@@ -25,10 +25,12 @@ class EdgeColouring:
     def __init__(self, assignment: Mapping[Edge, str] | Iterable[tuple[Edge, str]] = ()):
         items = assignment.items() if isinstance(assignment, Mapping) else assignment
         self.assignment: dict[Edge, str] = {}
-        for (u, v), col in items:
+        for e, col in items:
             if col not in PALETTE:
                 raise ColouringError(f"unknown colour {col!r}")
-            self.assignment[edge(u, v)] = col
+            u, v = e
+            # keep an edge tuple that is already canonical instead of a copy
+            self.assignment[e if type(e) is tuple and u < v else edge(u, v)] = col
 
     def get(self, e: Edge, default: Optional[str] = None) -> Optional[str]:
         return self.assignment.get(edge(*e), default)

@@ -173,7 +173,7 @@ def _probe_candidates(g: Graph, k: int, tries: int = 512):
             if pathv is not None:
                 try:
                     yield hamiltonian_colouring(g, pathv)
-                except (ChordlessPathError, RuntimeError):
+                except ChordlessPathError:
                     pass
 
         rng = random.Random(0x5EED ^ (g.n * 2_654_435_761 + g.edge_count * 97 + k))

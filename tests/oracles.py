@@ -84,6 +84,18 @@ def automorphisms_by_backtracking(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
+def automorphism_count_networkx(g: Graph) -> int:
+    """|Aut(G)| counted by networkx's VF2 GraphMatcher, an implementation
+    that shares no code with edgesym. Callers skip when networkx is absent."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+
+
 def constraint_holds_naive(g: Graph, c, p: tuple[int, ...]) -> bool:
     """Field-by-field constraint check used by the brute-force side."""
     es = set(g.edges)

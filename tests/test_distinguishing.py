@@ -231,6 +231,19 @@ def test_hamiltonian_colouring_bad_path():
         hamiltonian_colouring(complete(5), [0, 1, 2, 3, 4])
 
 
+def test_probe_does_not_swallow_broken_invariants(monkeypatch):
+    # the spider colouring is proven distinguishing, so a failed verification
+    # (or an invalid kernel witness) is a bug that must reach the caller
+    import edgesym.distinguishing as dist
+
+    def broken(g, path):
+        raise RuntimeError("spider colouring failed verification")
+
+    monkeypatch.setattr(dist, "hamiltonian_colouring", broken)
+    with pytest.raises(RuntimeError, match="spider colouring failed verification"):
+        distinguishing_index(complete(7))
+
+
 def test_hamiltonian_path_finder():
     p = hamiltonian_path(petersen())
     assert p is not None and sorted(p) == list(range(10))

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgesym.colouring import GREEN, RED, ColouringError, EdgeColouring
 from edgesym.graph import (
     Graph,
     GraphError,
@@ -29,6 +30,16 @@ def test_edge_canonical_order():
     assert edge(3, 1) == (1, 3)
     with pytest.raises(GraphError):
         edge(2, 2)
+
+
+def test_edge_colouring_keys_are_canonical():
+    c = EdgeColouring({(2, 1): RED, (0, 3): GREEN})
+    assert sorted(c.assignment) == [(0, 3), (1, 2)]
+    assert c[(1, 2)] == RED and c[(3, 0)] == GREEN
+    with pytest.raises(GraphError):
+        EdgeColouring({(1, 1): RED})
+    with pytest.raises(ColouringError):
+        EdgeColouring({(0, 1): "mauve"})
 
 
 def test_graph_basics():

@@ -43,9 +43,9 @@ def test_kernels_identical_on_random_queries():
     rng = random.Random(424242)
     for _ in range(400):
         n, src, dst, allowed = _random_query(rng)
-        assert _kernel_py.search_mapping(n, src, dst, allowed) == _kernel_c.search_mapping(
-            n, src, dst, allowed
-        )
+        assert _kernel_py.search_mapping(
+            _kernel_py.prepare(n, src, dst), allowed
+        ) == _kernel_c.search_mapping(_kernel_c.prepare(n, src, dst), allowed)
 
 
 @needs_c
@@ -57,9 +57,9 @@ def test_kernels_identical_on_structured_queries():
         for u, v in g.edges:
             src[u * n + v] = src[v * n + u] = 1
         full = [(1 << n) - 1] * n
-        assert _kernel_py.search_mapping(n, src, src, full) == _kernel_c.search_mapping(
-            n, src, src, full
-        )
+        assert _kernel_py.search_mapping(
+            _kernel_py.prepare(n, src, src), full
+        ) == _kernel_c.search_mapping(_kernel_c.prepare(n, src, src), full)
 
 
 @needs_c
@@ -76,6 +76,24 @@ def test_backend_env_selection(monkeypatch):
     assert mod.BACKEND == "c"
     monkeypatch.delenv("EDGESYM_KERNEL")
     importlib.reload(K)
+
+
+def test_prepared_query_reused_across_searches():
+    # one prepared query searched with many masks answers, call for call,
+    # exactly what a fresh prepare per search answers
+    rng = random.Random(171717)
+    outcomes = set()
+    for _ in range(150):
+        n, src, dst, allowed = _random_query(rng)
+        query = _kernel_py.prepare(n, src, dst)
+        for _ in range(8):
+            masks = [m & rng.getrandbits(n) | m & (1 << rng.randrange(n)) for m in allowed]
+            if rng.random() < 0.3:
+                masks = list(allowed)
+            fresh = _kernel_py.search_mapping(_kernel_py.prepare(n, src, dst), masks)
+            assert _kernel_py.search_mapping(query, masks) == fresh
+            outcomes.add(fresh is None)
+    assert outcomes == {True, False}  # both found and refused searches were compared
 
 
 def test_engine_consistency_via_public_api():
