@@ -74,24 +74,10 @@ from .distinguishing import (
     search_colouring,
 )
 from .layered import (
-    Decoration,
     DecorationShortageError,
-    LayerEdgeClasses,
     NotColourableError,
-    OrbitLayering,
-    StepState,
     VerificationError,
-    assign_decorations,
-    build_layering,
-    check_step_properties,
-    classify_layer,
-    colour_horizontal,
     colour_regular,
-    decoration_is_asymmetric,
-    decorations_similar,
-    enumerate_decorations,
-    initial_colouring,
-    persistent_exists,
 )
 from .catalog import connected_regular_graphs, connected_regular_upto, regular_graphs
 

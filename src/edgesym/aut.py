@@ -14,7 +14,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 from . import kernel
 from .graph import Edge, Graph, edge
 
-_MAX_SEARCH_N = 64  # kernel bitmask width
+# Largest graph a search accepts (SizeGuardError above it). A chosen bound, not
+# a kernel limit: the kernel's masks are Python ints of any width.
+_MAX_SEARCH_N = 64
 
 
 class ConstraintError(ValueError):

@@ -8,6 +8,7 @@ Subcommands: gen, colour, dprime, scan, aut. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Optional
@@ -82,6 +83,11 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
     grp.add_argument("--gen", metavar="SPEC", help="generator spec, e.g. 'cycle 5'")
 
 
+def _open_input(path: str):
+    """The file at path, or standard input (left open) for '-'."""
+    return contextlib.nullcontext(sys.stdin) if path == "-" else open(path)
+
+
 def _load_graph(args) -> Graph:
     if args.g6 is not None:
         return parse_graph6(args.g6)
@@ -90,24 +96,12 @@ def _load_graph(args) -> Graph:
         if len(graphs) != 1:
             raise _InputError("generator spec must produce exactly one graph here")
         return graphs[0]
-    stream = sys.stdin if args.file == "-" else open(args.file)
-    with stream if args.file != "-" else _noclose(stream) as fh:
+    with _open_input(args.file) as fh:
         for line in fh:
             line = line.strip()
             if line:
                 return parse_graph6(line)
     raise _InputError("no graph6 line found in input")
-
-
-class _noclose:
-    def __init__(self, fh):
-        self.fh = fh
-
-    def __enter__(self):
-        return self.fh
-
-    def __exit__(self, *exc):
-        return False
 
 
 def _emit_colouring(g: Graph, c: EdgeColouring, fmt: str, extra: dict) -> None:
@@ -199,8 +193,7 @@ def evaluate_scan_rows(rows: list[dict]) -> int:
 
 
 def cmd_scan(args) -> int:
-    stream = sys.stdin if args.file == "-" else open(args.file)
-    with stream if args.file != "-" else _noclose(stream) as fh:
+    with _open_input(args.file) as fh:
         graphs = list(read_graph6_lines(fh))
     report = scan_conjecture(
         graphs,

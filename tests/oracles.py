@@ -84,6 +84,27 @@ def automorphisms_by_backtracking(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
+def label_mapping_holds(n: int, src, dst, allowed, p) -> bool:
+    """Is p a bijection of {0..n-1} inside the candidate masks that carries
+    every off-diagonal label of src onto the same label of dst?"""
+    if sorted(p) != list(range(n)):
+        return False
+    if any(not allowed[v] >> p[v] & 1 for v in range(n)):
+        return False
+    return all(
+        dst[p[u] * n + p[v]] == src[u * n + v] for u in range(n) for v in range(n) if u != v
+    )
+
+
+def find_label_mapping_brute(n: int, src, dst, allowed) -> Optional[tuple[int, ...]]:
+    """First label-preserving bijection in lexicographic order, or None, by
+    trying all n! permutations. Keep n <= 7."""
+    for p in itertools.permutations(range(n)):
+        if label_mapping_holds(n, src, dst, allowed, p):
+            return p
+    return None
+
+
 def automorphism_count_networkx(g: Graph) -> int:
     """|Aut(G)| counted by networkx's VF2 GraphMatcher, an implementation
     that shares no code with edgesym. Callers skip when networkx is absent."""

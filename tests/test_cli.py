@@ -188,3 +188,25 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run(capsys, "dprime", "--file", "-")
     assert code == 0
     assert json.loads(out)["dprime"] == 2
+
+
+def test_scan_reads_corpus_from_stdin(capsys, monkeypatch):
+    import io
+
+    corpus = "\n".join(serialize_graph6(g) for g in [cycle(5), petersen()]) + "\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(corpus))
+    code, out, _ = run(capsys, "scan", "--file", "-")
+    assert code == 0
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert [(r["graph6"], r["status"]) for r in rows] == [
+        (serialize_graph6(cycle(5)), "known_exception"),
+        (serialize_graph6(petersen()), "ok"),
+    ]
+
+
+@pytest.mark.parametrize("command", ["colour", "scan"])
+def test_missing_input_file(tmp_path, capsys, command):
+    missing = tmp_path / "absent.g6"
+    code, out, err = run(capsys, command, "--file", str(missing))
+    assert code == 2 and out == ""
+    assert "error" in err and "absent.g6" in err

@@ -1,0 +1,88 @@
+import random
+
+from edgesym import kernel
+from edgesym.aut import AutConstraint, find_automorphism
+from edgesym.graph import petersen
+from oracles import find_label_mapping_brute, label_mapping_holds
+
+
+def _random_query(rng, max_n=9):
+    n = rng.randint(1, max_n)
+    labels = rng.randint(1, 4)
+    src = [0] * (n * n)
+    dst = [0] * (n * n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            a = rng.randrange(labels)
+            b = rng.randrange(labels)
+            src[u * n + v] = src[v * n + u] = a
+            dst[u * n + v] = dst[v * n + u] = b
+    if rng.random() < 0.5:
+        dst = list(src)  # automorphism-style query
+    allowed = []
+    for v in range(n):
+        m = (1 << n) - 1
+        if rng.random() < 0.3:
+            m = 0
+            for w in rng.sample(range(n), rng.randint(1, n)):
+                m |= 1 << w
+        allowed.append(m)
+    return n, src, dst, allowed
+
+
+def _relabelled(n, src, perm):
+    """dst with dst[perm[u]*n + perm[v]] == src[u*n + v]: src carried by perm."""
+    dst = [0] * (n * n)
+    for u in range(n):
+        for v in range(n):
+            dst[perm[u] * n + perm[v]] = src[u * n + v]
+    return dst
+
+
+def test_search_matches_brute_force_oracle():
+    # every answer against all n! permutations: None exactly when no bijection
+    # exists, otherwise a bijection inside the masks that carries src onto dst
+    rng = random.Random(424242)
+    outcomes = {"found": 0, "refused": 0, "found_distinct": 0}
+    for _ in range(400):
+        n, src, dst, allowed = _random_query(rng, max_n=6)
+        if rng.random() < 0.25:
+            # an isomorphism-style query between distinct matrices
+            dst = _relabelled(n, src, rng.sample(range(n), n))
+        res = kernel.search_mapping(kernel.prepare(n, src, dst), allowed)
+        if find_label_mapping_brute(n, src, dst, allowed) is None:
+            assert res is None
+            outcomes["refused"] += 1
+        else:
+            assert res is not None and label_mapping_holds(n, src, dst, allowed, res)
+            outcomes["found"] += 1
+            outcomes["found_distinct"] += src != dst
+    assert min(outcomes.values()) >= 20
+
+
+def test_prepared_query_reused_across_searches():
+    # one prepared query searched with many masks answers, call for call,
+    # exactly what a fresh prepare per search answers
+    rng = random.Random(171717)
+    outcomes = set()
+    for _ in range(150):
+        n, src, dst, allowed = _random_query(rng)
+        query = kernel.prepare(n, src, dst)
+        for _ in range(8):
+            masks = [m & rng.getrandbits(n) | m & (1 << rng.randrange(n)) for m in allowed]
+            if rng.random() < 0.3:
+                masks = list(allowed)
+            fresh = kernel.search_mapping(kernel.prepare(n, src, dst), masks)
+            assert kernel.search_mapping(query, masks) == fresh
+            outcomes.add(fresh is None)
+    assert outcomes == {True, False}  # both found and refused searches were compared
+
+
+def test_backend_is_python():
+    assert kernel.BACKEND == "python"
+
+
+def test_engine_consistency_via_public_api():
+    g = petersen()
+    w = find_automorphism(g, AutConstraint(pinned={0: 3}))
+    assert w is not None and w(0) == 3
