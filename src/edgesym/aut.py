@@ -138,8 +138,26 @@ def _validate(g: Graph, c: AutConstraint) -> None:
             check_vertex(v, "nontrivial_on vertex")
 
 
+def _label_rows(g: Graph, labels: Sequence[int], nlabels: int) -> list[list[int]]:
+    """Kernel rows of g: rows[v][l] is the bitmask of the vertices u != v
+    whose pair with v has label l, where a non-edge has label 0 and the edge
+    g.edges[k] has label labels[k]. Built from the edge list: label 0 is the
+    complement of the adjacency mask, and each edge end sets one bit."""
+    full = (1 << g.n) - 1
+    rows = []
+    for v in range(g.n):
+        r = [0] * nlabels
+        r[0] = full ^ g.adjacency_mask(v) ^ (1 << v)
+        rows.append(r)
+    for (u, v), lab in zip(g.edges, labels):
+        rows[u][lab] |= 1 << v
+        rows[v][lab] |= 1 << u
+    return rows
+
+
 def _build_query(g: Graph, c: AutConstraint):
-    """Label matrices and candidate masks encoding every positive constraint."""
+    """Kernel rows of both sides and candidate masks encoding every positive
+    constraint."""
     n = g.n
     full = (1 << n) - 1
 
@@ -157,17 +175,18 @@ def _build_query(g: Graph, c: AutConstraint):
 
     # an edge's key is its colour id above its edge-setwise bits; label ids are
     # handed out in order of first use, with 0 for the non-edge (key -1).
-    # Without edge-setwise pairs both matrices are the same, so dst is src.
+    # Without edge-setwise pairs both sides are the same, so dst is src.
     shift = len(c.edge_setwise_pairs)
     ids = {-1: 0}
-    src = [0] * (n * n)
-    dst = [0] * (n * n) if shift else src
+    src_labels = []
+    dst_labels = []
     for e in g.edges:
-        u, v = e
         key = edge_colour.get(e, 0) << shift
-        src[u * n + v] = src[v * n + u] = ids.setdefault(key | src_bits.get(e, 0), len(ids))
+        src_labels.append(ids.setdefault(key | src_bits.get(e, 0), len(ids)))
         if shift:
-            dst[u * n + v] = dst[v * n + u] = ids.setdefault(key | dst_bits.get(e, 0), len(ids))
+            dst_labels.append(ids.setdefault(key | dst_bits.get(e, 0), len(ids)))
+    src = _label_rows(g, src_labels, len(ids))
+    dst = _label_rows(g, dst_labels, len(ids)) if shift else src
 
     allowed = [full] * n
     for v, w in c.pinned.items():
@@ -226,9 +245,6 @@ def find_automorphism(g: Graph, c: Optional[AutConstraint] = None) -> Optional[P
     """
     c = (c or AutConstraint()).normalised()
     _validate(g, c)
-    for a, b in c.edge_setwise_pairs:
-        if len(a) != len(b):
-            return None
     src, dst, allowed = _build_query(g, c)
     query = kernel.prepare(g.n, src, dst)
 
@@ -449,12 +465,8 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[Permutation]:
     n = g.n
     if n > _MAX_SEARCH_N:
         raise SizeGuardError(f"search supports at most {_MAX_SEARCH_N} vertices")
-    src = [0] * (n * n)
-    dst = [0] * (n * n)
-    for u, v in g.edges:
-        src[u * n + v] = src[v * n + u] = 1
-    for u, v in h.edges:
-        dst[u * n + v] = dst[v * n + u] = 1
+    src = _label_rows(g, [1] * g.edge_count, 2)
+    dst = _label_rows(h, [1] * h.edge_count, 2)
     res = kernel.search_mapping(kernel.prepare(n, src, dst), [(1 << n) - 1] * n)
     if res is None:
         return None

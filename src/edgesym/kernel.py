@@ -1,16 +1,19 @@
 """Backtracking kernel for constrained mapping search, in pure Python.
 
-A search runs in two steps. ``prepare(n, src, dst)`` does the set-up that
-depends only on the two n x n label matrices (row-major lists): it buckets
-the image rows by label and matches per-vertex label histograms.
-``search_mapping(query, allowed)`` then finds a bijection p on {0..n-1} with
-dst[p(u)*n + p(v)] == src[u*n + v] for every pair u != v, subject to the
-per-vertex candidate bitmasks in ``allowed``. One prepared query can be
-searched any number of times with different masks; each search returns what
-a fresh ``prepare`` would give.
+A search runs in two steps. ``prepare(n, src_rows, dst_rows)`` takes the
+labelled pairs of {0..n-1} as row bitmasks: ``src_rows[v]`` partitions the
+vertices u != v by the label of the pair {v, u} in the source, so
+``src_rows[v][l]`` is the bitmask of those with label l. ``dst_rows`` does
+the same for the image side, with the same number of labels. ``prepare``
+matches per-vertex label histograms. ``search_mapping(query, allowed)`` then
+finds a bijection p on {0..n-1} with label_dst(p(u), p(v)) == label_src(u, v)
+for every pair u != v, subject to the per-vertex candidate bitmasks in
+``allowed``. One prepared query can be searched any number of times with
+different masks; each search returns what a fresh ``prepare`` would give.
 
-Labels are small dense non-negative ints; entry 0 plays no special role. The
-diagonal is ignored. Masks are Python ints, so n has no width limit here.
+Labels are small dense non-negative ints; label 0 plays no special role
+here. ``aut`` builds the rows from a graph's edge list, so no n x n matrix
+is formed. Masks are Python ints, so n has no width limit here.
 
 The search is deterministic: it branches on the lowest (candidate-count,
 vertex) pair and tries images in ascending order, and returns the first
@@ -27,47 +30,35 @@ BACKEND = "python"
 
 
 class Query(NamedTuple):
-    """Set-up shared by every search over one (src, dst) pair. It keeps a
-    reference to src, which must not change while the query is in use."""
+    """Set-up shared by every search over one (src_rows, dst_rows) pair. It
+    keeps a reference to dst_rows, which must not change while the query is
+    in use."""
 
     n: int
-    src: list
-    rows: list  # rows[w][l] = vertices w2 != w with dst[w][w2] == l
+    src_groups: list  # src_groups[v] = [(l, src_rows[v][l]) for each nonempty row]
+    rows: list  # rows[w][l] = vertices w2 != w whose pair with w has dst label l
     sig_match: list  # sig_match[v] = vertices w whose dst histogram equals v's src one
 
 
-def _label_rows(mat, n, nlabels):
-    """rows[v][l] = bitmask of the vertices u != v with mat[v*n + u] == l."""
-    rows = []
-    for v in range(n):
-        r = [0] * nlabels
-        bit = 1
-        for lab in mat[v * n : v * n + n]:
-            r[lab] |= bit
-            bit <<= 1
-        r[mat[v * n + v]] ^= 1 << v
-        rows.append(r)
-    return rows
-
-
-def prepare(n, src, dst) -> Query:
+def prepare(n, src_rows, dst_rows) -> Query:
     if n == 0:
         return Query(0, [], [], [])
-    nlabels = max(max(src), max(dst)) + 1
-    rows = _label_rows(dst, n, nlabels)
-    src_rows = rows if src == dst else _label_rows(src, n, nlabels)
-
     # per-vertex label histograms; mismatched histograms can never map
     sig_dst: dict[tuple, int] = {}
+    sigs = []
     for w in range(n):
-        h = tuple([x.bit_count() for x in rows[w]])
+        h = tuple([x.bit_count() for x in dst_rows[w]])
         sig_dst[h] = sig_dst.get(h, 0) | 1 << w
-    sig_match = [sig_dst.get(tuple([x.bit_count() for x in r]), 0) for r in src_rows]
-    return Query(n, src, rows, sig_match)
+        sigs.append(h)
+    if src_rows is not dst_rows:
+        sigs = [tuple([x.bit_count() for x in r]) for r in src_rows]
+    sig_match = [sig_dst.get(h, 0) for h in sigs]
+    src_groups = [[(lab, m) for lab, m in enumerate(r) if m] for r in src_rows]
+    return Query(n, src_groups, dst_rows, sig_match)
 
 
 def search_mapping(query: Query, allowed):
-    n, src, rows, sig_match = query
+    n, src_groups, rows, sig_match = query
     if n == 0:
         return []
     full = (1 << n) - 1
@@ -103,27 +94,32 @@ def search_mapping(query: Query, allowed):
                 best_c = c
         v = best_v
         rest = remaining ^ (1 << v)
-        base = v * n
+        vgroups = src_groups[v]
         choices = best_c
         while choices:
             low = choices & -choices
             w = low.bit_length() - 1
             choices ^= low
             nc = list(cand)
-            ok = True
-            m = rest
             wrow = rows[w]
-            notw = ~low
-            while m:
-                lu = m & -m
-                u = lu.bit_length() - 1
-                m ^= lu
-                cu = nc[u] & wrow[src[base + u]] & notw
-                if cu == 0:
-                    ok = False
-                    break
-                nc[u] = cu
-            if ok:
+            # each unmapped u may only go where w sees u's label; rows exclude
+            # w itself, so no second vertex can take w. A u left without
+            # candidates breaks out of both loops and rejects w.
+            for lab, m in vgroups:
+                m &= rest
+                wl = wrow[lab]
+                while m:
+                    lu = m & -m
+                    u = lu.bit_length() - 1
+                    m ^= lu
+                    cu = nc[u] & wl
+                    if cu == 0:
+                        break
+                    nc[u] = cu
+                else:
+                    continue
+                break
+            else:
                 p[v] = w
                 if rec(nc, rest):
                     return True

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .aut import (
@@ -97,6 +98,11 @@ class OrbitLayering:
 
     def earlier_vertices(self, i: int) -> list[int]:
         return [v for layer in self.layers[:i] for v in layer]
+
+    @cached_property
+    def settled_order(self) -> list[tuple[Edge, ...]]:
+        """Each settled edge set in ascending edge order."""
+        return [tuple(sorted(s)) for s in self.settled_edges]
 
 
 def build_layering(g: Graph, r: int) -> OrbitLayering:
@@ -201,6 +207,9 @@ class StepState:
     classes: dict[int, LayerEdgeClasses] = field(default_factory=dict)
     previous: Optional[dict[Edge, str]] = None
     audit: list[dict] = field(default_factory=list)
+    # (j, colours on layering.settled_order[j]) -> does a root-fixing map
+    # preserving those colours move slice j (see _settled_slice_movable)
+    settled_verdicts: dict[tuple, bool] = field(default_factory=dict)
 
     def layer_classes(self, i: int) -> LayerEdgeClasses:
         if i not in self.classes:
@@ -595,20 +604,39 @@ def check_step_properties(g: Graph, state: StepState) -> list[str]:
             break
 
     for j in range(i + 1):
-        restricted = {e: col[e] for e in lay.settled_edges[j]}
-        w = find_automorphism(
-            g,
-            AutConstraint(
-                pinned={r: r},
-                colour_preserve=restricted,
-                nontrivial_on=frozenset(lay.layers[j]),
-            ),
-        )
-        if w is not None:
+        if _settled_slice_movable(g, state, col, j):
             violations.append(
                 f"a root-fixing map preserving the settled colouring moves layer {j}"
             )
     return violations
+
+
+def _settled_slice_movable(
+    g: Graph, state: StepState, colouring: dict[Edge, str], j: int
+) -> bool:
+    """Does a root-fixing automorphism that preserves colouring on the edges
+    settled by slice j move some vertex of slice j?
+
+    The verdict depends only on j and the colours of those edges, so it is
+    memoised on the state under that key and a repeated query is answered
+    without a search. g must be the state's graph.
+    """
+    lay = state.layering
+    order = lay.settled_order[j]
+    colours = tuple([colouring[e] for e in order])
+    key = (j, colours)
+    verdict = state.settled_verdicts.get(key)
+    if verdict is None:
+        w = find_automorphism(
+            g,
+            AutConstraint(
+                pinned={lay.root: lay.root},
+                colour_preserve=dict(zip(order, colours)),
+                nontrivial_on=frozenset(lay.layers[j]),
+            ),
+        )
+        verdict = state.settled_verdicts[key] = w is not None
+    return verdict
 
 
 # -- fallbacks ------------------------------------------------------------------------
@@ -639,21 +667,7 @@ def _recolour_layer_exhaustive(
         tc = EdgeColouring(trial)
         if all_blue_vertices(g, tc) != [lay.root]:
             continue
-        ok = True
-        for j in range(i + 1):
-            restricted = {e: trial[e] for e in lay.settled_edges[j]}
-            w = find_automorphism(
-                g,
-                AutConstraint(
-                    pinned={lay.root: lay.root},
-                    colour_preserve=restricted,
-                    nontrivial_on=frozenset(lay.layers[j]),
-                ),
-            )
-            if w is not None:
-                ok = False
-                break
-        if ok:
+        if not any(_settled_slice_movable(g, state, trial, j) for j in range(i + 1)):
             state.colouring = trial
             state.horizontal_colours[i] = {e: trial[e] for e in cls.horizontal}
             return

@@ -132,6 +132,14 @@ def test_malformed_constraints_rejected():
         find_automorphism(Graph(70), AutConstraint())
 
 
+def test_unequal_edge_setwise_pair_rejected():
+    # both sets are edges of the graph; only their sizes differ
+    g = complete(4)
+    pair = (frozenset({(0, 1)}), frozenset({(0, 1), (2, 3)}))
+    with pytest.raises(ConstraintError, match="unequal cardinalities"):
+        find_automorphism(g, AutConstraint(edge_setwise_pairs=[pair]))
+
+
 def test_find_automorphism_agrees_with_brute_force():
     rng = random.Random(2024)
     for trial in range(120):

@@ -1,9 +1,28 @@
 import random
 
 from edgesym import kernel
-from edgesym.aut import AutConstraint, find_automorphism
-from edgesym.graph import petersen
-from oracles import find_label_mapping_brute, label_mapping_holds
+from edgesym.aut import AutConstraint, _build_query, find_automorphism
+from edgesym.graph import Graph, petersen
+from oracles import find_label_mapping_brute, label_mapping_holds, random_constraint
+
+
+def _rows_from_matrix(n, mat, nlabels):
+    """Kernel rows read off an n x n label matrix: rows[v][l] = bitmask of
+    the vertices u != v with mat[v*n + u] == l."""
+    rows = []
+    for v in range(n):
+        r = [0] * nlabels
+        for u in range(n):
+            if u != v:
+                r[mat[v * n + u]] |= 1 << u
+        rows.append(r)
+    return rows
+
+
+def _prepare_matrices(n, src, dst):
+    """kernel.prepare on a pair of n x n label matrices."""
+    nlabels = max(src + dst, default=0) + 1
+    return kernel.prepare(n, _rows_from_matrix(n, src, nlabels), _rows_from_matrix(n, dst, nlabels))
 
 
 def _random_query(rng, max_n=9):
@@ -49,7 +68,7 @@ def test_search_matches_brute_force_oracle():
         if rng.random() < 0.25:
             # an isomorphism-style query between distinct matrices
             dst = _relabelled(n, src, rng.sample(range(n), n))
-        res = kernel.search_mapping(kernel.prepare(n, src, dst), allowed)
+        res = kernel.search_mapping(_prepare_matrices(n, src, dst), allowed)
         if find_label_mapping_brute(n, src, dst, allowed) is None:
             assert res is None
             outcomes["refused"] += 1
@@ -67,15 +86,55 @@ def test_prepared_query_reused_across_searches():
     outcomes = set()
     for _ in range(150):
         n, src, dst, allowed = _random_query(rng)
-        query = kernel.prepare(n, src, dst)
+        query = _prepare_matrices(n, src, dst)
         for _ in range(8):
             masks = [m & rng.getrandbits(n) | m & (1 << rng.randrange(n)) for m in allowed]
             if rng.random() < 0.3:
                 masks = list(allowed)
-            fresh = kernel.search_mapping(kernel.prepare(n, src, dst), masks)
+            fresh = kernel.search_mapping(_prepare_matrices(n, src, dst), masks)
             assert kernel.search_mapping(query, masks) == fresh
             outcomes.add(fresh is None)
     assert outcomes == {True, False}  # both found and refused searches were compared
+
+
+def _label_matrices(g, c):
+    """n x n label matrices of a normalised constraint, one entry per vertex
+    pair: 0 off the edges, else an id of the edge's colour and edge-setwise
+    memberships, handed out in order of first use (src before dst per edge)."""
+    n = g.n
+    colours = c.colour_preserve or {}
+    names = sorted(set(colours.values()))
+    ids = {None: 0}
+    src = [0] * (n * n)
+    dst = [0] * (n * n)
+    for e in g.edges:
+        u, v = e
+        col = names.index(colours[e]) + 1 if e in colours else 0
+        ins = tuple(e in a for a, _ in c.edge_setwise_pairs)
+        outs = tuple(e in b for _, b in c.edge_setwise_pairs)
+        src[u * n + v] = src[v * n + u] = ids.setdefault((col, ins), len(ids))
+        dst[u * n + v] = dst[v * n + u] = ids.setdefault((col, outs), len(ids))
+    return src, dst, len(ids)
+
+
+def test_edge_built_rows_match_matrix_rows():
+    # the edge-built rows of find_automorphism's query equal the rows read
+    # off the n x n label matrices, on random graphs with colour overlays and
+    # edge-setwise pairs
+    rng = random.Random(5150)
+    seen = {"colours": 0, "edge_pairs": 0}
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        density = rng.random()
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+        c = random_constraint(g, rng).normalised()
+        src_rows, dst_rows, _ = _build_query(g, c)
+        src, dst, nlabels = _label_matrices(g, c)
+        assert src_rows == _rows_from_matrix(n, src, nlabels)
+        assert dst_rows == _rows_from_matrix(n, dst, nlabels)
+        seen["colours"] += bool(c.colour_preserve)
+        seen["edge_pairs"] += bool(c.edge_setwise_pairs)
+    assert min(seen.values()) >= 30
 
 
 def test_backend_is_python():

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from edgesym.aut import AutConstraint
+from edgesym.catalog import connected_regular_upto
 from edgesym.colouring import BLUE, GREEN, RED, EdgeColouring, all_blue_vertices, satisfies_blue_rule
 from edgesym.distinguishing import is_distinguishing
 from edgesym.graph import (
@@ -365,6 +368,60 @@ def test_check_step_properties_detects_moved_layer():
         state.colouring[e] = GREEN
     violations = check_step_properties(g, state)
     assert any("moves layer" in v for v in violations)
+
+
+def _stepped_states(graphs):
+    """(graph, state, i) after every step i of the layered construction,
+    the initial colouring being step 0, on each graph that has layer steps."""
+    for g in graphs:
+        deg = regularity(g)
+        if g.n <= 2 or deg == 2 or deg == g.n - 1:
+            continue  # cycle and complete-graph branches have no layer steps
+        state = initial_colouring(g, 0)
+        yield g, state, 0
+        for i in range(1, state.layering.count):
+            state.previous = dict(state.colouring)
+            state.step = i
+            colour_horizontal(g, state, i)
+            assign_decorations(g, state, i)
+            yield g, state, i
+
+
+def test_step_check_memo_is_exact():
+    # a step check answered from the memo equals the same check with an empty
+    # memo, at every step of the n <= 8 catalogue and Petersen; then a
+    # recolouring outside the current slice that makes an earlier slice
+    # movable is still reported, though that slice's old verdict is memoised
+    moved = "a root-fixing map preserving the settled colouring moves layer {}"
+    graphs = connected_regular_upto(8) + [petersen()]
+    steps = memo_hits = recoloured_moves = 0
+    for g, state, i in _stepped_states(graphs):
+        before = len(state.settled_verdicts)
+        assert check_step_properties(g, state) == check_step_properties(
+            g, dataclasses.replace(state, settled_verdicts={})
+        )
+        steps += 1
+        memo_hits += len(state.settled_verdicts) - before < i + 1
+        lay = state.layering
+        for j in range(1, i):
+            for e in sorted(lay.settled_edges[j] - set(lay.incident_edges[i])):
+                for c in (RED, GREEN, BLUE):
+                    if c == state.colouring[e]:
+                        continue
+                    recoloured = {**state.colouring, e: c}
+                    fresh = check_step_properties(
+                        g,
+                        dataclasses.replace(state, colouring=recoloured, settled_verdicts={}),
+                    )
+                    if moved.format(j) not in fresh:
+                        continue
+                    memoised = check_step_properties(
+                        g, dataclasses.replace(state, colouring=recoloured)
+                    )
+                    assert moved.format(j) in memoised and memoised == fresh
+                    recoloured_moves += 1
+    assert steps >= 40 and memo_hits >= 10 and recoloured_moves >= 10, (
+        steps, memo_hits, recoloured_moves)
 
 
 # -- the headline operation -------------------------------------------------------------
