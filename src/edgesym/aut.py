@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from . import kernel
 from .graph import Edge, Graph, edge
@@ -456,25 +456,51 @@ def _closure(dom, dom_set, gens, act):
 # -- isomorphism --------------------------------------------------------------
 
 
-def find_isomorphism(g: Graph, h: Graph) -> Optional[Permutation]:
-    """Vertex bijection carrying g onto h, or None. Same kernel, two graphs."""
+def find_isomorphism(
+    g: Graph,
+    h: Graph,
+    g_labels: Optional[Sequence[Hashable]] = None,
+    h_labels: Optional[Sequence[Hashable]] = None,
+) -> Optional[Permutation]:
+    """Vertex bijection carrying g onto h, or None. Same kernel, two graphs.
+
+    With vertex labels on both sides, v may map only to a vertex w of h with
+    h_labels[w] == g_labels[v], and None means no such isomorphism exists.
+    """
+    if (g_labels is None) != (h_labels is None):
+        raise ValueError("give vertex labels for both graphs or for neither")
+    if g_labels is not None and (len(g_labels) != g.n or len(h_labels) != h.n):
+        raise ValueError("a label list must have one entry per vertex")
     if g.n != h.n or g.edge_count != h.edge_count:
         return None
-    if sorted(g.degree(v) for v in g.vertices()) != sorted(h.degree(v) for v in h.vertices()):
-        return None
     n = g.n
+    g_adj = [g.adjacency_mask(v) for v in range(n)]
+    h_adj = [h.adjacency_mask(v) for v in range(n)]
+    if sorted(a.bit_count() for a in g_adj) != sorted(a.bit_count() for a in h_adj):
+        return None
     if n > _MAX_SEARCH_N:
         raise SizeGuardError(f"search supports at most {_MAX_SEARCH_N} vertices")
-    src = _label_rows(g, [1] * g.edge_count, 2)
-    dst = _label_rows(h, [1] * h.edge_count, 2)
-    res = kernel.search_mapping(kernel.prepare(n, src, dst), [(1 << n) - 1] * n)
+    full = (1 << n) - 1
+    if g_labels is None:
+        allowed = [full] * n
+    else:
+        by_label: dict = {}
+        for w, lab in enumerate(h_labels):
+            by_label[lab] = by_label.get(lab, 0) | 1 << w
+        allowed = [by_label.get(lab, 0) for lab in g_labels]
+    # two labels: 0 for a non-edge, 1 for an edge
+    src = [[full ^ a ^ (1 << v), a] for v, a in enumerate(g_adj)]
+    dst = [[full ^ a ^ (1 << v), a] for v, a in enumerate(h_adj)]
+    res = kernel.search_mapping(kernel.prepare(n, src, dst), allowed)
     if res is None:
         return None
-    p = Permutation(tuple(res))
-    for u, v in g.edges:
-        if not h.has_edge(*p.edge_image((u, v))):
-            raise RuntimeError("kernel returned an invalid isomorphism")
-    return p
+    # g and h have equally many edges, so an injective edge-preserving map
+    # is an isomorphism
+    if len(set(res)) != n or any(not h_adj[res[u]] >> res[v] & 1 for u, v in g.edges):
+        raise RuntimeError("kernel returned an invalid isomorphism")
+    if g_labels is not None and any(g_labels[v] != h_labels[w] for v, w in enumerate(res)):
+        raise RuntimeError("kernel returned an isomorphism that breaks the labels")
+    return Permutation(tuple(res))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

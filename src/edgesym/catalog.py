@@ -11,17 +11,10 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import Iterable, Iterator, Optional
 
 from .aut import find_isomorphism
-from .graph import (
-    Graph,
-    complete,
-    cycle,
-    disjoint_union,
-    distances_from,
-    girth,
-    is_connected,
-)
+from .graph import Graph, complete, cycle, disjoint_union, is_connected
 
 
 def _mask_connected(adj: list[int], n: int) -> bool:
@@ -40,13 +33,13 @@ def _mask_connected(adj: list[int], n: int) -> bool:
     return seen == (1 << n) - 1
 
 
-def _raw_connected_regular(n: int, d: int):
+def _raw_connected_regular(n: int, d: int) -> Iterator[Graph]:
     """Labelled d-regular connected graphs, one labelling per symmetry-broken
-    pattern; duplicates across isomorphism classes remain."""
+    pattern; duplicates across isomorphism classes remain. A generator: each
+    graph is yielded as soon as its last row is filled."""
     adj = [0] * n
     deg = [0] * n
     edges: list[tuple[int, int]] = []
-    out: list[Graph] = []
 
     def feasible(v: int) -> bool:
         for w in range(v + 1, n):
@@ -61,10 +54,10 @@ def _raw_connected_regular(n: int, d: int):
                 return False
         return True
 
-    def rows(v: int) -> None:
+    def rows(v: int) -> Iterator[Graph]:
         if v == n:
             if _mask_connected(adj, n):
-                out.append(Graph(n, edges))
+                yield Graph(n, edges)
             return
         if v > 0 and deg[v] == 0:
             return  # isolated so far: cannot reach vertex 0
@@ -87,7 +80,7 @@ def _raw_connected_regular(n: int, d: int):
                     deg[w] += 1
                     edges.append((v, w))
                 if feasible(v):
-                    rows(v + 1)
+                    yield from rows(v + 1)
                 for w in partners:
                     adj[v] &= ~(1 << w)
                     adj[w] &= ~(1 << v)
@@ -95,44 +88,71 @@ def _raw_connected_regular(n: int, d: int):
                     deg[w] -= 1
                     edges.pop()
 
-    rows(0)
-    return out
+    return rows(0)
 
 
-def _invariant(g: Graph) -> tuple:
-    tri = []
-    codeg = []
-    dist_profiles = []
-    for v in g.vertices():
-        nb = g.neighbours(v)
-        t = sum(1 for a, b in itertools.combinations(nb, 2) if g.has_edge(a, b))
-        tri.append(t)
-        codeg.append(
-            tuple(sorted(bin(g.adjacency_mask(v) & g.adjacency_mask(u)).count("1") for u in nb))
-        )
-        dd = distances_from(g, v)
-        hist: dict[int, int] = {}
-        for x in dd.values():
-            hist[x] = hist.get(x, 0) + 1
-        dist_profiles.append(tuple(sorted(hist.items())))
-    return (
-        g.n,
-        g.edge_count,
-        girth(g),
-        tuple(sorted(tri)),
-        tuple(sorted(codeg)),
-        tuple(sorted(dist_profiles)),
-    )
+def _vertex_invariants(g: Graph) -> tuple[Optional[int], list[tuple]]:
+    """Girth of g (None for a forest) and, per vertex, the tuple (triangle
+    count, sorted co-degrees of its neighbours, number of vertices at each
+    distance 0, 1, 2, ...). One bitmask BFS per root gives all of it.
+
+    The girth is the least, over all roots, of 2k+1 for an edge inside BFS
+    layer k and 2k for a vertex of layer k with two neighbours in layer k-1;
+    each is the length of a closed walk that contains a cycle, and a root on
+    a shortest cycle attains its length.
+    """
+    n = g.n
+    adj = [g.adjacency_mask(v) for v in range(n)]
+    best = None
+    per_vertex = []
+    for r in range(n):
+        nb = adj[r]
+        codeg = []
+        m = nb
+        while m:
+            low = m & -m
+            m ^= low
+            codeg.append((adj[low.bit_length() - 1] & nb).bit_count())
+        codeg.sort()
+        sizes = []
+        prev, layer, seen = 0, 1 << r, 1 << r
+        k = 0
+        while layer:
+            sizes.append(layer.bit_count())
+            nxt = 0
+            m = layer
+            while m:
+                low = m & -m
+                m ^= low
+                a = adj[low.bit_length() - 1]
+                nxt |= a
+                if best is None or 2 * k < best:
+                    if (a & prev).bit_count() > 1:
+                        best = 2 * k
+                    elif a & layer:
+                        best = 2 * k + 1
+            prev, layer = layer, nxt & ~seen
+            seen |= layer
+            k += 1
+        per_vertex.append((sum(codeg) // 2, tuple(codeg), tuple(sizes)))
+    return best, per_vertex
 
 
-def _dedup(graphs) -> list[Graph]:
-    buckets: dict[tuple, list[Graph]] = {}
+def _dedup(graphs: Iterable[Graph]) -> list[Graph]:
+    """The first graph of each isomorphism class, in input order.
+
+    Graphs are bucketed by (n, m, girth, sorted per-vertex invariants), and a
+    graph is compared only with the representatives in its bucket, by an
+    isomorphism search that maps each vertex only to vertices with the same
+    per-vertex invariant."""
+    buckets: dict[tuple, list[tuple[Graph, list[tuple]]]] = {}
     out = []
     for g in graphs:
-        key = _invariant(g)
+        gir, labels = _vertex_invariants(g)
+        key = (g.n, g.edge_count, gir, tuple(sorted(labels)))
         reps = buckets.setdefault(key, [])
-        if not any(find_isomorphism(g, h) is not None for h in reps):
-            reps.append(g)
+        if not any(find_isomorphism(g, h, labels, h_labels) is not None for h, h_labels in reps):
+            reps.append((g, labels))
             out.append(g)
     return out
 

@@ -74,7 +74,7 @@ class Graph:
         return out
 
     def degree(self, v: int) -> int:
-        return bin(self._adj[v]).count("1")
+        return self._adj[v].bit_count()
 
     def vertices(self) -> range:
         return range(self.n)

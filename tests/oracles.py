@@ -280,6 +280,38 @@ def bfs_girth(g: Graph) -> Optional[int]:
     return best
 
 
+def catalog_invariant_reference(g: Graph) -> tuple:
+    """(n, m, girth, sorted triangle counts, sorted co-degree tuples, sorted
+    distance histograms) by list-based BFS through graph.girth and
+    graph.distances_from: the catalogue's bucket key before it moved to
+    bitmask BFS, kept as the reference for catalog._vertex_invariants."""
+    from edgesym.graph import distances_from, girth
+
+    tri = []
+    codeg = []
+    dist_profiles = []
+    for v in g.vertices():
+        nb = g.neighbours(v)
+        t = sum(1 for a, b in itertools.combinations(nb, 2) if g.has_edge(a, b))
+        tri.append(t)
+        codeg.append(
+            tuple(sorted(bin(g.adjacency_mask(v) & g.adjacency_mask(u)).count("1") for u in nb))
+        )
+        dd = distances_from(g, v)
+        hist: dict[int, int] = {}
+        for x in dd.values():
+            hist[x] = hist.get(x, 0) + 1
+        dist_profiles.append(tuple(sorted(hist.items())))
+    return (
+        g.n,
+        g.edge_count,
+        girth(g),
+        tuple(sorted(tri)),
+        tuple(sorted(codeg)),
+        tuple(sorted(dist_profiles)),
+    )
+
+
 def canonical_small(g: Graph) -> tuple:
     """Canonical form as the lexicographically least adjacency bitstring over
     all n! relabellings. Only for n <= 7."""

@@ -268,6 +268,75 @@ def test_isomorphism():
     assert not is_isomorphic(random_regular(10, 3, seed=1), petersen())
 
 
+def _relabelled(g, rng):
+    p = list(range(g.n))
+    rng.shuffle(p)
+    return Graph(g.n, [(p[u], p[v]) for u, v in g.edges]), p
+
+
+def test_labelled_isomorphism_respects_labels():
+    rng = random.Random(11)
+    for _ in range(80):
+        g = _random_gnp(rng.randint(1, 10), rng)
+        h, p = _relabelled(g, rng)
+        g_labels = [rng.randrange(3) for _ in range(g.n)]
+        h_labels = [None] * g.n
+        for v, w in enumerate(p):
+            h_labels[w] = g_labels[v]
+        iso = find_isomorphism(g, h, g_labels, h_labels)
+        assert iso is not None
+        assert all(h.has_edge(*iso.edge_image(e)) for e in g.edges)
+        assert all(h_labels[iso(v)] == g_labels[v] for v in range(g.n))
+
+
+def test_labelled_isomorphism_unmatchable_labels():
+    g = cycle(6)
+    assert find_isomorphism(g, g) is not None
+    # one vertex labelled differently on one side only
+    assert find_isomorphism(g, g, [1, 0, 0, 0, 0, 0], [0] * 6) is None
+    # the same label multiset, but an adjacent pair cannot go to a distance-2 pair
+    assert find_isomorphism(g, g, [1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0]) is None
+    assert find_isomorphism(g, g, [1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0]) is not None
+
+
+def test_labelled_isomorphism_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2014)
+    agree = {True: 0, False: 0}
+    for _ in range(150):
+        g = _random_gnp(rng.randint(1, 8), rng)
+        h, p = _relabelled(g, rng)
+        g_labels = [rng.randrange(2) for _ in range(g.n)]
+        h_labels = [None] * g.n
+        for v, w in enumerate(p):
+            h_labels[w] = g_labels[v]
+        if rng.random() < 0.5:
+            rng.shuffle(h_labels)  # may or may not still be matchable
+        if rng.random() < 0.3:
+            h = _random_gnp(g.n, rng)
+        gx, hx = nx.Graph(), nx.Graph()
+        gx.add_nodes_from((v, {"lab": lab}) for v, lab in enumerate(g_labels))
+        hx.add_nodes_from((v, {"lab": lab}) for v, lab in enumerate(h_labels))
+        gx.add_edges_from(g.edges)
+        hx.add_edges_from(h.edges)
+        want = nx.is_isomorphic(gx, hx, node_match=lambda a, b: a["lab"] == b["lab"])
+        assert (find_isomorphism(g, h, g_labels, h_labels) is not None) == want
+        agree[want] += 1
+    assert min(agree.values()) > 20
+
+
+def test_labelled_isomorphism_rejects_bad_labels():
+    g = cycle(5)
+    with pytest.raises(ValueError):
+        find_isomorphism(g, g, [0] * 5)
+    with pytest.raises(ValueError):
+        find_isomorphism(g, g, None, [0] * 5)
+    with pytest.raises(ValueError):
+        find_isomorphism(g, g, [0] * 4, [0] * 5)
+    with pytest.raises(ValueError):
+        find_isomorphism(g, g, [0] * 5, [0] * 6)
+
+
 def test_witness_soundness_random_queries():
     rng = random.Random(7)
     for _ in range(60):

@@ -1,19 +1,35 @@
+import itertools
+import random
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from edgesym.aut import is_isomorphic
 from edgesym.catalog import (
+    _raw_connected_regular,
+    _vertex_invariants,
     connected_regular_graphs,
     connected_regular_upto,
     regular_graphs,
 )
 from edgesym.graph import (
+    Graph,
     complete,
     complete_bipartite,
     cycle,
+    disjoint_union,
     is_connected,
+    path,
     petersen,
     regularity,
+    serialize_graph6,
+    spider,
 )
+
+from oracles import bfs_girth, catalog_invariant_reference
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "corpus.g6"
 
 # published counts of connected regular graphs by (vertices, degree)
 KNOWN_CONNECTED_COUNTS = {
@@ -48,6 +64,75 @@ def test_connected_counts_ten_vertices(nd, count):
     graphs = connected_regular_graphs(n, d)
     assert len(graphs) == count
     assert all(regularity(g) == d and is_connected(g) for g in graphs)
+    # pairwise non-isomorphic by networkx, independent of the kernel: graphs
+    # whose networkx invariants differ are not isomorphic, VF2 decides the rest
+    nx = pytest.importorskip("networkx")
+
+    def key(h):
+        tri = nx.triangles(h)
+        return sorted(
+            (tri[v], sorted(Counter(nx.single_source_shortest_path_length(h, v).values()).items()))
+            for v in h
+        )
+
+    keyed = []
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        keyed.append((key(h), h))
+    for (ka, a), (kb, b) in itertools.combinations(keyed, 2):
+        assert ka != kb or not nx.is_isomorphic(a, b)
+
+
+@pytest.mark.slow
+def test_catalogue_equals_benchmark_corpus():
+    want = [line.strip() for line in CORPUS.read_text().splitlines() if line.strip()]
+    got = [serialize_graph6(g) for g in connected_regular_upto(10)]
+    assert len(got) == len(want) == 222
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a == b, f"class {i}"
+
+
+def _invariant_projection(g):
+    # the bitmask invariants, projected onto the reference's fields
+    gir, per_vertex = _vertex_invariants(g)
+    return (
+        g.n,
+        g.edge_count,
+        gir,
+        tuple(sorted(t for t, _, _ in per_vertex)),
+        tuple(sorted(c for _, c, _ in per_vertex)),
+        tuple(sorted(tuple(enumerate(s)) for _, _, s in per_vertex)),
+    )
+
+
+def test_vertex_invariants_match_reference():
+    graphs = [
+        g
+        for n in range(1, 10)
+        for d in range(n)
+        if n * d % 2 == 0
+        for g in _raw_connected_regular(n, d)
+    ]
+    assert len(graphs) == 3435
+    rng = random.Random(1999)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        p = rng.choice((0.1, 0.2, 0.3, 0.5, 0.8))
+        graphs.append(
+            Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        )
+    graphs += [Graph(0), Graph(4), path(6), spider([2, 3, 1]), petersen()]
+    graphs += [disjoint_union([cycle(5), cycle(4)]), disjoint_union([complete(3), path(3)])]
+    forests = disconnected = 0
+    for g in graphs:
+        got = _invariant_projection(g)
+        assert got == catalog_invariant_reference(g)
+        assert got[2] == bfs_girth(g)
+        forests += got[2] is None
+        disconnected += not is_connected(g)
+    assert forests > 20 and disconnected > 50
 
 
 def test_trivial_degrees():
