@@ -1,6 +1,7 @@
 """edgesym: symmetry-breaking edge colourings for finite graphs.
 
-Core surfaces:
+The package root re-exports the documented library API and the types and
+errors it takes or raises. Everything else is imported from its module:
   graph          -- Graph type, graph6 I/O, standard generators
   aut            -- constrained automorphism search, orbits, group order
   colouring      -- EdgeColouring over {red, green, blue}
@@ -10,75 +11,16 @@ Core surfaces:
   cli            -- command-line interface
 """
 
-from .graph import (
-    Edge,
-    Graph,
-    GraphError,
-    circulant,
-    complete,
-    complete_bipartite,
-    cycle,
-    disjoint_union,
-    distances_from,
-    edge,
-    girth,
-    is_connected,
-    parse_graph6,
-    path,
-    petersen,
-    random_regular,
-    read_graph6_lines,
-    regularity,
-    serialize_graph6,
-    spider,
-)
-from .aut import (
-    AutConstraint,
-    ConstraintError,
-    Permutation,
-    SizeGuardError,
-    all_automorphisms,
-    automorphism_generators,
-    edge_orbits,
-    find_automorphism,
-    find_isomorphism,
-    group_order,
-    is_isomorphic,
-    pointwise_stabiliser_generators,
-    stabiliser_generators,
-    vertex_orbits,
-)
-from .colouring import (
-    BLUE,
-    GREEN,
-    PALETTE,
-    RED,
-    ColouringError,
-    EdgeColouring,
-    all_blue_vertices,
-    satisfies_blue_rule,
-)
+from .graph import Graph, parse_graph6, petersen, serialize_graph6
+from .aut import AutConstraint, ConstraintError, SizeGuardError, find_automorphism
+from .colouring import EdgeColouring
 from .distinguishing import (
     NOT_DISTINGUISHABLE,
     BudgetExceededError,
-    ChordlessPathError,
     MaxColoursExceededError,
-    ScanReport,
-    cycle_colouring,
     distinguishing_index,
-    distinguishing_index_with_witness,
-    hamiltonian_colouring,
-    hamiltonian_path,
     is_distinguishing,
-    scan_conjecture,
-    search_colouring,
 )
-from .layered import (
-    DecorationShortageError,
-    NotColourableError,
-    VerificationError,
-    colour_regular,
-)
-from .catalog import connected_regular_graphs, connected_regular_upto, regular_graphs
+from .layered import NotColourableError, VerificationError, colour_regular
 
 __version__ = "0.1.0"

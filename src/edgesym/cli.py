@@ -2,7 +2,8 @@
 
 Subcommands: gen, colour, dprime, scan, aut. Exit codes: 0 success,
 2 input error, 3 not colourable / not distinguishable, 4 budget exceeded,
-5 verification failure or unexpected scan exception.
+5 verification failure, failed construction (decoration shortage or broken
+step invariant) or unexpected scan exception.
 """
 
 from __future__ import annotations
@@ -38,7 +39,13 @@ from .graph import (
     regularity,
     serialize_graph6,
 )
-from .layered import NotColourableError, VerificationError, colour_regular
+from .layered import (
+    DecorationShortageError,
+    NotColourableError,
+    StepPropertyError,
+    VerificationError,
+    colour_regular,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -144,7 +151,7 @@ def cmd_colour(args) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except VerificationError as exc:
+    except (VerificationError, DecorationShortageError, StepPropertyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     extra = {

@@ -67,10 +67,6 @@ class EdgeColouring:
             if not g.has_edge(*e):
                 raise ColouringError(f"colouring references non-edge {e}")
 
-    def restrict(self, edges: Iterable[Edge]) -> "EdgeColouring":
-        keep = {edge(*e) for e in edges}
-        return EdgeColouring({e: c for e, c in self.assignment.items() if e in keep})
-
     def to_json(self) -> list[dict]:
         return [
             {"u": u, "v": v, "colour": col}

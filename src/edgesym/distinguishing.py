@@ -336,30 +336,6 @@ def search_colouring(
     return _witness(g, k, tracker, extra, firsts)
 
 
-def cycle_colouring(n: int, budget: int = DEFAULT_BUDGET) -> EdgeColouring:
-    """Distinguishing colouring of the canonical cycle on n vertices.
-
-    n >= 6: red on cyclic edge positions {0, 1, 3} (gap sequence 1, 2, n-3,
-    pairwise distinct), green elsewhere. n in {3, 4, 5}: best 3-colouring by
-    search. Verified before returning.
-    """
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    g = cycle(n)
-    positions = [edge(i, (i + 1) % n) for i in range(n)]
-    if n >= 6:
-        red = {positions[0], positions[1], positions[3]}
-        c = EdgeColouring({e: (RED if e in red else GREEN) for e in g.edges})
-    else:
-        found = search_colouring(g, 3, star_constraint=True, budget=budget)
-        if found is None:
-            raise RuntimeError(f"no 3-colouring found for the {n}-cycle")
-        c = found
-    if not is_distinguishing(g, c):
-        raise RuntimeError("cycle colouring failed verification")
-    return c
-
-
 # -- conjecture scan -------------------------------------------------------------
 
 

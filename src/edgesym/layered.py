@@ -7,9 +7,11 @@ components where needed), then breaks the remaining symmetry by recolouring
 forward and back edges of the slice with small "decorations" chosen so that
 no two symmetric components receive interchangeable patterns.
 
-Degrees 3 and 4 keep a fallback ladder (exhaustive per-layer recolouring,
-then a global search); degree >= 5 must succeed outright and asserts the
-supply-vs-demand count for decorations at every assignment point.
+Every degree from 3 up runs this one construction with no fallback: a
+decoration shortage or a broken step invariant raises. At degree >= 5 the
+supply-vs-demand count for decorations is also asserted at every assignment
+point. Cycles (red on three fixed positions, or a search below six
+vertices) and complete graphs (an exhaustive search) are coloured directly.
 """
 
 from __future__ import annotations
@@ -37,11 +39,7 @@ from .colouring import (
     all_blue_vertices,
     satisfies_blue_rule,
 )
-from .distinguishing import (
-    BudgetExceededError,
-    is_distinguishing,
-    search_colouring,
-)
+from .distinguishing import is_distinguishing, search_colouring
 from .graph import Edge, Graph, distances_from, edge, is_connected, regularity
 
 
@@ -66,10 +64,6 @@ class StepPropertyError(RuntimeError):
         super().__init__(f"layer {layer}: " + "; ".join(violations))
         self.layer = layer
         self.violations = violations
-
-
-class FallbackExhaustedError(RuntimeError):
-    pass
 
 
 class VerificationError(RuntimeError):
@@ -604,18 +598,16 @@ def check_step_properties(g: Graph, state: StepState) -> list[str]:
             break
 
     for j in range(i + 1):
-        if _settled_slice_movable(g, state, col, j):
+        if _settled_slice_movable(g, state, j):
             violations.append(
                 f"a root-fixing map preserving the settled colouring moves layer {j}"
             )
     return violations
 
 
-def _settled_slice_movable(
-    g: Graph, state: StepState, colouring: dict[Edge, str], j: int
-) -> bool:
-    """Does a root-fixing automorphism that preserves colouring on the edges
-    settled by slice j move some vertex of slice j?
+def _settled_slice_movable(g: Graph, state: StepState, j: int) -> bool:
+    """Does a root-fixing automorphism that preserves the state's colouring on
+    the edges settled by slice j move some vertex of slice j?
 
     The verdict depends only on j and the colours of those edges, so it is
     memoised on the state under that key and a repeated query is answered
@@ -623,7 +615,7 @@ def _settled_slice_movable(
     """
     lay = state.layering
     order = lay.settled_order[j]
-    colours = tuple([colouring[e] for e in order])
+    colours = tuple([state.colouring[e] for e in order])
     key = (j, colours)
     verdict = state.settled_verdicts.get(key)
     if verdict is None:
@@ -639,51 +631,11 @@ def _settled_slice_movable(
     return verdict
 
 
-# -- fallbacks ------------------------------------------------------------------------
-
-
-def _recolour_layer_exhaustive(
-    g: Graph, state: StepState, i: int, budget: int
-) -> None:
-    """Try every 3-colouring of the layer's edges (forward edges never blue)
-    until the step invariants hold. Used only for degrees 3 and 4."""
-    assert state.previous is not None
-    lay = state.layering
-    cls = state.layer_classes(i)
-    layer_edges = sorted(lay.incident_edges[i])
-    forward = set(cls.forward)
-    domains = [
-        (RED, GREEN) if e in forward else (RED, GREEN, BLUE) for e in layer_edges
-    ]
-    base = dict(state.previous)
-    spent = 0
-    for combo in itertools.product(*domains):
-        spent += 1
-        if spent > budget:
-            raise FallbackExhaustedError(f"layer {i}: fallback budget exhausted")
-        trial = dict(base)
-        for e, c in zip(layer_edges, combo):
-            trial[e] = c
-        tc = EdgeColouring(trial)
-        if all_blue_vertices(g, tc) != [lay.root]:
-            continue
-        if not any(_settled_slice_movable(g, state, trial, j) for j in range(i + 1)):
-            state.colouring = trial
-            state.horizontal_colours[i] = {e: trial[e] for e in cls.horizontal}
-            return
-    raise FallbackExhaustedError(f"layer {i}: no admissible recolouring")
-
-
 # -- the headline procedure ------------------------------------------------------------
 
 
 def _layered_pipeline(
-    g: Graph,
-    root: int,
-    verify: bool,
-    strict: bool,
-    budget: int,
-    audit: Optional[list],
+    g: Graph, root: int, verify: bool, budget: int, audit: Optional[list]
 ) -> EdgeColouring:
     state = initial_colouring(g, root)
     if verify:
@@ -693,28 +645,11 @@ def _layered_pipeline(
     for i in range(1, state.layering.count):
         state.previous = dict(state.colouring)
         state.step = i
-        try:
-            colour_horizontal(g, state, i, verify=verify, budget=budget)
-            assign_decorations(g, state, i)
-            bad = check_step_properties(g, state) if verify else []
-            if bad:
-                raise StepPropertyError(i, bad)
-        except (DecorationShortageError, StepPropertyError):
-            if strict:
-                raise
-            _recolour_layer_exhaustive(g, state, i, budget)
-            for entry in state.audit:
-                if entry["layer"] == i:
-                    entry["fallback"] = True
-                    break
-            else:
-                state.audit.append(
-                    {"layer": i, "rule": "fallback", "decorations": [], "fallback": True}
-                )
-            if verify:
-                bad = check_step_properties(g, state)
-                if bad:
-                    raise StepPropertyError(i, bad)
+        colour_horizontal(g, state, i, verify=verify, budget=budget)
+        assign_decorations(g, state, i)
+        bad = check_step_properties(g, state) if verify else []
+        if bad:
+            raise StepPropertyError(i, bad)
     if audit is not None:
         audit.extend(state.audit)
     return EdgeColouring(state.colouring)
@@ -787,20 +722,8 @@ def colour_regular(
         if audit is not None:
             audit.append({"layer": None, "rule": "cycle", "decorations": [],
                           "fallback": False})
-    elif deg >= 5:
-        result = _layered_pipeline(g, root, verify, strict=True, budget=budget, audit=audit)
     else:
-        try:
-            result = _layered_pipeline(
-                g, root, verify, strict=False, budget=budget, audit=audit
-            )
-        except (FallbackExhaustedError, BudgetExceededError):
-            result = search_colouring(g, 3, star_constraint=True, budget=budget)
-            if result is None:
-                raise VerificationError("global fallback search found no colouring")
-            if audit is not None:
-                audit.append({"layer": None, "rule": "global-fallback",
-                              "decorations": [], "fallback": True})
+        result = _layered_pipeline(g, root, verify, budget, audit)
 
     if not result.is_total(g):
         raise VerificationError("colouring is not total")

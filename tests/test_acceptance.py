@@ -3,12 +3,13 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
+import math
 import random
 import time
 
 import pytest
 
-from edgesym.catalog import connected_regular_graphs, connected_regular_upto
+from edgesym.catalog import connected_regular_upto
 from edgesym.colouring import EdgeColouring, satisfies_blue_rule
 from edgesym.distinguishing import (
     NOT_DISTINGUISHABLE,
@@ -21,11 +22,13 @@ from edgesym.distinguishing import (
 from edgesym.aut import find_automorphism, is_isomorphic
 from edgesym.graph import (
     Graph,
+    circulant,
     complete,
     complete_bipartite,
     cycle,
     is_connected,
     petersen,
+    random_regular,
     regularity,
     serialize_graph6,
 )
@@ -261,27 +264,53 @@ def test_criterion_6_oracle_equivalence():
     )
 
 
-def test_criterion_7_fallback_accounting():
-    total_layers = 0
-    fallback_layers = 0
-    unverified = []
-    runs = 0
+def _strict_sample():
+    """Cubic and quartic graphs beyond the n <= 10 corpus: connected 2-step
+    circulants on 11..20 vertices, prisms on 12..30 vertices, Q4 and
+    connected random regular graphs on 12..24 vertices (seeds 100..104)."""
+    sample = []
+    for n in range(11, 21):
+        for a in range(1, n // 2 + 1):
+            for b in range(a + 1, n // 2 + 1):
+                if math.gcd(a, b, n) == 1:
+                    sample.append(circulant(n, [a, b]))
+    for m in range(6, 16):
+        ring = [(i, (i + 1) % m) for i in range(m)]
+        sample.append(Graph(2 * m, ring + [(u + m, v + m) for u, v in ring]
+                            + [(i, i + m) for i in range(m)]))
+    sample.append(Graph(16, [(v, v ^ bit) for v in range(16) for bit in (1, 2, 4, 8)]))
     for d in (3, 4):
-        for n in range(4, 11):
-            for g in connected_regular_graphs(n, d):
-                audit = []
-                c = colour_regular(g, verify=True, audit=audit)
-                runs += 1
-                if not is_distinguishing(g, c):
-                    unverified.append(serialize_graph6(g))
-                steps = [a for a in audit if a.get("layer") not in (None, 0)]
-                total_layers += len(steps)
-                fallback_layers += sum(1 for a in steps if a.get("fallback"))
-    fraction = fallback_layers / total_layers if total_layers else 0.0
+        for n in range(12, 25):
+            if n * d % 2 == 0:
+                for seed in range(100, 105):
+                    g = random_regular(n, d, seed)
+                    if is_connected(g):
+                        sample.append(g)
+    return sample
+
+
+def test_criterion_7_strict_success(corpus_upto_10):
+    corpus = [g for g in corpus_upto_10 if regularity(g) in (3, 4)]
+    sample = _strict_sample()
+    distinct = {(g.n, tuple(sorted(g.edges))) for g in sample}
+    total_layers = 0
+    failures = []
+    for g in corpus + sample:
+        audit = []
+        try:
+            c = colour_regular(g, verify=True, audit=audit)
+        except Exception as exc:  # noqa: BLE001 - report, then fail
+            failures.append(f"{serialize_graph6(g)}: {exc!r}")
+            continue
+        if not is_distinguishing(g, c):
+            failures.append(f"{serialize_graph6(g)}: not distinguishing")
+        if any(a.get("fallback") for a in audit):
+            failures.append(f"{serialize_graph6(g)}: audit reports a fallback")
+        total_layers += sum(1 for a in audit if a.get("layer") not in (None, 0))
     _report(
         7,
-        not unverified,
-        f"degree 3 and 4 corpus: {runs} graphs, fallback used on "
-        f"{fallback_layers}/{total_layers} layers ({fraction:.1%}); "
-        f"every run verified; unverified: {unverified}",
+        not failures and len(sample) == len(distinct) == 332,
+        f"degree 3 and 4: {len(corpus)} corpus graphs and {len(distinct)} generated "
+        f"graphs coloured by the single construction over {total_layers} layers, "
+        f"every run verified with no fallback; failures: {failures[:3]}",
     )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from edgesym import layered
 from edgesym.cli import evaluate_scan_rows, main
 from edgesym.graph import complete, cycle, parse_graph6, petersen, serialize_graph6
 
@@ -65,6 +66,21 @@ def test_colour_c4_uses_three(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["colours_used"] == 3
+
+
+@pytest.mark.parametrize("stage, error", [
+    ("assign_decorations", layered.DecorationShortageError(1, (4,), 2, 1)),
+    ("check_step_properties", layered.StepPropertyError(1, ["broken"])),
+], ids=["decoration-shortage", "step-property"])
+def test_colour_failed_construction_exit_code(capsys, monkeypatch, stage, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(layered, stage, fail)
+    code, out, err = run(capsys, "colour", "--gen", "petersen", "--verify")
+    assert code == 5 and out == ""
+    assert err.startswith("error: layer 1: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_colour_rejects_non_regular(capsys):

@@ -8,7 +8,6 @@ from edgesym.distinguishing import (
     BudgetExceededError,
     ChordlessPathError,
     MaxColoursExceededError,
-    cycle_colouring,
     distinguishing_index,
     distinguishing_index_with_witness,
     hamiltonian_colouring,
@@ -26,6 +25,7 @@ from edgesym.graph import (
     random_regular,
     spider,
 )
+from edgesym.layered import colour_regular
 
 from oracles import (
     automorphisms_by_backtracking,
@@ -160,7 +160,7 @@ def test_search_colouring_witness_passes_verifier():
 
 
 def test_cycle_colouring_positions():
-    c = cycle_colouring(6)
+    c = colour_regular(cycle(6))
     red = {e for e, col in c.assignment.items() if col == RED}
     assert red == {(0, 1), (1, 2), (3, 4)}
     assert c.colours_used() == {RED, GREEN}
@@ -168,7 +168,7 @@ def test_cycle_colouring_positions():
 
 
 def test_cycle_colouring_gap_sequence_12():
-    c = cycle_colouring(12)
+    c = colour_regular(cycle(12))
     red_positions = sorted(
         i for i in range(12) if c.get(edge(i, (i + 1) % 12)) == RED
     )
@@ -183,16 +183,16 @@ def test_cycle_colouring_gap_sequence_12():
 
 def test_cycle_colouring_small_uses_three():
     for n in (3, 4, 5):
-        c = cycle_colouring(n)
+        c = colour_regular(cycle(n))
         assert len(c.colours_used()) == 3
         assert is_distinguishing(cycle(n), c)
     with pytest.raises(ValueError):
-        cycle_colouring(2)
+        colour_regular(cycle(2))
 
 
 def test_cycle_colouring_two_colours_up_to_64():
     for n in list(range(6, 21)) + [40, 64]:
-        c = cycle_colouring(n)
+        c = colour_regular(cycle(n))
         assert c.colours_used() == {RED, GREEN}
         assert is_distinguishing(cycle(n), c)
 
