@@ -310,20 +310,25 @@ def _equitable_cells(g: Graph, fixed: Sequence[int]) -> list[int]:
         count = len(rank)
 
 
-def _chain_transversals(g: Graph, start_fixed: Sequence[int]) -> list[Permutation]:
+def _chain_transversals(
+    g: Graph, start_fixed: Sequence[int], colour_preserve: Optional[Mapping[Edge, str]] = None
+) -> list[Permutation]:
     """Transversal witnesses along the chain of pointwise stabilisers.
 
     The union of level transversals generates the pointwise stabiliser of
-    start_fixed (the whole automorphism group when start_fixed is empty).
+    start_fixed (the whole automorphism group when start_fixed is empty),
+    restricted to the maps that preserve colour_preserve when it is given.
     Level b holds, for each target w != b in ascending order, the witness of
-    find_automorphism(pinned={b: w}, pointwise_fixed=fixed) when one exists.
+    find_automorphism(pinned={b: w}, pointwise_fixed=fixed, colour_preserve)
+    when one exists.
 
     Targets are pruned by equitable refinement: an automorphism that fixes
     every vertex of fixed maps each cell of the coarsest equitable partition
     with those vertices individualised onto itself, so only targets in b's
-    cell are searched. The skipped searches are exactly ones that would fail;
-    the masks passed to the search are unchanged, so the witness list is the
-    same as without pruning, element for element.
+    cell are searched (the cells ignore colours: they hold the orbits of the
+    uncoloured group, which contains the coloured one). The skipped searches
+    are exactly ones that would fail; the masks passed to the search are
+    unchanged, so the witness list is the same as without pruning.
     """
     gens: list[Permutation] = []
     fixed = list(dict.fromkeys(start_fixed))
@@ -339,7 +344,7 @@ def _chain_transversals(g: Graph, start_fixed: Sequence[int]) -> list[Permutatio
                 continue
             witness = find_automorphism(
                 g,
-                AutConstraint(pinned={b: w}, pointwise_fixed=frozenset(fixed)),
+                AutConstraint({b: w}, frozenset(fixed), colour_preserve=colour_preserve),
             )
             if witness is not None:
                 gens.append(witness)
@@ -360,9 +365,12 @@ def stabiliser_generators(g: Graph, r: int) -> list[Permutation]:
     return _chain_transversals(g, [r])
 
 
-def pointwise_stabiliser_generators(g: Graph, fixed: Iterable[int]) -> list[Permutation]:
-    """Generators of the subgroup fixing every listed vertex."""
-    return _chain_transversals(g, sorted(set(fixed)))
+def pointwise_stabiliser_generators(
+    g: Graph, fixed: Iterable[int], colour_preserve: Optional[Mapping[Edge, str]] = None
+) -> list[Permutation]:
+    """Generators of the subgroup fixing every listed vertex and preserving
+    colour_preserve, if given, as AutConstraint does."""
+    return _chain_transversals(g, sorted(set(fixed)), colour_preserve)
 
 
 def group_order(g: Graph, max_n: int = 16) -> int:

@@ -35,7 +35,6 @@ from .graph import (
     parse_graph6,
     petersen,
     random_regular,
-    read_graph6_lines,
     regularity,
     serialize_graph6,
 )
@@ -194,14 +193,24 @@ def cmd_dprime(args) -> int:
 
 
 def evaluate_scan_rows(rows: list[dict]) -> int:
-    """Exit code for a finished scan: nonzero iff a graph outside the known
-    exception list needs more than two colours."""
-    return EXIT_VERIFY if any(r["status"] == "unexpected_exception" for r in rows) else EXIT_OK
+    """Exit code for a finished scan: 5 if a graph outside the known
+    exception list needs more than two colours, else 2 if an input line was
+    malformed, else 0."""
+    statuses = {r["status"] for r in rows}
+    if "unexpected_exception" in statuses:
+        return EXIT_VERIFY
+    return EXIT_INPUT if "error" in statuses else EXIT_OK
 
 
 def cmd_scan(args) -> int:
     with _open_input(args.file) as fh:
-        graphs = list(read_graph6_lines(fh))
+        lines = [(k, line.strip()) for k, line in enumerate(fh, 1) if line.strip()]
+    graphs, bad = [], {}  # a malformed line becomes an error row in its place
+    for k, text in lines:
+        try:
+            graphs.append(parse_graph6(text))
+        except GraphError as exc:
+            bad[k] = {"line": k, "graph6": text, "status": "error", "error": str(exc)}
     report = scan_conjecture(
         graphs,
         max_n=args.max_n,
@@ -209,9 +218,11 @@ def cmd_scan(args) -> int:
         with_witness=args.witness,
         jobs=args.jobs,
     )
-    for row in report.rows:
+    scanned = iter(report.rows)
+    rows = [bad[k] if k in bad else next(scanned) for k, _ in lines]
+    for row in rows:
         print(json.dumps(row))
-    return evaluate_scan_rows(report.rows)
+    return evaluate_scan_rows(rows)
 
 
 def cmd_aut(args) -> int:

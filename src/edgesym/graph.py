@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 Edge = tuple[int, int]
 
@@ -316,10 +316,3 @@ def disjoint_union(graphs: Iterable[Graph]) -> Graph:
         edges.extend((u + n, v + n) for u, v in g.edges)
         n += g.n
     return Graph(n, edges)
-
-
-def read_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield parse_graph6(line)

@@ -16,6 +16,7 @@ vertices) and complete graphs (an exhaustive search) are coloured directly.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,6 +24,7 @@ from typing import Optional, Sequence
 
 from .aut import (
     AutConstraint,
+    ConstraintError,
     Permutation,
     find_automorphism,
     pointwise_stabiliser_generators,
@@ -204,11 +206,25 @@ class StepState:
     # (j, colours on layering.settled_order[j]) -> does a root-fixing map
     # preserving those colours move slice j (see _settled_slice_movable)
     settled_verdicts: dict[tuple, bool] = field(default_factory=dict)
+    # slice i -> persistent generators; colour_horizontal drops stale entries
+    persistent_gens: dict[int, list[Permutation]] = field(default_factory=dict)
 
     def layer_classes(self, i: int) -> LayerEdgeClasses:
         if i not in self.classes:
             self.classes[i] = classify_layer(self.graph, self.layering, i)
         return self.classes[i]
+
+    def persistent_generators(self, i: int) -> list[Permutation]:
+        """Generators of slice i's persistent group: the automorphisms that
+        fix every earlier slice pointwise and preserve slice i's horizontal
+        colouring. They fix the root, so they map every slice onto itself."""
+        if i not in self.persistent_gens:
+            self.persistent_gens[i] = pointwise_stabiliser_generators(
+                self.graph,
+                self.layering.earlier_vertices(i),
+                self.horizontal_colours.get(i, {}),
+            )
+        return self.persistent_gens[i]
 
 
 def initial_colouring(g: Graph, r: int) -> StepState:
@@ -301,6 +317,7 @@ def colour_horizontal(g: Graph, state: StepState, i: int, verify: bool = False,
                 installed[edge(labels[a], labels[b])] = col
     state.colouring.update(installed)
     state.horizontal_colours[i] = installed
+    state.persistent_gens.pop(i, None)
     state.audit.append(
         {"layer": i, "rule": rule, "decorations": [], "fallback": False}
     )
@@ -313,28 +330,16 @@ def colour_horizontal(g: Graph, state: StepState, i: int, verify: bool = False,
 def persistent_exists(
     g: Graph, state: StepState, i: int, extra: Optional[AutConstraint] = None
 ) -> Optional[Permutation]:
-    """Witness automorphism fixing every earlier slice pointwise and
-    preserving slice i's internal colouring, under extra constraints."""
+    """Witness member of slice i's persistent group (see
+    StepState.persistent_generators) that meets extra, which brings no colours."""
     extra = extra or AutConstraint()
-    horiz = state.horizontal_colours.get(i, {})
-    colour_preserve = dict(horiz)
     if extra.colour_preserve is not None:
-        more = extra.colour_preserve
-        if hasattr(more, "assignment"):
-            more = more.assignment
-        for e, col in more.items():
-            e = edge(*e)
-            if colour_preserve.get(e, col) != col:
-                return None  # contradictory requirement
-            colour_preserve[e] = col
-    c = AutConstraint(
-        pinned=dict(extra.pinned),
+        raise ConstraintError("persistent queries preserve slice colours only")
+    c = dataclasses.replace(
+        extra,
         pointwise_fixed=frozenset(state.layering.earlier_vertices(i))
         | frozenset(extra.pointwise_fixed),
-        setwise_pairs=list(extra.setwise_pairs),
-        edge_setwise_pairs=list(extra.edge_setwise_pairs),
-        colour_preserve=colour_preserve,
-        nontrivial_on=extra.nontrivial_on,
+        colour_preserve=state.horizontal_colours.get(i, {}),
     )
     return find_automorphism(g, c)
 
@@ -367,6 +372,18 @@ def _decoration_sites(state: StepState, i: int, comp: tuple[int, ...]) -> list[i
     return sites
 
 
+def _decoration_back_edges(state: StepState, i: int, sites: set[int]) -> list[Edge]:
+    """Non-blue back edges at a component's sites. No persistent automorphism
+    moves one onto another: it fixes their earlier ends, and it fixes every
+    site of a component it maps onto itself, because a component has one
+    site when h <= 1 and a distinguishing colouring of its own when h >= 2."""
+    return [
+        e
+        for e in state.layer_classes(i).back
+        if (e[0] in sites or e[1] in sites) and state.colouring[e] != BLUE
+    ]
+
+
 def enumerate_decorations(
     g: Graph, state: StepState, i: int, comp: tuple[int, ...]
 ) -> list[Decoration]:
@@ -377,27 +394,7 @@ def enumerate_decorations(
     cls = state.layer_classes(i)
     sites = set(_decoration_sites(state, i, comp))
     fwd = sorted(e for e in cls.forward if e[0] in sites or e[1] in sites)
-    raw_back = sorted(
-        e
-        for e in cls.back
-        if (e[0] in sites or e[1] in sites) and state.colouring[e] != BLUE
-    )
-    kept: list[Edge] = []
-    for e in raw_back:
-        movable = False
-        for e0 in kept:
-            for a, b in ((e0, e), (e, e0)):
-                w = persistent_exists(
-                    g, state, i,
-                    AutConstraint(edge_setwise_pairs=[(frozenset({a}), frozenset({b}))]),
-                )
-                if w is not None:
-                    movable = True
-                    break
-            if movable:
-                break
-        if not movable:
-            kept.append(e)
+    kept = _decoration_back_edges(state, i, sites)
 
     forward_choices = [tuple(fwd[:s]) for s in range(len(fwd) + 1)]
     reds = [e for e in kept if state.colouring[e] == RED]
@@ -416,7 +413,7 @@ def decoration_is_asymmetric(
     """No nontrivial persistent automorphism fixes the component setwise
     while mapping the decoration onto itself."""
     comp = frozenset(d.component)
-    if len(comp) == 1:
+    if len(comp) == 1 or not state.persistent_generators(i):
         return True
     pairs = []
     if d.forward_red:
@@ -443,12 +440,9 @@ def decorations_similar(
     onto the other, decoration included."""
     if d1 == d2:
         return True
-    if len(d1.forward_red) != len(d2.forward_red):
-        return False
-    if len(d1.back_blue) != len(d2.back_blue):
-        return False
-    if len(d1.component) != len(d2.component):
-        return False
+    shapes = [(len(d.component), len(d.forward_red), len(d.back_blue)) for d in (d1, d2)]
+    if shapes[0] != shapes[1] or not state.persistent_generators(i):
+        return False  # a trivial group holds only the identity, which fixes d1
     pairs = []
     if d1.forward_red or d2.forward_red:
         pairs.append((frozenset(d1.forward_red), frozenset(d2.forward_red)))
@@ -485,36 +479,28 @@ def _would_leave_all_blue(state: StepState, i: int, d: Decoration) -> bool:
     return False
 
 
+def _component_orbits(g: Graph, state: StepState, i: int) -> list[list[tuple[int, ...]]]:
+    """Slice i's horizontal components grouped into persistent orbits, in
+    order of first appearance. The persistent group maps the slice's
+    horizontal edges onto themselves, hence components onto components: two
+    lie in one orbit exactly when a vertex orbit meets both, and the least
+    vertex of the orbits a component meets names its orbit."""
+    gens = state.persistent_generators(i)
+    least = {v: o[0] for o in vertex_orbits(g, gens, state.layering.layers[i]) for v in o}
+    grouped: dict[int, list[tuple[int, ...]]] = {}
+    for comp in _horizontal_components(state, i):
+        grouped.setdefault(min(least[v] for v in comp), []).append(comp)
+    return list(grouped.values())
+
+
 def assign_decorations(g: Graph, state: StepState, i: int) -> StepState:
     """Greedy decoration assignment: components are grouped into orbits under
     persistent automorphisms; within an orbit each component receives an
     asymmetric decoration not similar to any earlier one, the first taking
     the empty decoration whenever it qualifies."""
-    comps = _horizontal_components(state, i)
     cls = state.layer_classes(i)
-
-    orbits: list[list[tuple[int, ...]]] = []
-    for comp in comps:
-        placed = False
-        for orbit in orbits:
-            rep = orbit[0]
-            if len(rep) != len(comp):
-                continue
-            w = persistent_exists(
-                g,
-                state,
-                i,
-                AutConstraint(setwise_pairs=[(frozenset(comp), frozenset(rep))]),
-            )
-            if w is not None:
-                orbit.append(comp)
-                placed = True
-                break
-        if not placed:
-            orbits.append([comp])
-
     entries = []
-    for orbit in orbits:
+    for orbit in _component_orbits(g, state, i):
         n_k = len(orbit)
         chosen: list[Decoration] = []
         for comp in orbit:

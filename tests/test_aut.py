@@ -253,6 +253,26 @@ def test_pointwise_stabiliser_generators():
     assert len(_span(gens, 4)) == 6
 
 
+def test_coloured_chain_matches_brute_force():
+    # the group generated by the coloured chain is exactly the set of
+    # automorphisms that fix the listed vertices and preserve the colouring
+    rng = random.Random(2003)
+    graphs = [cycle(6), complete(5), complete_bipartite(3, 3), Graph(7, [(0, 1), (2, 3)])]
+    graphs += [_random_gnp(rng.randint(3, 7), rng) for _ in range(24)]
+    nontrivial = coloured = 0
+    for g in graphs:
+        perms = automorphisms_by_full_enumeration(g)
+        for _ in range(6):
+            fixed = rng.sample(range(g.n), rng.randint(0, 2))
+            colours = {e: rng.choice((RED, GREEN)) for e in g.edges if rng.random() < 0.3}
+            c = AutConstraint(pointwise_fixed=frozenset(fixed), colour_preserve=colours)
+            want = {p for p in perms if constraint_holds_naive(g, c, p)}
+            assert _span(pointwise_stabiliser_generators(g, fixed, colours), g.n) == want
+            nontrivial += len(want) > 1
+            coloured += bool(colours) and len(want) > 1
+    assert nontrivial >= 40 and coloured >= 20, (nontrivial, coloured)
+
+
 def test_isomorphism():
     g = petersen()
     # relabel by a random permutation; must be detected as isomorphic

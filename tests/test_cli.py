@@ -165,6 +165,29 @@ def test_scan_exit_code_on_doctored_report():
     assert evaluate_scan_rows(rows[1:]) == 0
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_malformed_line_becomes_error_row(tmp_path, capsys, jobs):
+    corpus = tmp_path / "corpus.g6"
+    c5, pet = serialize_graph6(cycle(5)), serialize_graph6(petersen())
+    corpus.write_text(f"{c5}\nnot_g6!\n\n{pet}\n")
+    code, out, _ = run(capsys, "scan", "--file", str(corpus), "--jobs", jobs)
+    assert code == 2
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert [(r["graph6"], r["status"]) for r in rows] == [
+        (c5, "known_exception"), ("not_g6!", "error"), (pet, "ok"),
+    ]
+    assert rows[1]["line"] == 2 and "alphabet" in rows[1]["error"]
+    assert "line" not in rows[0] and "line" not in rows[2]
+
+
+def test_scan_exit_code_unexpected_beats_malformed():
+    bad = {"line": 1, "graph6": "?", "status": "error", "error": "bad"}
+    unexpected = {"graph6": "X", "n": 10, "degree": 5, "dprime": 3,
+                  "status": "unexpected_exception"}
+    assert evaluate_scan_rows([bad]) == 2
+    assert evaluate_scan_rows([bad, unexpected]) == 5
+
+
 def test_aut_petersen(capsys):
     code, out, _ = run(capsys, "aut", "--gen", "petersen")
     assert code == 0

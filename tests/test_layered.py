@@ -1,8 +1,12 @@
 import dataclasses
+import hashlib
+import itertools
+import json
+from pathlib import Path
 
 import pytest
 
-from edgesym.aut import AutConstraint
+from edgesym.aut import AutConstraint, ConstraintError, Permutation
 from edgesym.catalog import connected_regular_upto
 from edgesym.colouring import BLUE, GREEN, RED, EdgeColouring, all_blue_vertices, satisfies_blue_rule
 from edgesym.distinguishing import is_distinguishing
@@ -13,6 +17,7 @@ from edgesym.graph import (
     complete_bipartite,
     cycle,
     edge,
+    parse_graph6,
     petersen,
     regularity,
 )
@@ -21,6 +26,10 @@ from edgesym.layered import (
     DecorationShortageError,
     NotColourableError,
     StepState,
+    _component_orbits,
+    _decoration_back_edges,
+    _decoration_sites,
+    _horizontal_components,
     _matching_orbit_colours,
     assign_decorations,
     build_layering,
@@ -214,6 +223,125 @@ def test_persistent_absent_on_asymmetric_graph():
         g, state, 1, AutConstraint(nontrivial_on=frozenset(range(g.n)))
     )
     assert w is None
+
+
+def test_persistent_rejects_extra_colours():
+    g = petersen()
+    state = advance(g, 1, decorate_last=False)
+    with pytest.raises(ConstraintError):
+        persistent_exists(g, state, 1, AutConstraint(colour_preserve={(0, 1): RED}))
+
+
+def _pairwise_component_orbits(g, state, i):
+    # components grouped by one persistent search per (component, orbit) pair
+    orbits = []
+    for comp in _horizontal_components(state, i):
+        for orbit in orbits:
+            rep = orbit[0]
+            pair = AutConstraint(setwise_pairs=[(frozenset(comp), frozenset(rep))])
+            if len(rep) == len(comp) and persistent_exists(g, state, i, pair) is not None:
+                orbit.append(comp)
+                break
+        else:
+            orbits.append([comp])
+    return orbits
+
+
+def _pairwise_back_edges(g, state, i, sites):
+    # a usable back edge is kept unless a persistent search moves a kept one
+    # onto it or it onto a kept one
+    cls = state.layer_classes(i)
+    kept = []
+    for e in sorted(cls.back):
+        if not (e[0] in sites or e[1] in sites) or state.colouring[e] == BLUE:
+            continue
+        if not any(
+            persistent_exists(
+                g, state, i, AutConstraint(edge_setwise_pairs=[({a}, {b})])
+            ) is not None
+            for e0 in kept
+            for a, b in ((e0, e), (e, e0))
+        ):
+            kept.append(e)
+    return kept
+
+
+def _searched_asymmetric(g, state, i, d):
+    comp = frozenset(d.component)
+    c = AutConstraint(
+        setwise_pairs=[(comp, comp)],
+        edge_setwise_pairs=[(set(d.forward_red), set(d.forward_red)),
+                            (set(d.back_blue), set(d.back_blue))],
+        nontrivial_on=comp,
+    )
+    return persistent_exists(g, state, i, c) is None
+
+
+def _searched_similar(g, state, i, d1, d2):
+    if [len(d1.component), len(d1.forward_red), len(d1.back_blue)] != [
+        len(d2.component), len(d2.forward_red), len(d2.back_blue)
+    ]:
+        return False
+    c = AutConstraint(
+        setwise_pairs=[(set(d1.component), set(d2.component))],
+        edge_setwise_pairs=[(set(d1.forward_red), set(d2.forward_red)),
+                            (set(d1.back_blue), set(d2.back_blue))],
+    )
+    return persistent_exists(g, state, i, c) is not None
+
+
+def test_component_orbits_follow_crossed_generators():
+    # a persistent map may carry one component onto another without carrying
+    # its least vertex onto the other's least vertex: here (3 5) -> (6 4).
+    # The two components still form one orbit
+    g = parse_graph6("FFzvO")
+    state = advance(g, 1, decorate_last=False)
+    assert _horizontal_components(state, 1) == [(3, 5), (4, 6)]
+    state.persistent_gens[1] = [Permutation((0, 1, 2, 6, 5, 4, 3))]
+    assert _component_orbits(g, state, 1) == [[(3, 5), (4, 6)]]
+    state.persistent_gens[1] = []
+    assert _component_orbits(g, state, 1) == [[(3, 5)], [(4, 6)]]
+
+
+def test_orbit_answers_match_pairwise_searches():
+    # at every step of the n <= 8 catalogue and Petersen: the persistent
+    # group's orbits group the components as pairwise persistent searches do,
+    # and the decoration back edges are the ones pairwise searches keep; where
+    # the group is trivial, the asymmetry and similarity short-cuts agree with
+    # a search on every candidate and every pair of candidates of the slice
+    graphs = connected_regular_upto(8) + [petersen()]
+    steps = trivial = back_pairs = grouped = 0
+    for g in graphs:
+        deg = regularity(g)
+        if g.n <= 2 or deg == 2 or deg == g.n - 1:
+            continue  # cycle and complete-graph branches have no layer steps
+        state = initial_colouring(g, 0)
+        for i in range(1, state.layering.count):
+            state.previous = dict(state.colouring)
+            state.step = i
+            colour_horizontal(g, state, i)
+            orbits = _component_orbits(g, state, i)
+            assert orbits == _pairwise_component_orbits(g, state, i)
+            grouped += any(len(o) > 1 for o in orbits)
+            cands = []
+            for comp in _horizontal_components(state, i):
+                sites = set(_decoration_sites(state, i, comp))
+                kept = _decoration_back_edges(state, i, sites)
+                assert kept == _pairwise_back_edges(g, state, i, sites)
+                back_pairs += len(kept) >= 2
+                cands += enumerate_decorations(g, state, i, comp)
+            if not state.persistent_generators(i):
+                trivial += 1
+                for d in cands:
+                    assert decoration_is_asymmetric(g, state, i, d) == _searched_asymmetric(
+                        g, state, i, d)
+                for d1, d2 in itertools.product(cands, repeat=2):
+                    assert decorations_similar(g, state, i, d1, d2) == _searched_similar(
+                        g, state, i, d1, d2)
+            assign_decorations(g, state, i)
+            steps += 1
+    assert steps >= 70 and trivial >= 35 and back_pairs >= 35 and grouped >= 10, (
+        steps, trivial, back_pairs, grouped)
 
 
 # -- decorations ------------------------------------------------------------------
@@ -425,6 +553,27 @@ def test_step_check_memo_is_exact():
 
 
 # -- the headline operation -------------------------------------------------------------
+
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+# SHA-256 over the colourings and audit trails of colour_regular(verify=True)
+# on the benchmark corpus; output is part of the contract, so a deliberate
+# change to it updates this digest and says why
+OUTPUT_CONTRACT_SHA256 = "7fa78672db433da6e86abd349a659ae2bc04b6086884e7749dfef6c56f360ee4"
+
+
+def test_colourings_and_audits_match_pinned_digest():
+    h = hashlib.sha256()
+    for name in ("corpus.g6", "large.g6"):
+        for line in (BENCH_DATA / name).read_text().split():
+            audit = []
+            try:
+                c = colour_regular(parse_graph6(line), verify=True, audit=audit)
+            except NotColourableError:
+                h.update(b"K2-refused")
+                continue
+            h.update(json.dumps([c.to_json(), audit], sort_keys=True).encode())
+    assert h.hexdigest() == OUTPUT_CONTRACT_SHA256
 
 
 def test_colour_regular_k2_not_colourable():
