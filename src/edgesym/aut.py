@@ -373,14 +373,12 @@ def pointwise_stabiliser_generators(
     return _chain_transversals(g, sorted(set(fixed)), colour_preserve)
 
 
-def group_order(g: Graph, max_n: int = 16) -> int:
-    """|Aut(G)| by an orbit-stabiliser chain. Guarded by max_n.
+def group_order(g: Graph) -> int:
+    """|Aut(G)| by an orbit-stabiliser chain.
 
     Every chain witness of level b fixes 0..b-1 and moves b, so the orbit of
     b under its level's stabiliser is b plus those witnesses' images of b.
     """
-    if g.n > max_n:
-        raise SizeGuardError(f"group_order guard: n={g.n} exceeds {max_n}")
     orbit = [1] * g.n
     for p in _chain_transversals(g, []):
         orbit[p.moved()[0]] += 1

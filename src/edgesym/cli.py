@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Optional
 
-from .aut import SizeGuardError, group_order, stabiliser_generators, vertex_orbits
+from .aut import group_order, stabiliser_generators, vertex_orbits
 from .catalog import connected_regular_graphs
 from .colouring import EdgeColouring, all_blue_vertices, satisfies_blue_rule
 from .distinguishing import (
@@ -227,11 +227,7 @@ def cmd_scan(args) -> int:
 
 def cmd_aut(args) -> int:
     g = _load_graph(args)
-    try:
-        order = group_order(g, max_n=args.max_n)
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    order = group_order(g)  # SizeGuardError is a ValueError: main exits with 2
     root = args.root
     gens = stabiliser_generators(g, root)
     orbits = vertex_orbits(g, gens)
@@ -288,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aut", help="automorphism group and stabiliser orbits")
     _add_input_options(p)
     p.add_argument("--root", type=int, default=0)
-    p.add_argument("--max-n", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_aut)
 

@@ -52,7 +52,7 @@ class NotColourableError(ValueError):
 class DecorationShortageError(RuntimeError):
     def __init__(self, layer: int, component, orbit_size: int, available: int):
         super().__init__(
-            f"layer {layer}: component {component} has {available} usable "
+            f"layer {layer}: component {component} has {available} asymmetric "
             f"decorations for an orbit of {orbit_size}"
         )
         self.layer = layer
@@ -411,26 +411,21 @@ def decoration_is_asymmetric(
     g: Graph, state: StepState, i: int, d: Decoration
 ) -> bool:
     """No nontrivial persistent automorphism fixes the component setwise
-    while mapping the decoration onto itself."""
-    comp = frozenset(d.component)
-    if len(comp) == 1 or not state.persistent_generators(i):
+    while mapping the decoration onto itself. Read off the persistent orbits:
+
+    h = 0: the component is one vertex. h >= 2: the component carries a
+    distinguishing colouring that persistent maps preserve, so a map keeping
+    it in place is the identity on it. h = 1: the component is a matching
+    edge uv with site u; a map nontrivial on it swaps u and v, which moves
+    every decoration edge (all at u, none uv) off itself. The empty
+    decoration is left with such a swap exactly when some persistent map
+    sends u to v, because uv is the only horizontal edge at v.
+    """
+    if state.layer_classes(i).h != 1 or d.forward_red or d.back_blue:
         return True
-    pairs = []
-    if d.forward_red:
-        pairs.append((frozenset(d.forward_red), frozenset(d.forward_red)))
-    if d.back_blue:
-        pairs.append((frozenset(d.back_blue), frozenset(d.back_blue)))
-    w = persistent_exists(
-        g,
-        state,
-        i,
-        AutConstraint(
-            setwise_pairs=[(comp, comp)],
-            edge_setwise_pairs=pairs,
-            nontrivial_on=comp,
-        ),
-    )
-    return w is None
+    u, v = d.component
+    orbits = vertex_orbits(g, state.persistent_generators(i), state.layering.layers[i])
+    return not any(u in o and v in o for o in orbits)
 
 
 def decorations_similar(
@@ -458,25 +453,6 @@ def decorations_similar(
         ),
     )
     return w is not None
-
-
-def _would_leave_all_blue(state: StepState, i: int, d: Decoration) -> bool:
-    """Local guard for candidate decorations: would some component vertex end
-    up seeing only blue edges? Only possible when the slice has no forward
-    edges (forward edges come out red or green)."""
-    cls = state.layer_classes(i)
-    if cls.f > 0:
-        return False
-    horiz = state.horizontal_colours.get(i, {})
-    blue_b = set(d.back_blue)
-    for v in d.component:
-        own_h = [e for e in horiz if v in e]
-        if any(horiz[e] != BLUE for e in own_h):
-            continue
-        own_b = [e for e in cls.back if v in e]
-        if all(state.colouring[e] == BLUE or e in blue_b for e in own_b):
-            return True
-    return False
 
 
 def _component_orbits(g: Graph, state: StepState, i: int) -> list[list[tuple[int, ...]]]:
@@ -516,14 +492,13 @@ def assign_decorations(g: Graph, state: StepState, i: int) -> StepState:
                     raise AssertionError(
                         f"orbit size {n_k} exceeds degree-1 bound at layer {i}"
                     )
-            usable = [d for d in asym if not _would_leave_all_blue(state, i, d)]
             pick = None
-            for d in usable:
+            for d in asym:
                 if all(not decorations_similar(g, state, i, d, prev) for prev in chosen):
                     pick = d
                     break
             if pick is None:
-                raise DecorationShortageError(i, comp, n_k, len(usable))
+                raise DecorationShortageError(i, comp, n_k, len(asym))
             chosen.append(pick)
             fset = set(pick.forward_red)
             sites_all = set(comp)
@@ -688,6 +663,8 @@ def colour_regular(
         raise ValueError("colour_regular expects a connected graph")
     if g.n == 0:
         raise ValueError("empty graph")
+    if not 0 <= root < g.n:
+        raise ValueError(f"root {root} outside vertex range")
 
     is_complete_graph = g.n >= 2 and deg == g.n - 1
 

@@ -3,6 +3,8 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
+import hashlib
+import json
 import math
 import random
 import time
@@ -289,19 +291,27 @@ def _strict_sample():
     return sample
 
 
+# SHA-256 over json.dumps([c.to_json(), audit], sort_keys=True) of each
+# _strict_sample() graph's colouring, in sample order
+STRICT_SAMPLE_SHA256 = "6f7a987c086aab56295035db8506780496b69bee657c7595b1749d522029a009"
+
+
 def test_criterion_7_strict_success(corpus_upto_10):
     corpus = [g for g in corpus_upto_10 if regularity(g) in (3, 4)]
     sample = _strict_sample()
     distinct = {(g.n, tuple(sorted(g.edges))) for g in sample}
     total_layers = 0
     failures = []
-    for g in corpus + sample:
+    digest = hashlib.sha256()
+    for k, g in enumerate(corpus + sample):
         audit = []
         try:
             c = colour_regular(g, verify=True, audit=audit)
         except Exception as exc:  # noqa: BLE001 - report, then fail
             failures.append(f"{serialize_graph6(g)}: {exc!r}")
             continue
+        if k >= len(corpus):
+            digest.update(json.dumps([c.to_json(), audit], sort_keys=True).encode())
         if not is_distinguishing(g, c):
             failures.append(f"{serialize_graph6(g)}: not distinguishing")
         if any(a.get("fallback") for a in audit):
@@ -309,8 +319,10 @@ def test_criterion_7_strict_success(corpus_upto_10):
         total_layers += sum(1 for a in audit if a.get("layer") not in (None, 0))
     _report(
         7,
-        not failures and len(sample) == len(distinct) == 332,
+        not failures and len(sample) == len(distinct) == 332
+        and digest.hexdigest() == STRICT_SAMPLE_SHA256,
         f"degree 3 and 4: {len(corpus)} corpus graphs and {len(distinct)} generated "
         f"graphs coloured by the single construction over {total_layers} layers, "
-        f"every run verified with no fallback; failures: {failures[:3]}",
+        f"every run verified with no fallback, generated outputs hashing to "
+        f"{digest.hexdigest()[:8]}; failures: {failures[:3]}",
     )

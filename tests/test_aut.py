@@ -224,8 +224,9 @@ def test_group_order_examples():
     assert group_order(cycle(7)) == 14
     assert group_order(petersen()) == 120
     assert group_order(spider([1, 2, 3])) == 1
+    assert group_order(cycle(17)) == 34
     with pytest.raises(SizeGuardError):
-        group_order(cycle(17))
+        group_order(Graph(65))
 
 
 def test_group_order_matches_enumeration_on_random_graphs():

@@ -211,8 +211,17 @@ def test_aut_spider_order_one(capsys):
 
 
 def test_aut_size_guard(capsys):
-    code, _, err = run(capsys, "aut", "--gen", "cycle 20")
-    assert code == 2 and "guard" in err
+    code, _, err = run(capsys, "aut", "--gen", "cycle 65")
+    assert code == 2 and "at most 64 vertices" in err
+    code, out, _ = run(capsys, "aut", "--gen", "cycle 20")
+    assert code == 0 and json.loads(out)["group_order"] == 40
+
+
+@pytest.mark.parametrize("spec", ["cycle 6", "complete 5", "petersen"])
+@pytest.mark.parametrize("root", ["99", "-1"])
+def test_colour_root_out_of_range_exit_code(capsys, spec, root):
+    code, out, err = run(capsys, "colour", "--gen", spec, "--root", root)
+    assert code == 2 and not out and "outside vertex range" in err
 
 
 def test_bad_graph6_input(capsys):

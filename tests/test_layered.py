@@ -306,11 +306,13 @@ def test_component_orbits_follow_crossed_generators():
 def test_orbit_answers_match_pairwise_searches():
     # at every step of the n <= 8 catalogue and Petersen: the persistent
     # group's orbits group the components as pairwise persistent searches do,
-    # and the decoration back edges are the ones pairwise searches keep; where
-    # the group is trivial, the asymmetry and similarity short-cuts agree with
-    # a search on every candidate and every pair of candidates of the slice
+    # the decoration back edges are the ones pairwise searches keep, and the
+    # orbit test for asymmetry agrees with a search on every candidate; where
+    # the group is trivial, the similarity short-cut agrees with a search on
+    # every pair of candidates of the slice
     graphs = connected_regular_upto(8) + [petersen()]
     steps = trivial = back_pairs = grouped = 0
+    compared = negative = on_nontrivial = on_nontrivial_h2 = 0
     for g in graphs:
         deg = regularity(g)
         if g.n <= 2 or deg == 2 or deg == g.n - 1:
@@ -330,11 +332,16 @@ def test_orbit_answers_match_pairwise_searches():
                 assert kept == _pairwise_back_edges(g, state, i, sites)
                 back_pairs += len(kept) >= 2
                 cands += enumerate_decorations(g, state, i, comp)
-            if not state.persistent_generators(i):
+            nontrivial = bool(state.persistent_generators(i))
+            for d in cands:
+                asym = decoration_is_asymmetric(g, state, i, d)
+                assert asym == _searched_asymmetric(g, state, i, d), (g.n, sorted(g.edges), i, d)
+                compared += 1
+                negative += not asym
+                on_nontrivial += nontrivial
+                on_nontrivial_h2 += nontrivial and state.layer_classes(i).h >= 2
+            if not nontrivial:
                 trivial += 1
-                for d in cands:
-                    assert decoration_is_asymmetric(g, state, i, d) == _searched_asymmetric(
-                        g, state, i, d)
                 for d1, d2 in itertools.product(cands, repeat=2):
                     assert decorations_similar(g, state, i, d1, d2) == _searched_similar(
                         g, state, i, d1, d2)
@@ -342,6 +349,9 @@ def test_orbit_answers_match_pairwise_searches():
             steps += 1
     assert steps >= 70 and trivial >= 35 and back_pairs >= 35 and grouped >= 10, (
         steps, trivial, back_pairs, grouped)
+    assert compared >= 400 and negative >= 10 and on_nontrivial >= 150, (
+        compared, negative, on_nontrivial)
+    assert on_nontrivial_h2 >= 8, on_nontrivial_h2
 
 
 # -- decorations ------------------------------------------------------------------
@@ -588,6 +598,13 @@ def test_colour_regular_rejects_bad_inputs():
 
     with pytest.raises(ValueError):
         colour_regular(disjoint_union([cycle(3), cycle(3)]))
+
+
+@pytest.mark.parametrize("g", [cycle(6), complete(5), petersen()], ids=["cycle", "complete", "petersen"])
+@pytest.mark.parametrize("root", [99, -1])
+def test_colour_regular_rejects_root_out_of_range(g, root):
+    with pytest.raises(ValueError, match="outside vertex range"):
+        colour_regular(g, root=root)
 
 
 def test_colour_regular_single_vertex():
