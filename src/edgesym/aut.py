@@ -2,7 +2,9 @@
 
 One declarative query type (AutConstraint) and one search primitive
 (find_automorphism) underlie everything else here: stabiliser generators,
-orbits, group order, and graph isomorphism all reduce to it.
+orbits, group order, and graph isomorphism all reduce to it. The stabiliser
+chain runs the primitive's prepared query (_searcher) directly, so that one
+query serves every target of the chain.
 """
 
 from __future__ import annotations
@@ -238,6 +240,30 @@ def satisfies(g: Graph, c: AutConstraint, p: Permutation) -> bool:
     return True
 
 
+def _searcher(g: Graph, c: AutConstraint):
+    """Prepare the kernel query of a validated, normalised constraint once.
+
+    Returns the candidate masks of c's positive fields and run(masks, check):
+    one search with the given masks, whose witness is vetted by satisfies
+    against check (c by default). The query depends only on c's colours and
+    edge-setwise pairs, so any constraint differing from c only in pinned
+    and pointwise-fixed vertices can be searched by masks alone.
+    """
+    src, dst, allowed = _build_query(g, c)
+    query = kernel.prepare(g.n, src, dst)
+
+    def run(masks, check: AutConstraint = c) -> Optional[Permutation]:
+        res = kernel.search_mapping(query, masks)
+        if res is None:
+            return None
+        p = Permutation(tuple(res))
+        if not satisfies(g, check, p):
+            raise RuntimeError(f"kernel returned an invalid witness {p.images}")
+        return p
+
+    return allowed, run
+
+
 def find_automorphism(g: Graph, c: Optional[AutConstraint] = None) -> Optional[Permutation]:
     """Witness automorphism satisfying every constraint field, or None.
 
@@ -245,17 +271,7 @@ def find_automorphism(g: Graph, c: Optional[AutConstraint] = None) -> Optional[P
     """
     c = (c or AutConstraint()).normalised()
     _validate(g, c)
-    src, dst, allowed = _build_query(g, c)
-    query = kernel.prepare(g.n, src, dst)
-
-    def run(masks) -> Optional[Permutation]:
-        res = kernel.search_mapping(query, masks)
-        if res is None:
-            return None
-        p = Permutation(tuple(res))
-        if not satisfies(g, c, p):
-            raise RuntimeError(f"kernel returned an invalid witness {p.images}")
-        return p
+    allowed, run = _searcher(g, c)
 
     if c.nontrivial_on is None:
         return run(allowed)
@@ -283,31 +299,74 @@ def find_automorphism(g: Graph, c: Optional[AutConstraint] = None) -> Optional[P
 # -- groups via stabiliser chains -------------------------------------------
 
 
-def _equitable_cells(g: Graph, fixed: Sequence[int]) -> list[int]:
-    """Cell of each vertex in the coarsest equitable partition of g in which
-    every vertex of fixed has a cell of its own.
+def _equitable_cells(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
+    """Coarsest equitable refinement of a partition, by a splitter queue.
 
-    Cells are refined by the number of neighbours in each cell (bitmask
-    popcounts) until their number stops growing. Each round names the cells
-    by the rank of their sorted signatures, so the names depend only on the
-    graph and fixed, never on the vertex numbering within a cell.
+    adj holds the adjacency bitmasks; cells are the partition's cells as
+    disjoint bitmasks. For each cell that is not among the splitters, the
+    partition must already be equitable with respect to that cell, or to
+    that cell together with some splitters (as after _individualise). Each
+    splitter W splits every non-singleton cell it reaches by the number of
+    neighbours in W; the pieces of a cell still queued replace it in the
+    queue, and otherwise every piece but one largest joins the queue. The
+    result, returned once no splitter is left or every cell is a singleton,
+    is the same set partition in whatever order the cells come.
     """
-    n = g.n
-    adj = [g.adjacency_mask(v) for v in range(n)]
-    cell = [0] * n
-    for i, v in enumerate(fixed):
-        cell[v] = i + 1
-    count = len(set(cell))
-    while True:
-        masks = [0] * (max(cell) + 1)
-        for v in range(n):
-            masks[cell[v]] |= 1 << v
-        sigs = [(cell[v], *[(adj[v] & m).bit_count() for m in masks]) for v in range(n)]
-        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        cell = [rank[sig] for sig in sigs]
-        if len(rank) == count:
-            return cell
-        count = len(rank)
+    cells = list(cells)
+    n = sum(x.bit_count() for x in cells)
+    queue = list(splitters)
+    pending = set(queue)
+    while queue and len(cells) < n:
+        w = queue.pop()
+        if w not in pending:
+            continue  # split since it was queued; its pieces are queued instead
+        pending.discard(w)
+        reach = 0
+        m = w
+        while m:
+            low = m & -m
+            m ^= low
+            reach |= adj[low.bit_length() - 1]
+        out = []
+        for x in cells:
+            if x & (x - 1) == 0 or not x & reach:
+                out.append(x)
+                continue
+            by_count: dict[int, int] = {}
+            m = x
+            while m:
+                low = m & -m
+                m ^= low
+                k = (adj[low.bit_length() - 1] & w).bit_count()
+                by_count[k] = by_count.get(k, 0) | low
+            pieces = list(by_count.values())
+            out += pieces
+            if len(pieces) == 1:
+                continue
+            if x in pending:
+                pending.discard(x)
+            else:
+                pieces.remove(max(pieces, key=int.bit_count))
+            pending.update(pieces)
+            queue += pieces
+        cells = out
+    return cells
+
+
+def _individualise(adj: Sequence[int], cells: list[int], v: int) -> list[int]:
+    """Coarsest equitable refinement of an equitable partition with v given
+    a cell of its own. The old partition is equitable with respect to v's
+    old cell, so {v} is the only splitter needed."""
+    bit = 1 << v
+    out = []
+    for x in cells:
+        if x & bit and x != bit:
+            out += [bit, x ^ bit]
+        else:
+            out.append(x)
+    if len(out) == len(cells):
+        return out  # v already had a cell of its own
+    return _equitable_cells(adj, out, [bit])
 
 
 def _chain_transversals(
@@ -320,36 +379,66 @@ def _chain_transversals(
     restricted to the maps that preserve colour_preserve when it is given.
     Level b holds, for each target w != b in ascending order, the witness of
     find_automorphism(pinned={b: w}, pointwise_fixed=fixed, colour_preserve)
-    when one exists.
+    when one exists, where fixed is start_fixed followed by the earlier
+    levels.
+
+    The constraint is validated once, on entry. Every level's query differs
+    only in its pinned and pointwise-fixed vertices, so the kernel query is
+    prepared once (on the first search) and each target only changes the
+    candidate masks; every witness is vetted against its full constraint.
 
     Targets are pruned by equitable refinement: an automorphism that fixes
     every vertex of fixed maps each cell of the coarsest equitable partition
     with those vertices individualised onto itself, so only targets in b's
     cell are searched (the cells ignore colours: they hold the orbits of the
-    uncoloured group, which contains the coloured one). The skipped searches
-    are exactly ones that would fail; the masks passed to the search are
-    unchanged, so the witness list is the same as without pruning.
+    uncoloured group, which contains the coloured one). The partition is
+    carried from level to level by individualising b. The skipped searches
+    are exactly ones that would fail, so the witness list is the same as
+    without pruning.
     """
-    gens: list[Permutation] = []
     fixed = list(dict.fromkeys(start_fixed))
-    fixed_set = set(fixed)
-    for b in range(g.n):
-        if b in fixed_set:
-            continue
-        cell = _equitable_cells(g, fixed)
-        if len(set(cell)) == g.n:
+    c = AutConstraint(pointwise_fixed=frozenset(fixed), colour_preserve=colour_preserve)
+    c = c.normalised()
+    _validate(g, c)
+    n = g.n
+    adj = [g.adjacency_mask(v) for v in range(n)]
+    rest = (1 << n) - 1
+    masks = [rest] * n  # candidates at the current level: fixed vertices pinned
+    cells = []
+    for v in fixed:
+        masks[v] = 1 << v
+        cells.append(1 << v)
+        rest ^= 1 << v
+    if rest:
+        cells.append(rest)
+    cells = _equitable_cells(adj, cells, list(cells))
+
+    gens: list[Permutation] = []
+    run = None
+    for b in range(n):
+        if len(cells) == n:
             break  # discrete: only the identity fixes fixed, here and below
-        for w in range(g.n):
-            if w == b or cell[w] != cell[b]:
-                continue
-            witness = find_automorphism(
-                g,
-                AutConstraint({b: w}, frozenset(fixed), colour_preserve=colour_preserve),
-            )
+        if b in c.pointwise_fixed:
+            continue
+        bit = 1 << b
+        targets = next(x for x in cells if x & bit) ^ bit
+        if targets:
+            if run is None:
+                run = _searcher(g, c)[1]
+            pointwise = frozenset(fixed)
+        while targets:
+            low = targets & -targets
+            targets ^= low
+            w = low.bit_length() - 1
+            level = list(masks)
+            level[b] = low
+            check = AutConstraint({b: w}, pointwise, colour_preserve=c.colour_preserve)
+            witness = run(level, check)
             if witness is not None:
                 gens.append(witness)
         fixed.append(b)
-        fixed_set.add(b)
+        masks[b] = bit
+        cells = _individualise(adj, cells, b)
     return gens
 
 

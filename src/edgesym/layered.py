@@ -78,8 +78,9 @@ class VerificationError(RuntimeError):
 @dataclass
 class OrbitLayering:
     """Vertex slices (root-stabiliser orbits ordered by distance) with their
-    incident edge sets, the furthest slice each prefix of slices touches, and
-    the edge sets settled once a prefix is coloured."""
+    incident edge sets, the furthest slice each prefix of slices touches, the
+    edge sets settled once a prefix is coloured, and the root stabiliser's
+    generators (the pointwise stabiliser of slice 0)."""
 
     root: int
     layers: list[list[int]]
@@ -87,6 +88,7 @@ class OrbitLayering:
     reach: list[int]
     settled_edges: list[frozenset[Edge]]
     layer_of: dict[int, int]
+    root_generators: list[Permutation]
 
     @property
     def count(self) -> int:
@@ -144,7 +146,7 @@ def build_layering(g: Graph, r: int) -> OrbitLayering:
         if not set(incident[i]) <= settled[i]:
             raise AssertionError(f"incident edges of layer {i} escape settlement")
 
-    return OrbitLayering(r, layers, incident, reach, settled, layer_of)
+    return OrbitLayering(r, layers, incident, reach, settled, layer_of, gens)
 
 
 @dataclass
@@ -214,15 +216,26 @@ class StepState:
             self.classes[i] = classify_layer(self.graph, self.layering, i)
         return self.classes[i]
 
+    def earlier_stabiliser(
+        self, i: int, colours: Optional[dict[Edge, str]] = None
+    ) -> list[Permutation]:
+        """Generators of the automorphisms that fix every slice before i
+        pointwise and preserve colours. Slice 0 is the root alone, so for
+        i = 1 and no colours that is the root stabiliser, whose generators
+        build_layering kept."""
+        if i == 1 and not colours:
+            return self.layering.root_generators
+        return pointwise_stabiliser_generators(
+            self.graph, self.layering.earlier_vertices(i), colours
+        )
+
     def persistent_generators(self, i: int) -> list[Permutation]:
         """Generators of slice i's persistent group: the automorphisms that
         fix every earlier slice pointwise and preserve slice i's horizontal
         colouring. They fix the root, so they map every slice onto itself."""
         if i not in self.persistent_gens:
-            self.persistent_gens[i] = pointwise_stabiliser_generators(
-                self.graph,
-                self.layering.earlier_vertices(i),
-                self.horizontal_colours.get(i, {}),
+            self.persistent_gens[i] = self.earlier_stabiliser(
+                i, self.horizontal_colours.get(i, {})
             )
         return self.persistent_gens[i]
 
@@ -297,8 +310,7 @@ def colour_horizontal(g: Graph, state: StepState, i: int, verify: bool = False,
         rule = "H0"
     elif cls.h == 1:
         rule = "H1"
-        earlier = state.layering.earlier_vertices(i)
-        gens = pointwise_stabiliser_generators(g, earlier)
+        gens = state.earlier_stabiliser(i)
         orbits = edge_orbits(g, gens, cls.horizontal)
         installed = _matching_orbit_colours(orbits)
     else:

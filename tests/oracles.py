@@ -256,6 +256,33 @@ def distinguishing_index_brute(g: Graph, max_colours: int = 3):
     return f">{max_colours}"
 
 
+# -- equitable partitions ------------------------------------------------------
+
+
+def equitable_cells_by_rounds(g: Graph, fixed) -> list[int]:
+    """Cell of each vertex in the coarsest equitable partition of g in which
+    every vertex of fixed has a cell of its own, by whole rounds of colour
+    refinement: every vertex is re-signed by its cell and its neighbour count
+    in every cell until the number of cells stops growing. The stabiliser
+    chain's refinement before it moved to a splitter queue."""
+    n = g.n
+    adj = [g.adjacency_mask(v) for v in range(n)]
+    cell = [0] * n
+    for i, v in enumerate(fixed):
+        cell[v] = i + 1
+    count = len(set(cell))
+    while True:
+        masks = [0] * (max(cell) + 1)
+        for v in range(n):
+            masks[cell[v]] |= 1 << v
+        sigs = [(cell[v], *[(adj[v] & m).bit_count() for m in masks]) for v in range(n)]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        cell = [rank[sig] for sig in sigs]
+        if len(rank) == count:
+            return cell
+        count = len(rank)
+
+
 # -- misc ----------------------------------------------------------------------
 
 

@@ -5,6 +5,8 @@ import pytest
 from edgesym.aut import (
     AutConstraint,
     _chain_transversals,
+    _equitable_cells,
+    _individualise,
     ConstraintError,
     Permutation,
     SizeGuardError,
@@ -26,6 +28,7 @@ from edgesym.graph import (
     complete,
     complete_bipartite,
     cycle,
+    path,
     petersen,
     random_regular,
     spider,
@@ -36,6 +39,7 @@ from oracles import (
     automorphisms_by_backtracking,
     automorphisms_by_full_enumeration,
     constraint_holds_naive,
+    equitable_cells_by_rounds,
     find_automorphism_brute,
     random_constraint,
 )
@@ -372,8 +376,9 @@ def _random_gnp(n, rng):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
 
 
-def _chain_unpruned(g, start_fixed):
-    # every target b -> w at every level, the chain before cell pruning
+def _chain_unpruned(g, start_fixed, colour_preserve=None):
+    # every target b -> w at every level, one find_automorphism each: the
+    # chain before cell pruning and before its query was prepared once
     gens = []
     fixed = list(dict.fromkeys(start_fixed))
     for b in range(g.n):
@@ -382,7 +387,12 @@ def _chain_unpruned(g, start_fixed):
         for w in range(g.n):
             if w != b:
                 witness = find_automorphism(
-                    g, AutConstraint(pinned={b: w}, pointwise_fixed=frozenset(fixed))
+                    g,
+                    AutConstraint(
+                        pinned={b: w},
+                        pointwise_fixed=frozenset(fixed),
+                        colour_preserve=colour_preserve,
+                    ),
                 )
                 if witness is not None:
                     gens.append(witness)
@@ -394,13 +404,90 @@ def test_pruned_chain_matches_unpruned_reference():
     rng = random.Random(2014)
     graphs = [g for g in connected_regular_upto(8) if g.n >= 1]
     graphs += [_random_gnp(rng.randint(1, 9), rng) for _ in range(40)]
-    moved = 0
+    moved = coloured_moved = 0
     for g in graphs:
+        # partial colourings, one sparse with two colours and one denser with three
+        sparse = {e: rng.choice((RED, GREEN)) for e in g.edges if rng.random() < 0.15}
+        dense = {e: rng.choice((RED, GREEN, BLUE)) for e in g.edges if rng.random() < 0.4}
         for start in ([], [0]):
             got = _chain_transversals(g, start)
             assert got == _chain_unpruned(g, start)
             moved += len(got)
-    assert moved > 0
+            for colours in (sparse, dense):
+                got = _chain_transversals(g, start, colours)
+                assert got == _chain_unpruned(g, start, colours), (g.edges, start, colours)
+                coloured_moved += len(got) if colours else 0
+    assert moved > 0 and coloured_moved >= 70, (moved, coloured_moved)
+
+
+def test_chain_rejects_malformed_input():
+    g = path(4)
+    for fixed in ([-1], [4], [0.5]):
+        with pytest.raises(ConstraintError):
+            pointwise_stabiliser_generators(g, fixed)
+    # (0, 3) is not an edge; the partition with 0 fixed is already discrete,
+    # so the chain makes no search that could notice it
+    with pytest.raises(ConstraintError):
+        pointwise_stabiliser_generators(g, [0], {(0, 3): RED})
+    with pytest.raises(ConstraintError):
+        find_automorphism(g, AutConstraint(colour_preserve={(0, 3): RED}))
+    with pytest.raises(SizeGuardError):
+        pointwise_stabiliser_generators(spider([1, 2, 3, 58]), [0])
+
+
+def _blocks_of_labels(labels):
+    blocks = {}
+    for v, lab in enumerate(labels):
+        blocks.setdefault(lab, set()).add(v)
+    return {frozenset(b) for b in blocks.values()}
+
+
+def _blocks_of_masks(cells):
+    return {frozenset(v for v in range(m.bit_length()) if m >> v & 1) for m in cells}
+
+
+def _from_scratch(g, fixed):
+    # the partition with every fixed vertex alone and the rest in one cell,
+    # every cell a splitter
+    cells = [1 << v for v in fixed]
+    rest = (1 << g.n) - 1 - sum(cells)
+    cells += [rest] if rest else []
+    return _equitable_cells(_adjacency(g), cells, list(cells))
+
+
+def _adjacency(g):
+    return [g.adjacency_mask(v) for v in range(g.n)]
+
+
+def test_splitter_refinement_matches_round_reference():
+    # the same set partition as whole rounds of colour refinement, from
+    # scratch and carried along a random prefix one vertex at a time; at
+    # n <= 7 every cell is a union of orbits of the pointwise stabiliser
+    rng = random.Random(1911)
+    graphs = [g for g in connected_regular_upto(8) if g.n >= 1]
+    graphs += [_random_gnp(rng.randint(1, 9), rng) for _ in range(60)]
+    compared = split = orbit_checked = 0
+    for g in graphs:
+        adj = _adjacency(g)
+        prefix = rng.sample(range(g.n), rng.randint(0, g.n))
+        perms = automorphisms_by_full_enumeration(g) if g.n <= 7 else None
+        carried = _from_scratch(g, [])
+        for k in range(len(prefix) + 1):
+            if k:
+                carried = _individualise(adj, carried, prefix[k - 1])
+            want = _blocks_of_labels(equitable_cells_by_rounds(g, prefix[:k]))
+            assert _blocks_of_masks(carried) == want, (g.edges, prefix[:k])
+            assert _blocks_of_masks(_from_scratch(g, prefix[:k])) == want
+            assert sum(carried) == (1 << g.n) - 1 and len(carried) == len(want)
+            compared += 1
+            split += len(want) > k + 1
+            if perms is not None:
+                cell_of = {v: b for b in want for v in b}
+                for p in perms:
+                    if all(p[v] == v for v in prefix[:k]):
+                        assert all(p[v] in cell_of[v] for v in range(g.n))
+                orbit_checked += 1
+    assert compared > 300 and split > 100 and orbit_checked > 150, (compared, split, orbit_checked)
 
 
 def test_group_order_matches_networkx():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from edgesym.aut import AutConstraint, ConstraintError, Permutation
+from edgesym.aut import AutConstraint, ConstraintError, Permutation, pointwise_stabiliser_generators
 from edgesym.catalog import connected_regular_upto
 from edgesym.colouring import BLUE, GREEN, RED, EdgeColouring, all_blue_vertices, satisfies_blue_rule
 from edgesym.distinguishing import is_distinguishing
@@ -103,6 +103,28 @@ def test_build_layering_rejects_disconnected():
 
     with pytest.raises(ValueError):
         build_layering(disjoint_union([cycle(3), cycle(3)]), 0)
+
+
+def test_layering_keeps_root_stabiliser_for_slice_one():
+    # slice 1's uncoloured pointwise stabiliser (H1 orbits, and the persistent
+    # group of a slice with no horizontal edges) is the root stabiliser that
+    # build_layering computed; colour_preserve={} is the same constraint as None
+    graphs = [g for g in connected_regular_upto(8) if g.n >= 2] + [petersen()]
+    nontrivial = 0
+    for g in graphs:
+        for r in (0, g.n - 1):
+            state = initial_colouring(g, r)
+            lay = state.layering
+            kept = lay.root_generators
+            assert kept == pointwise_stabiliser_generators(g, [r])
+            assert kept == pointwise_stabiliser_generators(g, [r], {})
+            assert state.earlier_stabiliser(1) is kept
+            assert state.earlier_stabiliser(1, {}) == kept
+            if lay.count > 2:
+                earlier = lay.earlier_vertices(2)
+                assert state.earlier_stabiliser(2) == pointwise_stabiliser_generators(g, earlier)
+            nontrivial += bool(kept)
+    assert nontrivial > 40, nontrivial
 
 
 def test_classify_layer_examples():
