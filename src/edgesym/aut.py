@@ -100,7 +100,7 @@ def _colour_map(c) -> Optional[dict[Edge, str]]:
     if c is None:
         return None
     if hasattr(c, "assignment"):
-        c = c.assignment
+        return c.assignment  # an EdgeColouring: a new dict, keys already canonical
     return {edge(u, v): col for (u, v), col in c.items()}
 
 

@@ -141,9 +141,7 @@ def hamiltonian_colouring(g: Graph, path: Sequence[int]) -> EdgeColouring:
             tree = {edge(a, b) for a, b in zip(cand, cand[1:])}
             tree.discard(edge(cand[0], cand[1]))
             tree.add(edge(cand[0], cand[k - 1]))
-            col = EdgeColouring(
-                {e: (RED if e in tree else GREEN) for e in g.edges}
-            )
+            col = EdgeColouring.on_graph(g, [RED if e in tree else GREEN for e in g.edges])
             if not is_distinguishing(g, col):
                 raise RuntimeError("spider colouring failed verification")
             return col
@@ -166,7 +164,7 @@ def _probe_candidates(g: Graph, k: int, tries: int = 512):
                 if w not in parent and w != 0 and dist[w] == dist[v] + 1:
                     parent[w] = v
         tree = {edge(v, w) for w, v in parent.items()}
-        yield EdgeColouring({e: (RED if e in tree else GREEN) for e in edges})
+        yield EdgeColouring.on_graph(g, [RED if e in tree else GREEN for e in edges])
 
         if g.n >= 7:
             pathv = hamiltonian_path(g, node_budget=50_000)
@@ -179,7 +177,7 @@ def _probe_candidates(g: Graph, k: int, tries: int = 512):
         rng = random.Random(0x5EED ^ (g.n * 2_654_435_761 + g.edge_count * 97 + k))
         palette = PALETTE[:k]
         for _ in range(tries):
-            yield EdgeColouring({e: rng.choice(palette) for e in edges})
+            yield EdgeColouring.on_graph(g, [rng.choice(palette) for _ in edges])
 
 
 # -- exhaustive enumeration ----------------------------------------------------
@@ -249,11 +247,11 @@ def _exhaustive_witness(
                         break
                 if preserved:
                     continue
-                c = EdgeColouring(dict(zip(edges, cols)))
+                c = EdgeColouring.on_graph(g, cols)
                 if not is_distinguishing(g, c):
                     raise RuntimeError("enumeration disagreed with the verifier")
             else:
-                c = EdgeColouring(dict(zip(edges, cols)))
+                c = EdgeColouring.on_graph(g, cols)
                 if not is_distinguishing(g, c):
                     continue
             if extra_check is None or extra_check(c):
@@ -292,7 +290,7 @@ def distinguishing_index_with_witness(
         return NOT_DISTINGUISHABLE, None
     tracker = _Budget(budget)
     if find_automorphism(g, AutConstraint(nontrivial_on=frozenset(range(g.n)))) is None:
-        return 1, EdgeColouring({e: RED for e in g.edges})
+        return 1, EdgeColouring.on_graph(g, [RED] * g.edge_count)
     for k in range(2, max_colours + 1):
         w = _witness(g, k, tracker)
         if w is not None:

@@ -548,7 +548,7 @@ def check_step_properties(g: Graph, state: StepState) -> list[str]:
     col = state.colouring
     violations = []
 
-    blue_only = all_blue_vertices(g, EdgeColouring(col))
+    blue_only = all_blue_vertices(g, col)
     if blue_only != [r]:
         violations.append(f"all-blue vertices {blue_only} instead of [{r}]")
 
@@ -625,7 +625,7 @@ def _layered_pipeline(
             raise StepPropertyError(i, bad)
     if audit is not None:
         audit.extend(state.audit)
-    return EdgeColouring(state.colouring)
+    return EdgeColouring.on_graph(g, [state.colouring[e] for e in g.edges])
 
 
 def _cycle_walk(g: Graph) -> list[int]:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesym.colouring import GREEN, RED, ColouringError, EdgeColouring
+from edgesym.colouring import BLUE, GREEN, RED, ColouringError, EdgeColouring, all_blue_vertices
 from edgesym.graph import (
     Graph,
     GraphError,
@@ -40,6 +40,35 @@ def test_edge_colouring_keys_are_canonical():
         EdgeColouring({(1, 1): RED})
     with pytest.raises(ColouringError):
         EdgeColouring({(0, 1): "mauve"})
+
+
+def test_edge_colouring_on_graph_matches_mapping_form():
+    g = cycle(5)
+    cols = [RED, GREEN, BLUE, RED, GREEN]
+    c = EdgeColouring.on_graph(g, cols)
+    assert c.edges is g.edges  # shared, not copied
+    d = EdgeColouring({(v, u): col for (u, v), col in reversed(list(zip(g.edges, cols)))})
+    assert c == d and c.assignment == d.assignment == dict(zip(g.edges, cols))
+    assert c.is_total(g) and d.is_total(g) and len(c) == 5
+    assert c.get((4, 0)) == GREEN and c.get((0, 2)) is None and (0, 2) not in c
+    assert c.colours_used() == {RED, GREEN, BLUE} and c.colour_counts()[RED] == 2
+    assert c.to_json() == d.to_json() and EdgeColouring.from_json(c.to_json()) == c
+    with pytest.raises(KeyError):
+        c[(0, 2)]
+    with pytest.raises(ColouringError):
+        EdgeColouring.on_graph(g, cols[:4])
+    with pytest.raises(ColouringError):
+        EdgeColouring.on_graph(g, cols[:4] + ["mauve"])
+
+
+def test_all_blue_vertices_reads_mappings_and_partial_colourings():
+    g = cycle(4)  # edges (0,1) (0,3) (1,2) (2,3)
+    col = {(0, 1): BLUE, (0, 3): BLUE, (1, 2): RED, (2, 3): BLUE}
+    assert all_blue_vertices(g, col) == [0, 3]
+    assert all_blue_vertices(g, EdgeColouring(col)) == [0, 3]
+    # an uncoloured incident edge is not blue
+    assert all_blue_vertices(g, EdgeColouring({(0, 1): BLUE, (0, 3): BLUE})) == [0]
+    assert all_blue_vertices(Graph(3), {}) == []
 
 
 def test_graph_basics():
