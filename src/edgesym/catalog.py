@@ -2,14 +2,21 @@
 
 Direct generation runs a symmetry-broken row-by-row search (first edge of
 every so-far-isolated vertex must go to the least such vertex) followed by
-isomorphism rejection. Degrees above (n-1)/2 come from complements of the
-low-degree catalogue, disconnected graphs from compositions of connected
-ones, so only a handful of (n, d) pairs are ever searched directly.
+isomorphism rejection. The search emits exactly the breadth-first numberings
+of each class, so once a class has a representative, every later candidate
+of the class is found by a lookup among the representative's relabellings;
+only a candidate of a new class reaches the isomorphism search. Degrees
+above (n-1)/2 come from complements of the low-degree catalogue,
+disconnected graphs from compositions of connected ones, so only a handful
+of (n, d) pairs are ever searched directly.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from array import array
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
@@ -17,29 +24,17 @@ from .aut import find_isomorphism
 from .graph import Graph, complete, cycle, disjoint_union, is_connected
 
 
-def _mask_connected(adj: list[int], n: int) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            nxt |= adj[v]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == (1 << n) - 1
-
-
 def _raw_connected_regular(n: int, d: int) -> Iterator[Graph]:
-    """Labelled d-regular connected graphs, one labelling per symmetry-broken
-    pattern; duplicates across isomorphism classes remain. A generator: each
-    graph is yielded as soon as its last row is filled."""
+    """Labelled d-regular connected graphs, several per isomorphism class. A
+    generator: each graph is yielded as soon as its last row is filled.
+
+    Vertex 0 is the root, a vertex's row is filled only once an earlier row
+    has reached it, and its new neighbours take the next unused numbers. So
+    the labelled graphs of a class h are exactly {pi(h) : pi a breadth-first
+    numbering of h}, each yielded once (see _bfs_relabellings), and each is
+    connected: every vertex is joined to an earlier one."""
     adj = [0] * n
     deg = [0] * n
-    edges: list[tuple[int, int]] = []
 
     def feasible(v: int) -> bool:
         for w in range(v + 1, n):
@@ -56,14 +51,11 @@ def _raw_connected_regular(n: int, d: int) -> Iterator[Graph]:
 
     def rows(v: int) -> Iterator[Graph]:
         if v == n:
-            if _mask_connected(adj, n):
-                yield Graph(n, edges)
+            yield Graph.from_masks(adj)
             return
         if v > 0 and deg[v] == 0:
             return  # isolated so far: cannot reach vertex 0
         need = d - deg[v]
-        if need < 0:
-            return
         cands = [w for w in range(v + 1, n) if deg[w] < d]
         if need > len(cands):
             return
@@ -78,7 +70,6 @@ def _raw_connected_regular(n: int, d: int) -> Iterator[Graph]:
                     adj[w] |= 1 << v
                     deg[v] += 1
                     deg[w] += 1
-                    edges.append((v, w))
                 if feasible(v):
                     yield from rows(v + 1)
                 for w in partners:
@@ -86,7 +77,6 @@ def _raw_connected_regular(n: int, d: int) -> Iterator[Graph]:
                     adj[w] &= ~(1 << v)
                     deg[v] -= 1
                     deg[w] -= 1
-                    edges.pop()
 
     return rows(0)
 
@@ -138,22 +128,97 @@ def _vertex_invariants(g: Graph) -> tuple[Optional[int], list[tuple]]:
     return best, per_vertex
 
 
+def _upper_key(g: Graph) -> int:
+    """The upper triangle of g's adjacency matrix, packed column by column:
+    bit k(k-1)/2 + j is the pair j < k."""
+    key = 0
+    shift = 0
+    for k in range(g.n):
+        key |= (g.adjacency_mask(k) & ((1 << k) - 1)) << shift
+        shift += k
+    return key
+
+
+def _bfs_relabellings(h: Graph) -> set[int]:
+    """_upper_key of pi(h) for every breadth-first numbering pi of h: any root
+    is numbered 0, vertices are expanded in the order of their numbers, and
+    each one's unnumbered neighbours take the next numbers, in any order.
+    Empty for a disconnected h.
+
+    Numberings that share a prefix share its work: vertex x numbered k adds
+    its edges to the vertices numbered before it as column k of the key."""
+    n = h.n
+    adj = [h.adjacency_mask(v) for v in range(n)]
+    num = [0] * n
+    order = [0] * n
+    keys: set[int] = set()
+
+    def place(k: int, numbered: int, head: int, key: int) -> None:
+        if k == n:
+            keys.add(key)
+            return
+        kids = adj[order[head]] & ~numbered
+        while not kids:
+            head += 1
+            if head == k:
+                return  # the component of the root is exhausted
+            kids = adj[order[head]] & ~numbered
+        shift = k * (k - 1) // 2
+        while kids:
+            low = kids & -kids
+            kids ^= low
+            x = low.bit_length() - 1
+            col = 0
+            m = adj[x] & numbered
+            while m:
+                b = m & -m
+                m ^= b
+                col |= 1 << num[b.bit_length() - 1]
+            num[x] = k
+            order[k] = x
+            place(k + 1, numbered | low, head, key | col << shift)
+
+    for r in range(n):
+        num[r] = 0
+        order[0] = r
+        place(1, 1 << r, 0, 0)
+    return keys
+
+
 def _dedup(graphs: Iterable[Graph]) -> list[Graph]:
     """The first graph of each isomorphism class, in input order.
 
-    Graphs are bucketed by (n, m, girth, sorted per-vertex invariants), and a
-    graph is compared only with the representatives in its bucket, by an
-    isomorphism search that maps each vertex only to vertices with the same
-    per-vertex invariant."""
+    Each representative h puts the keys of all its breadth-first relabellings
+    into a sorted memo. A later graph whose key is in the memo is such a
+    relabelling, so it is skipped at the cost of one bisection. For the
+    candidates of _raw_connected_regular this is every duplicate.
+
+    A graph not in the memo is bucketed by (n, m, girth, sorted per-vertex
+    invariants) and compared only with the representatives in its bucket, by
+    an isomorphism search that maps each vertex only to vertices with the same
+    per-vertex invariant; that search alone decides that a class is new.
+
+    The memo for n vertices is an array('Q') while its n(n-1)/2-bit keys fit
+    64 bits (n <= 11), and a list above that."""
     buckets: dict[tuple, list[tuple[Graph, list[tuple]]]] = {}
+    memos: dict[int, array | list[int]] = {}
     out = []
     for g in graphs:
+        n = g.n
+        key = _upper_key(g)
+        memo = memos.get(n, ())
+        i = bisect_left(memo, key)
+        if i < len(memo) and memo[i] == key:
+            continue
         gir, labels = _vertex_invariants(g)
-        key = (g.n, g.edge_count, gir, tuple(sorted(labels)))
-        reps = buckets.setdefault(key, [])
-        if not any(find_isomorphism(g, h, labels, h_labels) is not None for h, h_labels in reps):
-            reps.append((g, labels))
-            out.append(g)
+        bucket = (n, g.edge_count, gir, tuple(sorted(labels)))
+        reps = buckets.setdefault(bucket, [])
+        if any(find_isomorphism(g, h, labels, h_labels) is not None for h, h_labels in reps):
+            continue
+        reps.append((g, labels))
+        out.append(g)
+        merged = heapq.merge(memo, sorted(_bfs_relabellings(g)))
+        memos[n] = array("Q", merged) if n * (n - 1) // 2 <= 64 else list(merged)
     return out
 
 

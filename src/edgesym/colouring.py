@@ -97,6 +97,9 @@ class EdgeColouring:
             and self._codes == other._codes
         )
 
+    def __hash__(self) -> int:
+        return hash(self._codes)
+
     def __repr__(self) -> str:
         return f"EdgeColouring({len(self)} edges, {sorted(self.colours_used())})"
 

@@ -263,10 +263,14 @@ def _witness(
     g: Graph, k: int, budget: _Budget, extra_check=None, first_edge_palette=None
 ) -> Optional[EdgeColouring]:
     allowed = set(PALETTE[:k])
+    # on small graphs the random probes repeat; a verdict never changes
+    rejected: set[EdgeColouring] = set()
     for cand in _probe_candidates(g, k):
-        if cand.colours_used() <= allowed and is_distinguishing(g, cand):
-            if extra_check is None or extra_check(cand):
-                return cand
+        if cand in rejected or not cand.colours_used() <= allowed:
+            continue
+        if is_distinguishing(g, cand) and (extra_check is None or extra_check(cand)):
+            return cand
+        rejected.add(cand)
     return _exhaustive_witness(g, k, budget, extra_check, first_edge_palette)
 
 

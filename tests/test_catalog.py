@@ -1,13 +1,18 @@
 import itertools
 import random
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
+import edgesym.catalog as catalog
 from edgesym.aut import is_isomorphic
 from edgesym.catalog import (
+    _bfs_relabellings,
+    _dedup,
     _raw_connected_regular,
+    _upper_key,
     _vertex_invariants,
     connected_regular_graphs,
     connected_regular_upto,
@@ -92,6 +97,76 @@ def test_catalogue_equals_benchmark_corpus():
     assert len(got) == len(want) == 222
     for i, (a, b) in enumerate(zip(got, want)):
         assert a == b, f"class {i}"
+
+
+MEMO_PAIRS = [(8, 3), (9, 4), (10, 3)]
+
+
+def _decode_upper_key(n, key):
+    # inverse of _upper_key: bit k(k-1)/2 + j is the pair j < k
+    return Graph(n, [(j, k) for k in range(n) for j in range(k) if key >> (k * (k - 1) // 2 + j) & 1])
+
+
+@pytest.mark.parametrize("n,d", MEMO_PAIRS)
+def test_bfs_relabellings_are_exactly_the_generated_candidates(n, d):
+    candidates = [_upper_key(g) for g in _raw_connected_regular(n, d)]
+    assert len(set(candidates)) == len(candidates)
+    memo = set()
+    for h in connected_regular_graphs(n, d):
+        keys = _bfs_relabellings(h)
+        assert _upper_key(h) in keys and not keys & memo
+        memo |= keys
+    assert memo == set(candidates)
+
+
+@pytest.mark.parametrize("n,d", MEMO_PAIRS)
+def test_bfs_relabellings_are_isomorphs_by_networkx(n, d):
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        return h
+
+    for h in connected_regular_graphs(n, d):
+        target = to_nx(h)
+        for key in _bfs_relabellings(h):
+            g = _decode_upper_key(n, key)
+            assert _upper_key(g) == key
+            assert nx.is_isomorphic(to_nx(g), target)
+
+
+def test_bfs_relabellings_small_cases():
+    # rooted at an end, P3 is numbered along the path; rooted at its middle,
+    # the root is 0 and both ends hang from it
+    assert _bfs_relabellings(path(3)) == {_upper_key(path(3)), _upper_key(Graph(3, [(0, 1), (0, 2)]))}
+    assert _bfs_relabellings(disjoint_union([cycle(3), cycle(3)])) == set()
+
+
+def test_memo_leaves_search_only_new_classes(monkeypatch):
+    want = connected_regular_upto(9)
+    calls = []
+    search = catalog.find_isomorphism
+
+    def counted(*args):
+        w = search(*args)
+        calls.append(w is not None)
+        return w
+
+    monkeypatch.setattr(catalog, "find_isomorphism", counted)
+    # cold caches for this build only; the session's cached catalogue stays
+    for name in ("connected_regular_graphs", "regular_graphs"):
+        monkeypatch.setattr(catalog, name, lru_cache(maxsize=None)(getattr(catalog, name).__wrapped__))
+    assert connected_regular_upto(9) == want
+    assert True not in calls  # every duplicate was a memo hit
+
+
+def test_dedup_memo_is_per_vertex_count():
+    # K3 and K3 plus an isolated vertex share their upper-triangle key
+    k3, k3_plus = complete(3), Graph(4, complete(3).edges)
+    assert _upper_key(k3) == _upper_key(k3_plus)
+    assert _dedup([k3, k3_plus, cycle(3)]) == [k3, k3_plus]
 
 
 def _invariant_projection(g):

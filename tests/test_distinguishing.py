@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from edgesym.colouring import BLUE, GREEN, RED, EdgeColouring
+from edgesym.colouring import BLUE, GREEN, PALETTE, RED, EdgeColouring
 from edgesym.distinguishing import (
     NOT_DISTINGUISHABLE,
     BudgetExceededError,
@@ -242,6 +242,27 @@ def test_probe_does_not_swallow_broken_invariants(monkeypatch):
     monkeypatch.setattr(dist, "hamiltonian_colouring", broken)
     with pytest.raises(RuntimeError, match="spider colouring failed verification"):
         distinguishing_index(complete(7))
+
+
+# K3 repeats a rejected probe before its first distinguishing one; K4 and
+# K3,3 have no distinguishing 2-colouring among 64 and 315 distinct probes
+@pytest.mark.parametrize("g,k", [(complete(3), 3), (complete(4), 2), (complete_bipartite(3, 3), 2)])
+def test_witness_verifies_each_probe_colouring_once(monkeypatch, g, k):
+    import edgesym.distinguishing as dist
+
+    allowed = set(PALETTE[:k])
+    probes = [c for c in dist._probe_candidates(g, k) if c.colours_used() <= allowed]
+    first = next((c for c in probes if is_distinguishing(g, c)), None)
+    calls = []
+
+    def counted(g, c):
+        calls.append(c)
+        return is_distinguishing(g, c)
+
+    monkeypatch.setattr(dist, "is_distinguishing", counted)
+    w = dist._witness(g, k, dist._Budget(10**6))
+    assert len(calls) <= len(set(probes)) < len(probes)
+    assert w == first
 
 
 def test_hamiltonian_path_finder():
