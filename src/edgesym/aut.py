@@ -69,8 +69,6 @@ class AutConstraint:
 
     pinned            required vertex images
     pointwise_fixed   vertices that must map to themselves
-    setwise_pairs     (source vertex set, required image vertex set) pairs
-    edge_setwise_pairs(source edge set, required image edge set) pairs
     colour_preserve   partial edge colouring the map must preserve;
                       uncoloured edges must map to uncoloured edges
     nontrivial_on     vertex set on which the map must not be the identity
@@ -78,8 +76,6 @@ class AutConstraint:
 
     pinned: dict[int, int] = field(default_factory=dict)
     pointwise_fixed: frozenset[int] = frozenset()
-    setwise_pairs: list[tuple[frozenset[int], frozenset[int]]] = field(default_factory=list)
-    edge_setwise_pairs: list[tuple[frozenset[Edge], frozenset[Edge]]] = field(default_factory=list)
     colour_preserve: Optional[Mapping[Edge, str]] = None
     nontrivial_on: Optional[frozenset[int]] = None
 
@@ -87,10 +83,6 @@ class AutConstraint:
         return AutConstraint(
             pinned=dict(self.pinned),
             pointwise_fixed=frozenset(self.pointwise_fixed),
-            setwise_pairs=[(frozenset(a), frozenset(b)) for a, b in self.setwise_pairs],
-            edge_setwise_pairs=[
-                (frozenset(a), frozenset(b)) for a, b in self.edge_setwise_pairs
-            ],
             colour_preserve=_colour_map(self.colour_preserve),
             nontrivial_on=None if self.nontrivial_on is None else frozenset(self.nontrivial_on),
         )
@@ -120,17 +112,6 @@ def _validate(g: Graph, c: AutConstraint) -> None:
         raise ConstraintError("pinned images are not distinct")
     for v in c.pointwise_fixed:
         check_vertex(v, "pointwise-fixed vertex")
-    for a, b in c.setwise_pairs:
-        for v in a | b:
-            check_vertex(v, "setwise-pair vertex")
-        if len(a) != len(b):
-            raise ConstraintError("setwise pair with unequal cardinalities")
-    for a, b in c.edge_setwise_pairs:
-        for e in a | b:
-            if not g.has_edge(*e):
-                raise ConstraintError(f"edge-setwise pair references non-edge {e}")
-        if len(a) != len(b):
-            raise ConstraintError("edge-setwise pair with unequal cardinalities")
     if c.colour_preserve is not None:
         for e in c.colour_preserve:
             if not g.has_edge(*e):
@@ -158,53 +139,24 @@ def _label_rows(g: Graph, labels: Sequence[int], nlabels: int) -> list[list[int]
 
 
 def _build_query(g: Graph, c: AutConstraint):
-    """Kernel rows of both sides and candidate masks encoding every positive
-    constraint."""
+    """Kernel rows of g under c's colours, and candidate masks encoding every
+    positive constraint."""
     n = g.n
     full = (1 << n) - 1
 
+    # an edge's label is that of its colour (None when uncoloured), handed out
+    # in order of first use; label 0 is the non-edge
     colours = c.colour_preserve or {}
-    colour_ids = {col: i + 1 for i, col in enumerate(sorted(set(colours.values())))}
-    edge_colour = {e: colour_ids[col] for e, col in colours.items()}  # 0 = uncoloured
-
-    src_bits: dict[Edge, int] = {}
-    dst_bits: dict[Edge, int] = {}
-    for j, (a, b) in enumerate(c.edge_setwise_pairs):
-        for e in a:
-            src_bits[e] = src_bits.get(e, 0) | 1 << j
-        for e in b:
-            dst_bits[e] = dst_bits.get(e, 0) | 1 << j
-
-    # an edge's key is its colour id above its edge-setwise bits; label ids are
-    # handed out in order of first use, with 0 for the non-edge (key -1).
-    # Without edge-setwise pairs both sides are the same, so dst is src.
-    shift = len(c.edge_setwise_pairs)
-    ids = {-1: 0}
-    src_labels = []
-    dst_labels = []
-    for e in g.edges:
-        key = edge_colour.get(e, 0) << shift
-        src_labels.append(ids.setdefault(key | src_bits.get(e, 0), len(ids)))
-        if shift:
-            dst_labels.append(ids.setdefault(key | dst_bits.get(e, 0), len(ids)))
-    src = _label_rows(g, src_labels, len(ids))
-    dst = _label_rows(g, dst_labels, len(ids)) if shift else src
+    ids: dict[Optional[str], int] = {}
+    labels = [ids.setdefault(colours.get(e), len(ids) + 1) for e in g.edges]
+    rows = _label_rows(g, labels, len(ids) + 1)
 
     allowed = [full] * n
     for v, w in c.pinned.items():
         allowed[v] &= 1 << w
     for v in c.pointwise_fixed:
         allowed[v] &= 1 << v
-    for a, b in c.setwise_pairs:
-        bmask = 0
-        for w in b:
-            bmask |= 1 << w
-        for v in range(n):
-            if v in a:
-                allowed[v] &= bmask
-            else:
-                allowed[v] &= ~bmask
-    return src, dst, allowed
+    return rows, allowed
 
 
 def satisfies(g: Graph, c: AutConstraint, p: Permutation) -> bool:
@@ -221,12 +173,6 @@ def satisfies(g: Graph, c: AutConstraint, p: Permutation) -> bool:
             return False
     for v in c.pointwise_fixed:
         if p(v) != v:
-            return False
-    for a, b in c.setwise_pairs:
-        if {p(v) for v in a} != set(b):
-            return False
-    for a, b in c.edge_setwise_pairs:
-        if {p.edge_image(e) for e in a} != set(b):
             return False
     colours = c.colour_preserve
     if colours is not None:
@@ -245,12 +191,12 @@ def _searcher(g: Graph, c: AutConstraint):
 
     Returns the candidate masks of c's positive fields and run(masks, check):
     one search with the given masks, whose witness is vetted by satisfies
-    against check (c by default). The query depends only on c's colours and
-    edge-setwise pairs, so any constraint differing from c only in pinned
-    and pointwise-fixed vertices can be searched by masks alone.
+    against check (c by default). The query depends only on c's colours, so
+    any constraint differing from c only in pinned and pointwise-fixed
+    vertices can be searched by masks alone.
     """
-    src, dst, allowed = _build_query(g, c)
-    query = kernel.prepare(g.n, src, dst)
+    rows, allowed = _build_query(g, c)
+    query = kernel.prepare(g.n, rows, rows)
 
     def run(masks, check: AutConstraint = c) -> Optional[Permutation]:
         res = kernel.search_mapping(query, masks)

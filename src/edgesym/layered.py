@@ -16,7 +16,6 @@ vertices) and complete graphs (an exhaustive search) are coloured directly.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -24,7 +23,6 @@ from typing import Optional, Sequence
 
 from .aut import (
     AutConstraint,
-    ConstraintError,
     Permutation,
     find_automorphism,
     pointwise_stabiliser_generators,
@@ -336,26 +334,6 @@ def colour_horizontal(g: Graph, state: StepState, i: int, verify: bool = False,
     return state
 
 
-# -- persistence ------------------------------------------------------------------
-
-
-def persistent_exists(
-    g: Graph, state: StepState, i: int, extra: Optional[AutConstraint] = None
-) -> Optional[Permutation]:
-    """Witness member of slice i's persistent group (see
-    StepState.persistent_generators) that meets extra, which brings no colours."""
-    extra = extra or AutConstraint()
-    if extra.colour_preserve is not None:
-        raise ConstraintError("persistent queries preserve slice colours only")
-    c = dataclasses.replace(
-        extra,
-        pointwise_fixed=frozenset(state.layering.earlier_vertices(i))
-        | frozenset(extra.pointwise_fixed),
-        colour_preserve=state.horizontal_colours.get(i, {}),
-    )
-    return find_automorphism(g, c)
-
-
 # -- decorations --------------------------------------------------------------------
 
 
@@ -422,7 +400,7 @@ def enumerate_decorations(
 def decoration_is_asymmetric(
     g: Graph, state: StepState, i: int, d: Decoration
 ) -> bool:
-    """No nontrivial persistent automorphism fixes the component setwise
+    """No nontrivial persistent automorphism maps the component onto itself
     while mapping the decoration onto itself. Read off the persistent orbits:
 
     h = 0: the component is one vertex. h >= 2: the component carries a
@@ -444,27 +422,31 @@ def decorations_similar(
     g: Graph, state: StepState, i: int, d1: Decoration, d2: Decoration
 ) -> bool:
     """True iff a persistent automorphism carries one decorated component
-    onto the other, decoration included."""
-    if d1 == d2:
-        return True
-    shapes = [(len(d.component), len(d.forward_red), len(d.back_blue)) for d in (d1, d2)]
-    if shapes[0] != shapes[1] or not state.persistent_generators(i):
-        return False  # a trivial group holds only the identity, which fixes d1
-    pairs = []
-    if d1.forward_red or d2.forward_red:
-        pairs.append((frozenset(d1.forward_red), frozenset(d2.forward_red)))
-    if d1.back_blue or d2.back_blue:
-        pairs.append((frozenset(d1.back_blue), frozenset(d2.back_blue)))
-    w = persistent_exists(
-        g,
-        state,
-        i,
-        AutConstraint(
-            setwise_pairs=[(frozenset(d1.component), frozenset(d2.component))],
-            edge_setwise_pairs=pairs,
-        ),
-    )
-    return w is not None
+    onto the other, decoration included. The persistent group is finite, so
+    its generators alone reach the whole orbit of d1's (component, forward
+    red, back blue) sets: close a queue under them until d2's sets appear."""
+
+    def sets(d: Decoration) -> tuple[frozenset, frozenset, frozenset]:
+        return frozenset(d.component), frozenset(d.forward_red), frozenset(d.back_blue)
+
+    start, goal = sets(d1), sets(d2)
+    gens = state.persistent_generators(i)
+    seen = {start}
+    queue = [start]
+    while queue:
+        comp, fwd, back = queue.pop()
+        if (comp, fwd, back) == goal:
+            return True
+        for p in gens:
+            image = (
+                frozenset(map(p, comp)),
+                frozenset(map(p.edge_image, fwd)),
+                frozenset(map(p.edge_image, back)),
+            )
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return False
 
 
 def _component_orbits(g: Graph, state: StepState, i: int) -> list[list[tuple[int, ...]]]:

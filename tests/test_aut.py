@@ -91,23 +91,6 @@ def test_pinned_and_pointwise_fixed():
     assert w is None  # fixing an edge of a cycle pins everything
 
 
-def test_setwise_pairs():
-    g = complete_bipartite(2, 3)
-    w = find_automorphism(g, AutConstraint(setwise_pairs=[(frozenset({0}), frozenset({1}))]))
-    assert w is not None and w(0) == 1
-    with pytest.raises(ConstraintError):
-        find_automorphism(g, AutConstraint(setwise_pairs=[(frozenset({0}), frozenset({1, 2}))]))
-
-
-def test_edge_setwise_pairs():
-    g = cycle(4)
-    w = find_automorphism(
-        g,
-        AutConstraint(edge_setwise_pairs=[(frozenset({(0, 1)}), frozenset({(2, 3)}))]),
-    )
-    assert w is not None and w.edge_image((0, 1)) == (2, 3)
-
-
 def test_colour_preserve_uncoloured_edges_stay_uncoloured():
     # star with one coloured edge: a colour-preserving map cannot move it
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])
@@ -129,19 +112,9 @@ def test_malformed_constraints_rejected():
     with pytest.raises(ConstraintError):
         find_automorphism(g, AutConstraint(pinned={0: 7}))
     with pytest.raises(ConstraintError):
-        find_automorphism(
-            g, AutConstraint(edge_setwise_pairs=[(frozenset({(0, 5)}), frozenset({(0, 1)}))])
-        )
+        find_automorphism(g, AutConstraint(colour_preserve={(0, 5): RED}))
     with pytest.raises(SizeGuardError):
         find_automorphism(Graph(70), AutConstraint())
-
-
-def test_unequal_edge_setwise_pair_rejected():
-    # both sets are edges of the graph; only their sizes differ
-    g = complete(4)
-    pair = (frozenset({(0, 1)}), frozenset({(0, 1), (2, 3)}))
-    with pytest.raises(ConstraintError, match="unequal cardinalities"):
-        find_automorphism(g, AutConstraint(edge_setwise_pairs=[pair]))
 
 
 def test_find_automorphism_agrees_with_brute_force():

@@ -97,44 +97,37 @@ def test_prepared_query_reused_across_searches():
     assert outcomes == {True, False}  # both found and refused searches were compared
 
 
-def _label_matrices(g, c):
-    """n x n label matrices of a normalised constraint, one entry per vertex
-    pair: 0 off the edges, else an id of the edge's colour and edge-setwise
-    memberships, handed out in order of first use (src before dst per edge)."""
+def _label_matrix(g, c):
+    """n x n label matrix of a normalised constraint, one entry per vertex
+    pair: 0 off the edges, else an id of the edge's colour, handed out in
+    order of first use."""
     n = g.n
     colours = c.colour_preserve or {}
     names = sorted(set(colours.values()))
     ids = {None: 0}
-    src = [0] * (n * n)
-    dst = [0] * (n * n)
+    mat = [0] * (n * n)
     for e in g.edges:
         u, v = e
         col = names.index(colours[e]) + 1 if e in colours else 0
-        ins = tuple(e in a for a, _ in c.edge_setwise_pairs)
-        outs = tuple(e in b for _, b in c.edge_setwise_pairs)
-        src[u * n + v] = src[v * n + u] = ids.setdefault((col, ins), len(ids))
-        dst[u * n + v] = dst[v * n + u] = ids.setdefault((col, outs), len(ids))
-    return src, dst, len(ids)
+        mat[u * n + v] = mat[v * n + u] = ids.setdefault(col, len(ids))
+    return mat, len(ids)
 
 
 def test_edge_built_rows_match_matrix_rows():
     # the edge-built rows of find_automorphism's query equal the rows read
-    # off the n x n label matrices, on random graphs with colour overlays and
-    # edge-setwise pairs
+    # off the n x n label matrix, on random graphs with colour overlays
     rng = random.Random(5150)
-    seen = {"colours": 0, "edge_pairs": 0}
+    coloured = 0
     for _ in range(300):
         n = rng.randint(1, 12)
         density = rng.random()
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
         c = random_constraint(g, rng).normalised()
-        src_rows, dst_rows, _ = _build_query(g, c)
-        src, dst, nlabels = _label_matrices(g, c)
-        assert src_rows == _rows_from_matrix(n, src, nlabels)
-        assert dst_rows == _rows_from_matrix(n, dst, nlabels)
-        seen["colours"] += bool(c.colour_preserve)
-        seen["edge_pairs"] += bool(c.edge_setwise_pairs)
-    assert min(seen.values()) >= 30
+        rows, _ = _build_query(g, c)
+        mat, nlabels = _label_matrix(g, c)
+        assert rows == _rows_from_matrix(n, mat, nlabels)
+        coloured += bool(c.colour_preserve)
+    assert coloured >= 30
 
 
 def test_backend_is_python():

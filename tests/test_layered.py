@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from edgesym.aut import AutConstraint, ConstraintError, Permutation, pointwise_stabiliser_generators
+from edgesym.aut import AutConstraint, Permutation, pointwise_stabiliser_generators
 from edgesym.catalog import connected_regular_upto
 from edgesym.colouring import BLUE, GREEN, RED, EdgeColouring, all_blue_vertices, satisfies_blue_rule
 from edgesym.distinguishing import is_distinguishing
@@ -41,10 +41,9 @@ from edgesym.layered import (
     decorations_similar,
     enumerate_decorations,
     initial_colouring,
-    persistent_exists,
 )
 
-from oracles import automorphisms_by_backtracking
+from oracles import automorphisms_by_backtracking, constraint_holds_naive
 
 
 def prism():
@@ -219,49 +218,42 @@ def test_h2plus_on_octahedron():
 # -- persistence ---------------------------------------------------------------------
 
 
-def test_persistent_identity_always_exists():
-    g = petersen()
-    state = advance(g, 1, decorate_last=False)
-    w = persistent_exists(
-        g, state, 1, AutConstraint(pointwise_fixed=frozenset(range(g.n)))
-    )
-    assert w is not None and w.is_identity
-
-
 def test_persistent_nontrivial_on_petersen_layer1():
+    # every generator is a nontrivial persistent automorphism: it fixes the
+    # root and preserves slice 1's (empty) horizontal colouring
     g = petersen()
     state = advance(g, 1, decorate_last=False)
-    w = persistent_exists(
-        g, state, 1, AutConstraint(nontrivial_on=frozenset(state.layering.layers[1]))
-    )
-    assert w is not None and w(0) == 0
+    gens = state.persistent_generators(1)
+    assert gens
+    fixed = AutConstraint(pointwise_fixed=frozenset({0}),
+                          colour_preserve=state.horizontal_colours[1])
+    for p in gens:
+        assert not p.is_identity
+        assert constraint_holds_naive(g, fixed, p.images)
 
 
 def test_persistent_absent_on_asymmetric_graph():
     g = frucht()
     assert len(automorphisms_by_backtracking(g)) == 1
     state = advance(g, 1, decorate_last=False)
-    w = persistent_exists(
-        g, state, 1, AutConstraint(nontrivial_on=frozenset(range(g.n)))
-    )
-    assert w is None
+    assert state.persistent_generators(1) == []
 
 
-def test_persistent_rejects_extra_colours():
-    g = petersen()
-    state = advance(g, 1, decorate_last=False)
-    with pytest.raises(ConstraintError):
-        persistent_exists(g, state, 1, AutConstraint(colour_preserve={(0, 1): RED}))
+def _brute_persistent_group(g, state, i, automorphisms):
+    # slice i's persistent group as the automorphisms that fix every earlier
+    # slice pointwise and preserve slice i's horizontal colours
+    c = AutConstraint(pointwise_fixed=frozenset(state.layering.earlier_vertices(i)),
+                      colour_preserve=state.horizontal_colours.get(i, {}))
+    return [p for p in automorphisms if constraint_holds_naive(g, c, p)]
 
 
-def _pairwise_component_orbits(g, state, i):
-    # components grouped by one persistent search per (component, orbit) pair
+def _brute_component_orbits(state, i, group):
+    # components grouped by whether a group element maps one onto the other
     orbits = []
     for comp in _horizontal_components(state, i):
         for orbit in orbits:
-            rep = orbit[0]
-            pair = AutConstraint(setwise_pairs=[(frozenset(comp), frozenset(rep))])
-            if len(rep) == len(comp) and persistent_exists(g, state, i, pair) is not None:
+            rep = frozenset(orbit[0])
+            if any(frozenset(p[v] for v in comp) == rep for p in group):
                 orbit.append(comp)
                 break
         else:
@@ -269,47 +261,31 @@ def _pairwise_component_orbits(g, state, i):
     return orbits
 
 
-def _pairwise_back_edges(g, state, i, sites):
-    # a usable back edge is kept unless a persistent search moves a kept one
-    # onto it or it onto a kept one
-    cls = state.layer_classes(i)
+def _brute_back_edges(state, i, sites, group):
+    # a usable back edge is kept unless a group element moves a kept one onto it
     kept = []
-    for e in sorted(cls.back):
+    for e in sorted(state.layer_classes(i).back):
         if not (e[0] in sites or e[1] in sites) or state.colouring[e] == BLUE:
             continue
-        if not any(
-            persistent_exists(
-                g, state, i, AutConstraint(edge_setwise_pairs=[({a}, {b})])
-            ) is not None
-            for e0 in kept
-            for a, b in ((e0, e), (e, e0))
-        ):
+        if not any(edge(p[u], p[v]) == e for p in group for u, v in kept):
             kept.append(e)
     return kept
 
 
-def _searched_asymmetric(g, state, i, d):
-    comp = frozenset(d.component)
-    c = AutConstraint(
-        setwise_pairs=[(comp, comp)],
-        edge_setwise_pairs=[(set(d.forward_red), set(d.forward_red)),
-                            (set(d.back_blue), set(d.back_blue))],
-        nontrivial_on=comp,
-    )
-    return persistent_exists(g, state, i, c) is None
+def _decoration_sets(d, p=None):
+    # d's (component, forward red, back blue) sets, or their images under p
+    if p is None:
+        return frozenset(d.component), frozenset(d.forward_red), frozenset(d.back_blue)
+    return (frozenset(p[v] for v in d.component),
+            frozenset(edge(p[u], p[v]) for u, v in d.forward_red),
+            frozenset(edge(p[u], p[v]) for u, v in d.back_blue))
 
 
-def _searched_similar(g, state, i, d1, d2):
-    if [len(d1.component), len(d1.forward_red), len(d1.back_blue)] != [
-        len(d2.component), len(d2.forward_red), len(d2.back_blue)
-    ]:
-        return False
-    c = AutConstraint(
-        setwise_pairs=[(set(d1.component), set(d2.component))],
-        edge_setwise_pairs=[(set(d1.forward_red), set(d2.forward_red)),
-                            (set(d1.back_blue), set(d2.back_blue))],
+def _brute_asymmetric(d, group):
+    return not any(
+        any(p[v] != v for v in d.component) and _decoration_sets(d, p) == _decoration_sets(d)
+        for p in group
     )
-    return persistent_exists(g, state, i, c) is not None
 
 
 def test_component_orbits_follow_crossed_generators():
@@ -326,47 +302,54 @@ def test_component_orbits_follow_crossed_generators():
 
 
 def test_orbit_answers_match_pairwise_searches():
-    # at every step of the n <= 8 catalogue and Petersen: the persistent
-    # group's orbits group the components as pairwise persistent searches do,
-    # the decoration back edges are the ones pairwise searches keep, and the
-    # orbit test for asymmetry agrees with a search on every candidate; where
-    # the group is trivial, the similarity short-cut agrees with a search on
-    # every pair of candidates of the slice
+    # at every step of the n <= 8 catalogue and Petersen, against pairwise
+    # searches of the persistent group enumerated by brute force: the
+    # persistent generators' orbits group the components, keep the decoration
+    # back edges and answer asymmetry as the group does, and
+    # decorations_similar agrees with the group on every pair of candidates
+    # of the slice, trivial group or not
     graphs = connected_regular_upto(8) + [petersen()]
     steps = trivial = back_pairs = grouped = 0
     compared = negative = on_nontrivial = on_nontrivial_h2 = 0
+    pairs = similar_distinct = 0
     for g in graphs:
         deg = regularity(g)
         if g.n <= 2 or deg == 2 or deg == g.n - 1:
             continue  # cycle and complete-graph branches have no layer steps
+        automorphisms = automorphisms_by_backtracking(g)
         state = initial_colouring(g, 0)
         for i in range(1, state.layering.count):
             state.previous = dict(state.colouring)
             state.step = i
             colour_horizontal(g, state, i)
+            group = _brute_persistent_group(g, state, i, automorphisms)
             orbits = _component_orbits(g, state, i)
-            assert orbits == _pairwise_component_orbits(g, state, i)
+            assert orbits == _brute_component_orbits(state, i, group)
             grouped += any(len(o) > 1 for o in orbits)
             cands = []
             for comp in _horizontal_components(state, i):
                 sites = set(_decoration_sites(state, i, comp))
                 kept = _decoration_back_edges(state, i, sites)
-                assert kept == _pairwise_back_edges(g, state, i, sites)
+                assert kept == _brute_back_edges(state, i, sites, group)
                 back_pairs += len(kept) >= 2
                 cands += enumerate_decorations(g, state, i, comp)
-            nontrivial = bool(state.persistent_generators(i))
+            nontrivial = len(group) > 1
+            assert nontrivial == bool(state.persistent_generators(i))
             for d in cands:
                 asym = decoration_is_asymmetric(g, state, i, d)
-                assert asym == _searched_asymmetric(g, state, i, d), (g.n, sorted(g.edges), i, d)
+                assert asym == _brute_asymmetric(d, group), (g.n, sorted(g.edges), i, d)
                 compared += 1
                 negative += not asym
                 on_nontrivial += nontrivial
                 on_nontrivial_h2 += nontrivial and state.layer_classes(i).h >= 2
-            if not nontrivial:
-                trivial += 1
-                for d1, d2 in itertools.product(cands, repeat=2):
-                    assert decorations_similar(g, state, i, d1, d2) == _searched_similar(
-                        g, state, i, d1, d2)
+            trivial += not nontrivial
+            orbit_of = {d: {_decoration_sets(d, p) for p in group} for d in cands}
+            for d1, d2 in itertools.product(cands, repeat=2):
+                want = _decoration_sets(d2) in orbit_of[d1]
+                assert decorations_similar(g, state, i, d1, d2) == want, (
+                    g.n, sorted(g.edges), i, d1, d2)
+                pairs += 1
+                similar_distinct += want and d1 != d2
             assign_decorations(g, state, i)
             steps += 1
     assert steps >= 70 and trivial >= 35 and back_pairs >= 35 and grouped >= 10, (
@@ -374,6 +357,7 @@ def test_orbit_answers_match_pairwise_searches():
     assert compared >= 400 and negative >= 10 and on_nontrivial >= 150, (
         compared, negative, on_nontrivial)
     assert on_nontrivial_h2 >= 8, on_nontrivial_h2
+    assert pairs >= 3000 and similar_distinct >= 150, (pairs, similar_distinct)
 
 
 # -- decorations ------------------------------------------------------------------
