@@ -218,6 +218,18 @@ def test_h2plus_on_octahedron():
 # -- persistence ---------------------------------------------------------------------
 
 
+def test_persistent_identity_always_exists():
+    # the identity lies in every persistent group; once every vertex is fixed
+    # it is the whole group, so no generator is listed
+    g = petersen()
+    state = advance(g, 1, decorate_last=False)
+    colours = state.horizontal_colours[1]
+    c = AutConstraint(pointwise_fixed=frozenset(state.layering.earlier_vertices(1)),
+                      colour_preserve=colours)
+    assert constraint_holds_naive(g, c, Permutation.identity(g.n).images)
+    assert pointwise_stabiliser_generators(g, range(g.n), colours) == []
+
+
 def test_persistent_nontrivial_on_petersen_layer1():
     # every generator is a nontrivial persistent automorphism: it fixes the
     # root and preserves slice 1's (empty) horizontal colouring
