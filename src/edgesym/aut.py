@@ -69,6 +69,7 @@ class AutConstraint:
 
     pinned            required vertex images
     pointwise_fixed   vertices that must map to themselves
+    setwise_pairs     (source vertex set, required image vertex set) pairs
     colour_preserve   partial edge colouring the map must preserve;
                       uncoloured edges must map to uncoloured edges
     nontrivial_on     vertex set on which the map must not be the identity
@@ -76,6 +77,7 @@ class AutConstraint:
 
     pinned: dict[int, int] = field(default_factory=dict)
     pointwise_fixed: frozenset[int] = frozenset()
+    setwise_pairs: list[tuple[frozenset[int], frozenset[int]]] = field(default_factory=list)
     colour_preserve: Optional[Mapping[Edge, str]] = None
     nontrivial_on: Optional[frozenset[int]] = None
 
@@ -83,6 +85,7 @@ class AutConstraint:
         return AutConstraint(
             pinned=dict(self.pinned),
             pointwise_fixed=frozenset(self.pointwise_fixed),
+            setwise_pairs=[(frozenset(a), frozenset(b)) for a, b in self.setwise_pairs],
             colour_preserve=_colour_map(self.colour_preserve),
             nontrivial_on=None if self.nontrivial_on is None else frozenset(self.nontrivial_on),
         )
@@ -112,6 +115,11 @@ def _validate(g: Graph, c: AutConstraint) -> None:
         raise ConstraintError("pinned images are not distinct")
     for v in c.pointwise_fixed:
         check_vertex(v, "pointwise-fixed vertex")
+    for a, b in c.setwise_pairs:
+        for v in a | b:
+            check_vertex(v, "setwise-pair vertex")
+        if len(a) != len(b):
+            raise ConstraintError("setwise pair with unequal cardinalities")
     if c.colour_preserve is not None:
         for e in c.colour_preserve:
             if not g.has_edge(*e):
@@ -156,6 +164,15 @@ def _build_query(g: Graph, c: AutConstraint):
         allowed[v] &= 1 << w
     for v in c.pointwise_fixed:
         allowed[v] &= 1 << v
+    for a, b in c.setwise_pairs:
+        bmask = 0
+        for w in b:
+            bmask |= 1 << w
+        for v in range(n):
+            if v in a:
+                allowed[v] &= bmask
+            else:
+                allowed[v] &= ~bmask
     return rows, allowed
 
 
@@ -173,6 +190,9 @@ def satisfies(g: Graph, c: AutConstraint, p: Permutation) -> bool:
             return False
     for v in c.pointwise_fixed:
         if p(v) != v:
+            return False
+    for a, b in c.setwise_pairs:
+        if {p(v) for v in a} != set(b):
             return False
     colours = c.colour_preserve
     if colours is not None:
@@ -192,8 +212,8 @@ def _searcher(g: Graph, c: AutConstraint):
     Returns the candidate masks of c's positive fields and run(masks, check):
     one search with the given masks, whose witness is vetted by satisfies
     against check (c by default). The query depends only on c's colours, so
-    any constraint differing from c only in pinned and pointwise-fixed
-    vertices can be searched by masks alone.
+    any constraint differing from c only in pinned, pointwise-fixed and
+    setwise-paired vertices can be searched by masks alone.
     """
     rows, allowed = _build_query(g, c)
     query = kernel.prepare(g.n, rows, rows)

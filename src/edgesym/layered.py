@@ -418,35 +418,83 @@ def decoration_is_asymmetric(
     return not any(u in o and v in o for o in orbits)
 
 
+def _carrier(
+    g: Graph, gens: Sequence[Permutation], source: int, targets: set[int]
+) -> Optional[Permutation]:
+    """A member of the group generated by gens that sends source into
+    targets, or None: a breadth-first walk of source's orbit that records
+    the generator reaching each new vertex, then multiplies those along the
+    path back from the first target reached."""
+    step: dict[int, Optional[tuple[int, Permutation]]] = {source: None}
+    queue = [source]
+    for v in queue:
+        if v in targets:
+            t = Permutation.identity(g.n)
+            while step[v] is not None:
+                v, p = step[v]
+                t = t.compose(p)
+            return t
+        for p in gens:
+            w = p.images[v]
+            if w not in step:
+                step[w] = (v, p)
+                queue.append(w)
+    return None
+
+
 def decorations_similar(
     g: Graph, state: StepState, i: int, d1: Decoration, d2: Decoration
 ) -> bool:
     """True iff a persistent automorphism carries one decorated component
-    onto the other, decoration included. The persistent group is finite, so
-    its generators alone reach the whole orbit of d1's (component, forward
-    red, back blue) sets: close a queue under them until d2's sets appear."""
+    onto the other, decoration included.
 
-    def sets(d: Decoration) -> tuple[frozenset, frozenset, frozenset]:
-        return frozenset(d.component), frozenset(d.forward_red), frozenset(d.back_blue)
+    Decoration edges join a site to another slice, so such a map sends a
+    site of d1 to one of d2, and on d1's component it then agrees with any
+    persistent t that does so: when h <= 1 the site fixes the map on the
+    component, and when h >= 2 the component's own distinguishing colouring
+    leaves one map onto d2's. So t, found by walking one vertex orbit, fixes
+    the images of the component and of the back edges, whose earlier ends
+    every persistent map fixes. One search settles the forward edges: a
+    persistent map that agrees with t on the component and sends the far
+    ends of d1's red forward edges, each labelled by the t-images of the
+    sites it meets, onto d2's far ends with the same labels. Listing d1's
+    orbit instead would cost its size, m * C(m - 1, s) at slice 1 of K_{m,m}.
+    """
+    shape = [(len(d.component), len(d.forward_red), len(d.back_blue)) for d in (d1, d2)]
+    if shape[0] != shape[1]:
+        return False
+    if d1.forward_red or d1.back_blue:
+        source = _decoration_sites(state, i, d1.component)[0]
+        targets = set(_decoration_sites(state, i, d2.component))
+    else:
+        source, targets = d1.component[0], set(d2.component)
+    t = _carrier(g, state.persistent_generators(i), source, targets)
+    if t is None or {t.edge_image(e) for e in d1.back_blue} != set(d2.back_blue):
+        return False
+    if not d1.forward_red:
+        return True
 
-    start, goal = sets(d1), sets(d2)
-    gens = state.persistent_generators(i)
-    seen = {start}
-    queue = [start]
-    while queue:
-        comp, fwd, back = queue.pop()
-        if (comp, fwd, back) == goal:
-            return True
-        for p in gens:
-            image = (
-                frozenset(map(p, comp)),
-                frozenset(map(p.edge_image, fwd)),
-                frozenset(map(p.edge_image, back)),
-            )
-            if image not in seen:
-                seen.add(image)
-                queue.append(image)
-    return False
+    def far_ends(d: Decoration, site_image) -> dict[frozenset, frozenset]:
+        comp = set(d.component)
+        label: dict[int, set[int]] = {}
+        for e in d.forward_red:
+            s, w = e if e[0] in comp else e[::-1]
+            label.setdefault(w, set()).add(site_image(s))
+        ends: dict[frozenset, set[int]] = {}
+        for w, sites in label.items():
+            ends.setdefault(frozenset(sites), set()).add(w)
+        return {lab: frozenset(ws) for lab, ws in ends.items()}
+
+    ends1, ends2 = far_ends(d1, t), far_ends(d2, lambda s: s)
+    if {lab: len(ws) for lab, ws in ends1.items()} != {lab: len(ws) for lab, ws in ends2.items()}:
+        return False
+    c = AutConstraint(
+        pinned={v: t(v) for v in d1.component},
+        pointwise_fixed=frozenset(state.layering.earlier_vertices(i)),
+        setwise_pairs=[(ends1[lab], ends2[lab]) for lab in ends1],
+        colour_preserve=state.horizontal_colours.get(i, {}),
+    )
+    return find_automorphism(g, c) is not None
 
 
 def _component_orbits(g: Graph, state: StepState, i: int) -> list[list[tuple[int, ...]]]:

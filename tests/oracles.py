@@ -132,6 +132,9 @@ def constraint_holds_naive(g: Graph, c, p: tuple[int, ...]) -> bool:
     for v in c.pointwise_fixed:
         if p[v] != v:
             return False
+    for a, b in c.setwise_pairs:
+        if {p[v] for v in a} != set(b):
+            return False
     if c.colour_preserve is not None:
         cmap = c.colour_preserve
         if hasattr(cmap, "assignment"):
@@ -164,6 +167,11 @@ def random_constraint(g: Graph, rng):
         c.pinned = {v: rng.randrange(n)}
     if rng.random() < 0.4 and n:
         c.pointwise_fixed = frozenset(rng.sample(range(n), rng.randint(0, min(2, n))))
+    if rng.random() < 0.3 and n >= 2:
+        k = rng.randint(1, 2)
+        c.setwise_pairs = [
+            (frozenset(rng.sample(range(n), k)), frozenset(rng.sample(range(n), k)))
+        ]
     if g.edge_count and rng.random() < 0.5:
         cols = {}
         for e in g.edges:

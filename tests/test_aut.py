@@ -91,6 +91,14 @@ def test_pinned_and_pointwise_fixed():
     assert w is None  # fixing an edge of a cycle pins everything
 
 
+def test_setwise_pairs():
+    g = complete_bipartite(2, 3)
+    w = find_automorphism(g, AutConstraint(setwise_pairs=[(frozenset({0}), frozenset({1}))]))
+    assert w is not None and w(0) == 1
+    with pytest.raises(ConstraintError):
+        find_automorphism(g, AutConstraint(setwise_pairs=[(frozenset({0}), frozenset({1, 2}))]))
+
+
 def test_colour_preserve_uncoloured_edges_stay_uncoloured():
     # star with one coloured edge: a colour-preserving map cannot move it
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])

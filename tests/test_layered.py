@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import signal
 from pathlib import Path
 
 import pytest
@@ -319,7 +320,9 @@ def test_orbit_answers_match_pairwise_searches():
     # persistent generators' orbits group the components, keep the decoration
     # back edges and answer asymmetry as the group does, and
     # decorations_similar agrees with the group on every pair of candidates
-    # of the slice, trivial group or not
+    # of the slice, trivial group or not. The similarity pairs also take in
+    # every one- and two-edge red forward set at the sites, not only the
+    # candidates' least ones, so a far end met by two sites is compared
     graphs = connected_regular_upto(8) + [petersen()]
     steps = trivial = back_pairs = grouped = 0
     compared = negative = on_nontrivial = on_nontrivial_h2 = 0
@@ -339,12 +342,16 @@ def test_orbit_answers_match_pairwise_searches():
             assert orbits == _brute_component_orbits(state, i, group)
             grouped += any(len(o) > 1 for o in orbits)
             cands = []
+            others = []
             for comp in _horizontal_components(state, i):
                 sites = set(_decoration_sites(state, i, comp))
                 kept = _decoration_back_edges(state, i, sites)
                 assert kept == _brute_back_edges(state, i, sites, group)
                 back_pairs += len(kept) >= 2
                 cands += enumerate_decorations(g, state, i, comp)
+                fwd = [e for e in state.layer_classes(i).forward if e[0] in sites or e[1] in sites]
+                for k in (1, 2):
+                    others += [Decoration(comp, f, ()) for f in itertools.combinations(fwd, k)]
             nontrivial = len(group) > 1
             assert nontrivial == bool(state.persistent_generators(i))
             for d in cands:
@@ -355,8 +362,9 @@ def test_orbit_answers_match_pairwise_searches():
                 on_nontrivial += nontrivial
                 on_nontrivial_h2 += nontrivial and state.layer_classes(i).h >= 2
             trivial += not nontrivial
-            orbit_of = {d: {_decoration_sets(d, p) for p in group} for d in cands}
-            for d1, d2 in itertools.product(cands, repeat=2):
+            decs = list(dict.fromkeys(cands + others))
+            orbit_of = {d: {_decoration_sets(d, p) for p in group} for d in decs}
+            for d1, d2 in itertools.product(decs, repeat=2):
                 want = _decoration_sets(d2) in orbit_of[d1]
                 assert decorations_similar(g, state, i, d1, d2) == want, (
                     g.n, sorted(g.edges), i, d1, d2)
@@ -369,7 +377,7 @@ def test_orbit_answers_match_pairwise_searches():
     assert compared >= 400 and negative >= 10 and on_nontrivial >= 150, (
         compared, negative, on_nontrivial)
     assert on_nontrivial_h2 >= 8, on_nontrivial_h2
-    assert pairs >= 3000 and similar_distinct >= 150, (pairs, similar_distinct)
+    assert pairs >= 9000 and similar_distinct >= 500, (pairs, similar_distinct)
 
 
 # -- decorations ------------------------------------------------------------------
@@ -459,6 +467,59 @@ def test_distinct_candidates_at_same_component_non_similar():
     for i, a in enumerate(singles):
         for b in singles[i + 1 :]:
             assert not decorations_similar(g, state, 2, a, b)
+
+
+def rook3():
+    # K3 x K3: vertex 3x + y, adjacent when one coordinate agrees
+    return Graph(9, [(u, v) for u in range(9) for v in range(u + 1, 9)
+                     if u // 3 == v // 3 or u % 3 == v % 3])
+
+
+def test_similarity_sends_site_to_site_under_any_generating_set():
+    # slice 1 of K3 x K3 is the matching (1 2), (3 6). Coloured alike, the
+    # persistent group (the root stabiliser, order 8) carries each matching
+    # edge onto the other both ways round. A decoration sits at its edge's
+    # least vertex, so a similarity map must send site 1 to site 3; listing
+    # first a generator that sends 1 to 6 must not change any answer
+    g = rook3()
+    state = advance(g, 1, decorate_last=False)
+    assert _horizontal_components(state, 1) == [(1, 2), (3, 6)]
+    state.horizontal_colours[1] = {(1, 2): RED, (3, 6): RED}
+    state.colouring.update(state.horizontal_colours[1])
+    group = _brute_persistent_group(g, state, 1, automorphisms_by_backtracking(g))
+    assert len(group) == 8
+    to_far_end = Permutation(next(p for p in group if p[1] == 6))
+    decs = [Decoration(comp, f, ()) for comp, f in [
+        ((1, 2), ()), ((1, 2), ((1, 4),)), ((1, 2), ((1, 7),)),
+        ((3, 6), ()), ((3, 6), ((3, 4),)), ((3, 6), ((3, 5),)),
+    ]]
+    gens = state.persistent_generators(1)
+    positive = 0
+    for order in (gens, [to_far_end] + gens):
+        state.persistent_gens[1] = order
+        for d1, d2 in itertools.product(decs, repeat=2):
+            want = _decoration_sets(d2) in {_decoration_sets(d1, p) for p in group}
+            assert decorations_similar(g, state, 1, d1, d2) == want, (order, d1, d2)
+            positive += want and d1.component != d2.component and bool(d1.forward_red)
+    assert positive >= 4
+
+
+def test_similarity_cost_on_large_persistent_groups():
+    # slice 1 of K_{m,m} has no horizontal edges, so its persistent group is
+    # S_{m-1} x S_m and the orbit of a decoration with s red forward edges
+    # has m * C(m - 1, s) members; similarity must not list it. Colouring
+    # K_{16,16} takes well under a second; listing the orbits, hours
+    def timeout(signum, frame):
+        raise TimeoutError("colouring K_{16,16} took over 60 s")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        c = colour_regular(complete_bipartite(16, 16), verify=True)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert set(c.assignment.values()) <= {RED, GREEN, BLUE}
 
 
 def test_assign_decorations_petersen_layer1():

@@ -1,25 +1,19 @@
-import importlib
 import importlib.util
 from pathlib import Path
+
+# the tracer patches call sites only in modules already loaded
+import edgesym.catalog  # noqa: F401
+import edgesym.layered  # noqa: F401
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_tracer_required_sites_exist():
-    # the benchmark tracer refuses to start when a call site it requires is
-    # gone; every site must be the defining module's function, looked up from
-    # the calling module, so that a moved or removed call fails here first
-    tracer = _load_tracer()
-    home_of = {fname: home for home, names in tracer.LAYERS.values() for fname in names}
-    assert tracer.REQUIRED_SITES
-    for site, fname in tracer.REQUIRED_SITES:
-        module = importlib.import_module(f"edgesym.{site}")
-        original = getattr(importlib.import_module(f"edgesym.{home_of[fname]}"), fname)
-        assert getattr(module, fname, None) is original, (site, fname)
+    # Tracer.__enter__ raises RuntimeError naming every REQUIRED_SITES entry
+    # it could not patch, so a moved or removed call site fails here and not
+    # only in a traced benchmark run; __exit__ restores the patched names
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    with tracer.Tracer():
+        pass
