@@ -206,19 +206,17 @@ def satisfies(g: Graph, c: AutConstraint, p: Permutation) -> bool:
     return True
 
 
-def _searcher(g: Graph, c: AutConstraint):
-    """Prepare the kernel query of a validated, normalised constraint once.
+def _searcher(g: Graph, rows):
+    """Prepare the kernel query of g's label rows once.
 
-    Returns the candidate masks of c's positive fields and run(masks, check):
-    one search with the given masks, whose witness is vetted by satisfies
-    against check (c by default). The query depends only on c's colours, so
-    any constraint differing from c only in pinned, pointwise-fixed and
-    setwise-paired vertices can be searched by masks alone.
+    Returns run(masks, check): one search with the given candidate masks,
+    whose witness is vetted by satisfies against the constraint check. The
+    query depends only on the rows, that is on the colours, so every
+    constraint with the same colours can be searched by masks alone.
     """
-    rows, allowed = _build_query(g, c)
     query = kernel.prepare(g.n, rows, rows)
 
-    def run(masks, check: AutConstraint = c) -> Optional[Permutation]:
+    def run(masks, check: AutConstraint) -> Optional[Permutation]:
         res = kernel.search_mapping(query, masks)
         if res is None:
             return None
@@ -227,25 +225,42 @@ def _searcher(g: Graph, c: AutConstraint):
             raise RuntimeError(f"kernel returned an invalid witness {p.images}")
         return p
 
-    return allowed, run
+    return run
 
 
 def find_automorphism(g: Graph, c: Optional[AutConstraint] = None) -> Optional[Permutation]:
     """Witness automorphism satisfying every constraint field, or None.
 
     The search is complete: None means no such automorphism exists.
+
+    nontrivial_on becomes a ladder of positive searches over its sorted
+    vertices: rung k pins the earlier probes to themselves and forbids the
+    k-th its own image. When every pinned vertex maps to itself and there
+    are no setwise pairs, a map meeting c fixes the pinned and fixed
+    vertices and preserves the edge labels, so it maps each cell of the
+    coarsest equitable partition of the labelled graph, refined from those
+    vertices, onto itself. A probe alone in its cell is fixed by every such
+    map: its rung is skipped, and when every probe is alone the answer is
+    None with no kernel query at all. The rungs that do run keep their
+    masks, so the witness is the one the full ladder finds.
     """
     c = (c or AutConstraint()).normalised()
     _validate(g, c)
-    allowed, run = _searcher(g, c)
-
+    rows, allowed = _build_query(g, c)
     if c.nontrivial_on is None:
-        return run(allowed)
+        return _searcher(g, rows)(allowed, c)
 
-    # a negative condition becomes a ladder of positive searches: the k-th
-    # branch fixes the first k-1 probe vertices and moves the k-th
     probes = sorted(c.nontrivial_on)
+    alone = 0  # probes every map meeting c fixes
+    if not c.setwise_pairs and all(v == w for v, w in c.pinned.items()):
+        cells = _refined(rows, c.pointwise_fixed.union(c.pinned))
+        alone = sum(x for x in cells if x & (x - 1) == 0)
+        if all(alone >> x & 1 for x in probes):
+            return None
+    run = _searcher(g, rows)
     for k, x in enumerate(probes):
+        if alone >> x & 1:
+            continue
         masks = list(allowed)
         dead = False
         for y in probes[:k]:
@@ -256,7 +271,7 @@ def find_automorphism(g: Graph, c: Optional[AutConstraint] = None) -> Optional[P
         masks[x] &= ~(1 << x)
         if dead or masks[x] == 0:
             continue
-        found = run(masks)
+        found = run(masks, c)
         if found is not None:
             return found
     return None
@@ -265,21 +280,28 @@ def find_automorphism(g: Graph, c: Optional[AutConstraint] = None) -> Optional[P
 # -- groups via stabiliser chains -------------------------------------------
 
 
-def _equitable_cells(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
+def _equitable_cells(rows, cells: list[int], splitters: list[int]) -> list[int]:
     """Coarsest equitable refinement of a partition, by a splitter queue.
 
-    adj holds the adjacency bitmasks; cells are the partition's cells as
-    disjoint bitmasks. For each cell that is not among the splitters, the
-    partition must already be equitable with respect to that cell, or to
-    that cell together with some splitters (as after _individualise). Each
-    splitter W splits every non-singleton cell it reaches by the number of
-    neighbours in W; the pieces of a cell still queued replace it in the
-    queue, and otherwise every piece but one largest joins the queue. The
-    result, returned once no splitter is left or every cell is a singleton,
-    is the same set partition in whatever order the cells come.
+    rows are label rows as _label_rows builds them; label 0, the non-edge,
+    is ignored, because the other labels and the cells determine it. cells
+    are the partition's cells as disjoint bitmasks. For each cell that is
+    not among the splitters, the partition must already be equitable with
+    respect to that cell, or to that cell together with some splitters (as
+    after _individualise). Each splitter W splits every non-singleton cell
+    it reaches by each vertex's vector of per-label neighbour counts in W;
+    the pieces of a cell still queued replace it in the queue, and otherwise
+    every piece but one largest joins the queue. The result, returned once
+    no splitter is left or every cell is a singleton, is the same set
+    partition in whatever order the cells come.
+
+    The counts are bit-sliced: the rows of W's vertices are added, label by
+    label, into carry-save bitmask planes, plane i holding bit i of every
+    vertex's count, and a cell splits by each plane with mask operations.
     """
     cells = list(cells)
-    n = sum(x.bit_count() for x in cells)
+    n = len(rows)
+    labels = range(1, len(rows[0]) if rows else 0)
     queue = list(splitters)
     pending = set(queue)
     while queue and len(cells) < n:
@@ -287,25 +309,49 @@ def _equitable_cells(adj: Sequence[int], cells: list[int], splitters: list[int])
         if w not in pending:
             continue  # split since it was queued; its pieces are queued instead
         pending.discard(w)
+        if w & (w - 1) == 0:
+            planes = rows[w.bit_length() - 1][1:]  # every count is 0 or 1
+        else:
+            wrows = []
+            m = w
+            while m:
+                low = m & -m
+                m ^= low
+                wrows.append(rows[low.bit_length() - 1])
+            planes = []
+            for lab in labels:
+                counter = []  # counter[i]: bit i of every vertex's count
+                for row in wrows:
+                    carry = row[lab]
+                    for i, bit in enumerate(counter):
+                        counter[i] = bit ^ carry
+                        carry &= bit
+                        if not carry:
+                            break
+                    else:
+                        if carry:
+                            counter.append(carry)
+                planes += counter
         reach = 0
-        m = w
-        while m:
-            low = m & -m
-            m ^= low
-            reach |= adj[low.bit_length() - 1]
+        for p in planes:
+            reach |= p
         out = []
         for x in cells:
             if x & (x - 1) == 0 or not x & reach:
                 out.append(x)
                 continue
-            by_count: dict[int, int] = {}
-            m = x
-            while m:
-                low = m & -m
-                m ^= low
-                k = (adj[low.bit_length() - 1] & w).bit_count()
-                by_count[k] = by_count.get(k, 0) | low
-            pieces = list(by_count.values())
+            pieces = [x]
+            for p in planes:
+                inside = x & p
+                if inside and inside != x:
+                    split = []
+                    for y in pieces:
+                        inside = y & p
+                        if inside and inside != y:
+                            split += [inside, y ^ inside]
+                        else:
+                            split.append(y)
+                    pieces = split
             out += pieces
             if len(pieces) == 1:
                 continue
@@ -319,7 +365,7 @@ def _equitable_cells(adj: Sequence[int], cells: list[int], splitters: list[int])
     return cells
 
 
-def _individualise(adj: Sequence[int], cells: list[int], v: int) -> list[int]:
+def _individualise(rows, cells: list[int], v: int) -> list[int]:
     """Coarsest equitable refinement of an equitable partition with v given
     a cell of its own. The old partition is equitable with respect to v's
     old cell, so {v} is the only splitter needed."""
@@ -332,7 +378,16 @@ def _individualise(adj: Sequence[int], cells: list[int], v: int) -> list[int]:
             out.append(x)
     if len(out) == len(cells):
         return out  # v already had a cell of its own
-    return _equitable_cells(adj, out, [bit])
+    return _equitable_cells(rows, out, [bit])
+
+
+def _refined(rows, fixed: Iterable[int]) -> list[int]:
+    """Coarsest equitable refinement of {each fixed vertex alone, the rest}."""
+    cells = [1 << v for v in fixed]
+    rest = (1 << len(rows)) - 1 - sum(cells)
+    if rest:
+        cells.append(rest)
+    return _equitable_cells(rows, cells, list(cells))
 
 
 def _chain_transversals(
@@ -356,28 +411,26 @@ def _chain_transversals(
     Targets are pruned by equitable refinement: an automorphism that fixes
     every vertex of fixed maps each cell of the coarsest equitable partition
     with those vertices individualised onto itself, so only targets in b's
-    cell are searched (the cells ignore colours: they hold the orbits of the
-    uncoloured group, which contains the coloured one). The partition is
-    carried from level to level by individualising b. The skipped searches
-    are exactly ones that would fail, so the witness list is the same as
-    without pruning.
+    cell are searched. The refinement is the one that prunes
+    find_automorphism's nontrivial_on ladder, given rows with one label,
+    the edges: the cells ignore colours, so they hold the orbits of the
+    uncoloured group, which contains the coloured one. (Colour-aware cells
+    cut the chain searches of a colour_regular(verify=True) pass over the
+    n <= 10 catalogue from 1,119 to 948 but saved no time, because every
+    chain then builds label rows.) The partition is carried from level to
+    level by individualising b. The skipped searches are exactly ones that
+    would fail, so the witness list is the same as without pruning.
     """
     fixed = list(dict.fromkeys(start_fixed))
     c = AutConstraint(pointwise_fixed=frozenset(fixed), colour_preserve=colour_preserve)
     c = c.normalised()
     _validate(g, c)
     n = g.n
-    adj = [g.adjacency_mask(v) for v in range(n)]
-    rest = (1 << n) - 1
-    masks = [rest] * n  # candidates at the current level: fixed vertices pinned
-    cells = []
+    edge_rows = [(0, g.adjacency_mask(v)) for v in range(n)]  # label 0 is ignored
+    masks = [(1 << n) - 1] * n  # candidates at the current level: fixed vertices pinned
     for v in fixed:
         masks[v] = 1 << v
-        cells.append(1 << v)
-        rest ^= 1 << v
-    if rest:
-        cells.append(rest)
-    cells = _equitable_cells(adj, cells, list(cells))
+    cells = _refined(edge_rows, fixed)
 
     gens: list[Permutation] = []
     run = None
@@ -390,7 +443,7 @@ def _chain_transversals(
         targets = next(x for x in cells if x & bit) ^ bit
         if targets:
             if run is None:
-                run = _searcher(g, c)[1]
+                run = _searcher(g, _build_query(g, c)[0])
             pointwise = frozenset(fixed)
         while targets:
             low = targets & -targets
@@ -404,7 +457,7 @@ def _chain_transversals(
                 gens.append(witness)
         fixed.append(b)
         masks[b] = bit
-        cells = _individualise(adj, cells, b)
+        cells = _individualise(edge_rows, cells, b)
     return gens
 
 

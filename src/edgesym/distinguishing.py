@@ -122,8 +122,17 @@ def hamiltonian_colouring(g: Graph, path: Sequence[int]) -> EdgeColouring:
     A chord from a path endpoint replaces the first path edge, leaving a tree
     with one degree-3 vertex and three legs of pairwise different lengths;
     tree edges turn red, the rest green. Raises ChordlessPathError when no
-    endpoint admits a usable chord.
+    endpoint admits a usable chord, and RuntimeError if the colouring fails
+    verification, which would be a bug.
     """
+    col = _spider_colouring(g, path)
+    if not is_distinguishing(g, col):
+        raise RuntimeError("spider colouring failed verification")
+    return col
+
+
+def _spider_colouring(g: Graph, path: Sequence[int]) -> EdgeColouring:
+    """hamiltonian_colouring without its verification."""
     n = g.n
     if n < 7:
         raise ValueError("the spider construction needs at least 7 vertices")
@@ -141,17 +150,17 @@ def hamiltonian_colouring(g: Graph, path: Sequence[int]) -> EdgeColouring:
             tree = {edge(a, b) for a, b in zip(cand, cand[1:])}
             tree.discard(edge(cand[0], cand[1]))
             tree.add(edge(cand[0], cand[k - 1]))
-            col = EdgeColouring.on_graph(g, [RED if e in tree else GREEN for e in g.edges])
-            if not is_distinguishing(g, col):
-                raise RuntimeError("spider colouring failed verification")
-            return col
+            return EdgeColouring.on_graph(g, [RED if e in tree else GREEN for e in g.edges])
     raise ChordlessPathError(
         f"no chord with 4 <= k <= {n - 2}, 2k != {n + 2} at either path endpoint"
     )
 
 
 def _probe_candidates(g: Graph, k: int, tries: int = 512):
-    """Deterministic stream of candidate k-colourings worth verifying."""
+    """Deterministic stream of (candidate k-colouring, proven) pairs worth
+    verifying. proven marks the spider colouring, which is distinguishing by
+    construction; it is yielded unverified, so the caller's one verification
+    doubles as its check."""
     edges = g.edges
     if g.n == 0:
         return
@@ -164,20 +173,20 @@ def _probe_candidates(g: Graph, k: int, tries: int = 512):
                 if w not in parent and w != 0 and dist[w] == dist[v] + 1:
                     parent[w] = v
         tree = {edge(v, w) for w, v in parent.items()}
-        yield EdgeColouring.on_graph(g, [RED if e in tree else GREEN for e in edges])
+        yield EdgeColouring.on_graph(g, [RED if e in tree else GREEN for e in edges]), False
 
         if g.n >= 7:
             pathv = hamiltonian_path(g, node_budget=50_000)
             if pathv is not None:
                 try:
-                    yield hamiltonian_colouring(g, pathv)
+                    yield _spider_colouring(g, pathv), True
                 except ChordlessPathError:
                     pass
 
         rng = random.Random(0x5EED ^ (g.n * 2_654_435_761 + g.edge_count * 97 + k))
         palette = PALETTE[:k]
         for _ in range(tries):
-            yield EdgeColouring.on_graph(g, [rng.choice(palette) for _ in edges])
+            yield EdgeColouring.on_graph(g, [rng.choice(palette) for _ in edges]), False
 
 
 # -- exhaustive enumeration ----------------------------------------------------
@@ -263,13 +272,17 @@ def _witness(
     g: Graph, k: int, budget: _Budget, extra_check=None, first_edge_palette=None
 ) -> Optional[EdgeColouring]:
     allowed = set(PALETTE[:k])
-    # on small graphs the random probes repeat; a verdict never changes
+    # on small graphs the random probes repeat; a verdict never changes. A
+    # proven probe is checked even when an equal probe was rejected before.
     rejected: set[EdgeColouring] = set()
-    for cand in _probe_candidates(g, k):
-        if cand in rejected or not cand.colours_used() <= allowed:
+    for cand, proven in _probe_candidates(g, k):
+        if (cand in rejected and not proven) or not cand.colours_used() <= allowed:
             continue
-        if is_distinguishing(g, cand) and (extra_check is None or extra_check(cand)):
-            return cand
+        if is_distinguishing(g, cand):
+            if extra_check is None or extra_check(cand):
+                return cand
+        elif proven:
+            raise RuntimeError("spider colouring failed verification")
         rejected.add(cand)
     return _exhaustive_witness(g, k, budget, extra_check, first_edge_palette)
 

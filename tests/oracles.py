@@ -251,14 +251,23 @@ def distinguishing_index_brute(g: Graph, max_colours: int = 3):
 # -- equitable partitions ------------------------------------------------------
 
 
-def equitable_cells_by_rounds(g: Graph, fixed) -> list[int]:
+def equitable_cells_by_rounds(g: Graph, fixed, labels=None) -> list[int]:
     """Cell of each vertex in the coarsest equitable partition of g in which
     every vertex of fixed has a cell of its own, by whole rounds of colour
-    refinement: every vertex is re-signed by its cell and its neighbour count
-    in every cell until the number of cells stops growing. The stabiliser
-    chain's refinement before it moved to a splitter queue."""
+    refinement: every vertex is re-signed by its cell and, for each edge
+    label, its number of neighbours by edges of that label in every cell,
+    until the number of cells stops growing. labels[k] is the label of
+    g.edges[k]; without labels every edge has one label, which is the
+    stabiliser chain's refinement before it moved to a splitter queue."""
     n = g.n
-    adj = [g.adjacency_mask(v) for v in range(n)]
+    if labels is None:
+        labels = [1] * g.edge_count
+    by_label: dict = {}
+    for (u, v), lab in zip(g.edges, labels):
+        adj = by_label.setdefault(lab, [0] * n)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    adjs = [by_label[lab] for lab in sorted(by_label)]
     cell = [0] * n
     for i, v in enumerate(fixed):
         cell[v] = i + 1
@@ -267,7 +276,10 @@ def equitable_cells_by_rounds(g: Graph, fixed) -> list[int]:
         masks = [0] * (max(cell) + 1)
         for v in range(n):
             masks[cell[v]] |= 1 << v
-        sigs = [(cell[v], *[(adj[v] & m).bit_count() for m in masks]) for v in range(n)]
+        sigs = [
+            (cell[v], *[(adj[v] & m).bit_count() for adj in adjs for m in masks])
+            for v in range(n)
+        ]
         rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         cell = [rank[sig] for sig in sigs]
         if len(rank) == count:

@@ -237,9 +237,9 @@ def test_probe_does_not_swallow_broken_invariants(monkeypatch):
     import edgesym.distinguishing as dist
 
     def broken(g, path):
-        raise RuntimeError("spider colouring failed verification")
+        return EdgeColouring.on_graph(g, [RED] * g.edge_count)
 
-    monkeypatch.setattr(dist, "hamiltonian_colouring", broken)
+    monkeypatch.setattr(dist, "_spider_colouring", broken)
     with pytest.raises(RuntimeError, match="spider colouring failed verification"):
         distinguishing_index(complete(7))
 
@@ -251,7 +251,7 @@ def test_witness_verifies_each_probe_colouring_once(monkeypatch, g, k):
     import edgesym.distinguishing as dist
 
     allowed = set(PALETTE[:k])
-    probes = [c for c in dist._probe_candidates(g, k) if c.colours_used() <= allowed]
+    probes = [c for c, _ in dist._probe_candidates(g, k) if c.colours_used() <= allowed]
     first = next((c for c in probes if is_distinguishing(g, c)), None)
     calls = []
 

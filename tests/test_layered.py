@@ -20,6 +20,7 @@ from edgesym.graph import (
     edge,
     parse_graph6,
     petersen,
+    random_regular,
     regularity,
 )
 from edgesym.layered import (
@@ -750,3 +751,44 @@ def test_colour_regular_frucht():
     g = frucht()
     c = colour_regular(g, verify=True)
     assert is_distinguishing(g, c)
+
+
+def test_verification_ladders_are_pruned_at_the_root(monkeypatch):
+    # On nearly asymmetric graphs, label-aware refinement from the root (step
+    # checks) and from the final colouring alone (the final check) leaves
+    # every probe in a cell of its own, so neither makes a kernel search: 0
+    # on these six graphs, against 287 for the unpruned ladders. A
+    # refinement that ignores colours stays sound, so only this count
+    # catches it: it leaves the final check's cell whole.
+    import edgesym.layered as layered_module
+    from edgesym import kernel
+
+    where = [None]
+    searches = {"step": 0, "final": 0}
+    search = kernel.search_mapping
+
+    def counted(query, masks):
+        if where[0] is not None:
+            searches[where[0]] += 1
+        return search(query, masks)
+
+    def inside(tag, f):
+        def wrapped(*args):
+            where[0] = tag
+            try:
+                return f(*args)
+            finally:
+                where[0] = None
+
+        return wrapped
+
+    monkeypatch.setattr(kernel, "search_mapping", counted)
+    monkeypatch.setattr(
+        layered_module, "check_step_properties", inside("step", check_step_properties)
+    )
+    monkeypatch.setattr(
+        layered_module, "is_distinguishing", inside("final", is_distinguishing)
+    )
+    for n, d, seed in [(16, 3, 1), (16, 5, 3), (24, 4, 1), (24, 5, 1), (32, 3, 5), (32, 5, 1)]:
+        colour_regular(random_regular(n, d, seed=seed), verify=True)
+    assert searches["step"] + searches["final"] <= 5, searches
