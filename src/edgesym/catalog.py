@@ -4,8 +4,9 @@ Direct generation runs a symmetry-broken row-by-row search (first edge of
 every so-far-isolated vertex must go to the least such vertex) followed by
 isomorphism rejection. The search emits exactly the breadth-first numberings
 of each class, so once a class has a representative, every later candidate
-of the class is found by a lookup among the representative's relabellings;
-only a candidate of a new class reaches the isomorphism search. Degrees
+of the class is found by looking its packed key up among the keys of the
+representative's relabellings; only a candidate of a new class becomes a
+Graph and reaches the isomorphism search. Degrees
 above (n-1)/2 come from complements of the low-degree catalogue,
 disconnected graphs from compositions of connected ones, so only a handful
 of (n, d) pairs are ever searched directly.
@@ -17,16 +18,18 @@ import heapq
 import itertools
 from array import array
 from bisect import bisect_left
-from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from functools import lru_cache, partial
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .aut import find_isomorphism
 from .graph import Graph, complete, cycle, disjoint_union, is_connected
 
 
-def _raw_connected_regular(n: int, d: int) -> Iterator[Graph]:
-    """Labelled d-regular connected graphs, several per isomorphism class. A
-    generator: each graph is yielded as soon as its last row is filled.
+def _raw_connected_regular(n: int, d: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Labelled d-regular connected graphs, several per isomorphism class, as
+    (key, masks): the upper triangle of the adjacency matrix packed column by
+    column (bit k(k-1)/2 + j is the pair j < k) and every vertex's neighbour
+    mask. A generator: each graph is yielded as soon as its last row is filled.
 
     Vertex 0 is the root, a vertex's row is filled only once an earlier row
     has reached it, and its new neighbours take the next unused numbers. So
@@ -36,49 +39,52 @@ def _raw_connected_regular(n: int, d: int) -> Iterator[Graph]:
     adj = [0] * n
     deg = [0] * n
 
-    def feasible(v: int) -> bool:
-        for w in range(v + 1, n):
-            rem = d - deg[w]
-            if rem == 0:
-                continue
-            avail = 0
-            for x in range(v + 1, n):
-                if x != w and deg[x] < d and not adj[w] >> x & 1:
-                    avail += 1
-            if rem > avail:
+    def feasible(cands: list[int]) -> bool:
+        # every vertex above v still short of degree d has as many other such
+        # vertices that it is not yet joined to as it lacks edges
+        short = 0
+        for w in cands:
+            if deg[w] < d:
+                short |= 1 << w
+        for w in cands:
+            if deg[w] < d and d - deg[w] > (short & ~adj[w] & ~(1 << w)).bit_count():
                 return False
         return True
 
-    def rows(v: int) -> Iterator[Graph]:
+    def rows(v: int, key: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         if v == n:
-            yield Graph.from_masks(adj)
+            yield key, tuple(adj)
             return
         if v > 0 and deg[v] == 0:
             return  # isolated so far: cannot reach vertex 0
+        # column v is final once row v starts: earlier rows filled it
+        key |= (adj[v] & ((1 << v) - 1)) << (v * (v - 1) // 2)
         need = d - deg[v]
         cands = [w for w in range(v + 1, n) if deg[w] < d]
         if need > len(cands):
             return
         fresh = [w for w in cands if deg[w] == 0]
         old = [w for w in cands if deg[w] > 0]
+        row, bit = adj[v], 1 << v
         for j in range(min(need, len(fresh)) + 1):
             take_fresh = fresh[:j]
             for old_pick in itertools.combinations(old, need - j):
                 partners = take_fresh + list(old_pick)
+                # deg[v] is not kept: no later row or check reads it
                 for w in partners:
-                    adj[v] |= 1 << w
-                    adj[w] |= 1 << v
-                    deg[v] += 1
+                    row |= 1 << w
+                    adj[w] |= bit
                     deg[w] += 1
-                if feasible(v):
-                    yield from rows(v + 1)
+                adj[v] = row
+                if feasible(cands):
+                    yield from rows(v + 1, key)
                 for w in partners:
-                    adj[v] &= ~(1 << w)
-                    adj[w] &= ~(1 << v)
-                    deg[v] -= 1
+                    row ^= 1 << w
+                    adj[w] ^= bit
                     deg[w] -= 1
+                adj[v] = row
 
-    return rows(0)
+    return rows(0, 0)
 
 
 def _vertex_invariants(g: Graph) -> tuple[Optional[int], list[tuple]]:
@@ -128,40 +134,38 @@ def _vertex_invariants(g: Graph) -> tuple[Optional[int], list[tuple]]:
     return best, per_vertex
 
 
-def _upper_key(g: Graph) -> int:
-    """The upper triangle of g's adjacency matrix, packed column by column:
-    bit k(k-1)/2 + j is the pair j < k."""
-    key = 0
-    shift = 0
-    for k in range(g.n):
-        key |= (g.adjacency_mask(k) & ((1 << k) - 1)) << shift
-        shift += k
-    return key
-
-
-def _bfs_relabellings(h: Graph) -> set[int]:
-    """_upper_key of pi(h) for every breadth-first numbering pi of h: any root
-    is numbered 0, vertices are expanded in the order of their numbers, and
-    each one's unnumbered neighbours take the next numbers, in any order.
-    Empty for a disconnected h.
+def _bfs_keys(adj: list[int], r: int, keys: set[int]) -> bool:
+    """Add to keys the key (packed as by _raw_connected_regular) of pi(h) for
+    every breadth-first numbering pi of h from root r, h the graph with
+    neighbour masks adj: r is numbered 0, vertices are expanded in the order
+    of their numbers, and each one's unnumbered neighbours take the next
+    numbers, in any order. Returns False, adding nothing, if the first
+    numbering (lowest child first at every step) gives a key already in keys,
+    and True otherwise.
 
     Numberings that share a prefix share its work: vertex x numbered k adds
     its edges to the vertices numbered before it as column k of the key."""
-    n = h.n
-    adj = [h.adjacency_mask(v) for v in range(n)]
+    n = len(adj)
     num = [0] * n
     order = [0] * n
-    keys: set[int] = set()
+    order[0] = r
+    first = True
 
-    def place(k: int, numbered: int, head: int, key: int) -> None:
+    def place(k: int, numbered: int, head: int, key: int) -> bool:
+        # True stops the whole enumeration
+        nonlocal first
         if k == n:
+            if first:
+                if key in keys:
+                    return True
+                first = False
             keys.add(key)
-            return
+            return False
         kids = adj[order[head]] & ~numbered
         while not kids:
             head += 1
             if head == k:
-                return  # the component of the root is exhausted
+                return False  # the component of the root is exhausted
             kids = adj[order[head]] & ~numbered
         shift = k * (k - 1) // 2
         while kids:
@@ -176,40 +180,66 @@ def _bfs_relabellings(h: Graph) -> set[int]:
                 col |= 1 << num[b.bit_length() - 1]
             num[x] = k
             order[k] = x
-            place(k + 1, numbered | low, head, key | col << shift)
+            if place(k + 1, numbered | low, head, key | col << shift):
+                return True
+        return False
 
-    for r in range(n):
-        num[r] = 0
-        order[0] = r
-        place(1, 1 << r, 0, 0)
+    return not place(1, 1 << r, 0, 0)
+
+
+def _bfs_relabellings(h: Graph) -> set[int]:
+    """The keys of pi(h) for every breadth-first numbering pi of h, from any
+    root (see _bfs_keys). Empty for a disconnected h.
+
+    Only one root per orbit of Aut(h) is enumerated. Roots in one orbit give
+    the same keys, and equal keys from roots r and s mean pi(h) = sigma(h),
+    so sigma^-1 pi is an automorphism taking r to s: roots in different
+    orbits give disjoint keys. So a root whose first numbering's key is
+    already known lies in an earlier root's orbit and adds nothing."""
+    adj = [h.adjacency_mask(v) for v in range(h.n)]
+    keys: set[int] = set()
+    for r in range(h.n):
+        _bfs_keys(adj, r, keys)
     return keys
 
 
-def _dedup(graphs: Iterable[Graph]) -> list[Graph]:
-    """The first graph of each isomorphism class, in input order.
+def _in_runs(runs: list, key: int) -> bool:
+    for run in runs:
+        i = bisect_left(run, key)
+        if i < len(run) and run[i] == key:
+            return True
+    return False
+
+
+def _dedup(candidates: Iterable[tuple[int, Sequence[int]]]) -> list[Graph]:
+    """The first graph of each isomorphism class, in input order, from
+    (key, masks) pairs as _raw_connected_regular yields them.
 
     Each representative h puts the keys of all its breadth-first relabellings
-    into a sorted memo. A later graph whose key is in the memo is such a
-    relabelling, so it is skipped at the cost of one bisection. For the
-    candidates of _raw_connected_regular this is every duplicate.
+    into a memo for its vertex count. A later candidate whose key is in the
+    memo is such a relabelling, so it is skipped without building a Graph.
+    For the candidates of _raw_connected_regular this is every duplicate.
 
-    A graph not in the memo is bucketed by (n, m, girth, sorted per-vertex
-    invariants) and compared only with the representatives in its bucket, by
-    an isomorphism search that maps each vertex only to vertices with the same
-    per-vertex invariant; that search alone decides that a class is new.
+    A candidate not in the memo becomes a Graph, is bucketed by (n, m, girth,
+    sorted per-vertex invariants) and compared only with the representatives
+    in its bucket, by an isomorphism search that maps each vertex only to
+    vertices with the same per-vertex invariant; that search alone decides
+    that a class is new.
 
-    The memo for n vertices is an array('Q') while its n(n-1)/2-bit keys fit
-    64 bits (n <= 11), and a list above that."""
+    A memo is a list of sorted runs, each searched by bisection. A new
+    class's keys form a new run, merged into the last run while that run is
+    at most twice its size, so each run is more than twice the next and there
+    are O(log) runs. A run is an array('Q') while the n(n-1)/2-bit keys fit
+    64 bits (n <= 11), a list above that."""
     buckets: dict[tuple, list[tuple[Graph, list[tuple]]]] = {}
-    memos: dict[int, array | list[int]] = {}
+    memos: dict[int, list] = {}
     out = []
-    for g in graphs:
-        n = g.n
-        key = _upper_key(g)
-        memo = memos.get(n, ())
-        i = bisect_left(memo, key)
-        if i < len(memo) and memo[i] == key:
+    for key, masks in candidates:
+        n = len(masks)
+        runs = memos.setdefault(n, [])
+        if _in_runs(runs, key):
             continue
+        g = Graph.from_masks(masks)
         gir, labels = _vertex_invariants(g)
         bucket = (n, g.edge_count, gir, tuple(sorted(labels)))
         reps = buckets.setdefault(bucket, [])
@@ -217,8 +247,11 @@ def _dedup(graphs: Iterable[Graph]) -> list[Graph]:
             continue
         reps.append((g, labels))
         out.append(g)
-        merged = heapq.merge(memo, sorted(_bfs_relabellings(g)))
-        memos[n] = array("Q", merged) if n * (n - 1) // 2 <= 64 else list(merged)
+        pack = list if n * (n - 1) // 2 > 64 else partial(array, "Q")
+        run = pack(sorted(_bfs_relabellings(g)))
+        while runs and len(runs[-1]) <= 2 * len(run):
+            run = pack(heapq.merge(runs.pop(), run))
+        runs.append(run)
     return out
 
 

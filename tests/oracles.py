@@ -377,3 +377,99 @@ def all_connected_graphs_upto(n_max: int) -> list[Graph]:
                 seen.add(key)
                 out.append(g)
     return out
+
+
+# -- catalogue generation references ----------------------------------------
+
+
+def upper_key(g: Graph) -> int:
+    """The upper triangle of g's adjacency matrix, packed column by column:
+    bit k(k-1)/2 + j is the pair j < k."""
+    key = 0
+    shift = 0
+    for k in range(g.n):
+        key |= (g.adjacency_mask(k) & ((1 << k) - 1)) << shift
+        shift += k
+    return key
+
+
+def raw_connected_regular_reference(n: int, d: int):
+    """The catalogue's row-by-row generator as a Graph per candidate, with the
+    plain pairwise feasibility check: the same candidates in the same order
+    as edgesym.catalog._raw_connected_regular."""
+    adj = [0] * n
+    deg = [0] * n
+
+    def feasible(v: int) -> bool:
+        for w in range(v + 1, n):
+            rem = d - deg[w]
+            if rem == 0:
+                continue
+            avail = 0
+            for x in range(v + 1, n):
+                if x != w and deg[x] < d and not adj[w] >> x & 1:
+                    avail += 1
+            if rem > avail:
+                return False
+        return True
+
+    def rows(v: int):
+        if v == n:
+            yield Graph.from_masks(adj)
+            return
+        if v > 0 and deg[v] == 0:
+            return
+        need = d - deg[v]
+        cands = [w for w in range(v + 1, n) if deg[w] < d]
+        if need > len(cands):
+            return
+        fresh = [w for w in cands if deg[w] == 0]
+        old = [w for w in cands if deg[w] > 0]
+        for j in range(min(need, len(fresh)) + 1):
+            for old_pick in itertools.combinations(old, need - j):
+                partners = fresh[:j] + list(old_pick)
+                for w in partners:
+                    adj[v] |= 1 << w
+                    adj[w] |= 1 << v
+                    deg[v] += 1
+                    deg[w] += 1
+                if feasible(v):
+                    yield from rows(v + 1)
+                for w in partners:
+                    adj[v] &= ~(1 << w)
+                    adj[w] &= ~(1 << v)
+                    deg[v] -= 1
+                    deg[w] -= 1
+
+    return rows(0)
+
+
+def bfs_relabellings_all_roots(h: Graph) -> set[int]:
+    """upper_key of pi(h) for every breadth-first numbering pi of h, each
+    numbering built in full from every root: the root is numbered 0, vertices
+    are expanded in the order of their numbers, and each one's unnumbered
+    neighbours take the next numbers in every order. Empty for a disconnected
+    h."""
+    n = h.n
+    keys: set[int] = set()
+
+    def extend(order: list[int], head: int) -> None:
+        if len(order) == n:
+            num = {x: i for i, x in enumerate(order)}
+            key = 0
+            for u, v in h.edges:
+                a, b = sorted((num[u], num[v]))
+                key |= 1 << b * (b - 1) // 2 + a
+            keys.add(key)
+            return
+        while head < len(order):
+            kids = [x for x in h.neighbours(order[head]) if x not in order]
+            if kids:
+                for perm in itertools.permutations(kids):
+                    extend(order + list(perm), head + 1)
+                return
+            head += 1
+
+    for r in range(n):
+        extend([r], 0)
+    return keys

@@ -12,7 +12,6 @@ from edgesym.catalog import (
     _bfs_relabellings,
     _dedup,
     _raw_connected_regular,
-    _upper_key,
     _vertex_invariants,
     connected_regular_graphs,
     connected_regular_upto,
@@ -32,7 +31,14 @@ from edgesym.graph import (
     spider,
 )
 
-from oracles import bfs_girth, catalog_invariant_reference
+from oracles import (
+    automorphisms_by_backtracking,
+    bfs_girth,
+    bfs_relabellings_all_roots,
+    catalog_invariant_reference,
+    raw_connected_regular_reference,
+    upper_key,
+)
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "corpus.g6"
 
@@ -48,6 +54,15 @@ KNOWN_CONNECTED_COUNTS = {
 KNOWN_CONNECTED_COUNTS_N10 = {
     (10, 4): 59, (10, 5): 60, (10, 6): 21, (10, 7): 5, (10, 8): 1, (10, 9): 1,
 }
+
+# OEIS A005177: 539 connected regular graphs on 11 vertices
+KNOWN_CONNECTED_COUNTS_N11 = {(11, 2): 1, (11, 4): 265, (11, 6): 266, (11, 8): 6, (11, 10): 1}
+
+
+def _searched_directly(n, d):
+    # the pairs connected_regular_graphs hands to _raw_connected_regular; the
+    # others are a cycle, a complete graph, a complement or trivial
+    return n * d % 2 == 0 and d >= 3 and 2 * d <= n - 1
 
 
 @pytest.mark.parametrize("nd,count", sorted(KNOWN_CONNECTED_COUNTS.items()))
@@ -103,18 +118,18 @@ MEMO_PAIRS = [(8, 3), (9, 4), (10, 3)]
 
 
 def _decode_upper_key(n, key):
-    # inverse of _upper_key: bit k(k-1)/2 + j is the pair j < k
+    # inverse of upper_key: bit k(k-1)/2 + j is the pair j < k
     return Graph(n, [(j, k) for k in range(n) for j in range(k) if key >> (k * (k - 1) // 2 + j) & 1])
 
 
 @pytest.mark.parametrize("n,d", MEMO_PAIRS)
 def test_bfs_relabellings_are_exactly_the_generated_candidates(n, d):
-    candidates = [_upper_key(g) for g in _raw_connected_regular(n, d)]
+    candidates = [key for key, _ in _raw_connected_regular(n, d)]
     assert len(set(candidates)) == len(candidates)
     memo = set()
     for h in connected_regular_graphs(n, d):
         keys = _bfs_relabellings(h)
-        assert _upper_key(h) in keys and not keys & memo
+        assert upper_key(h) in keys and not keys & memo
         memo |= keys
     assert memo == set(candidates)
 
@@ -133,14 +148,14 @@ def test_bfs_relabellings_are_isomorphs_by_networkx(n, d):
         target = to_nx(h)
         for key in _bfs_relabellings(h):
             g = _decode_upper_key(n, key)
-            assert _upper_key(g) == key
+            assert upper_key(g) == key
             assert nx.is_isomorphic(to_nx(g), target)
 
 
 def test_bfs_relabellings_small_cases():
     # rooted at an end, P3 is numbered along the path; rooted at its middle,
     # the root is 0 and both ends hang from it
-    assert _bfs_relabellings(path(3)) == {_upper_key(path(3)), _upper_key(Graph(3, [(0, 1), (0, 2)]))}
+    assert _bfs_relabellings(path(3)) == {upper_key(path(3)), upper_key(Graph(3, [(0, 1), (0, 2)]))}
     assert _bfs_relabellings(disjoint_union([cycle(3), cycle(3)])) == set()
 
 
@@ -162,11 +177,108 @@ def test_memo_leaves_search_only_new_classes(monkeypatch):
     assert True not in calls  # every duplicate was a memo hit
 
 
+def _candidate(g):
+    # a graph as _raw_connected_regular yields it: (key, masks)
+    return upper_key(g), tuple(g.adjacency_mask(v) for v in range(g.n))
+
+
 def test_dedup_memo_is_per_vertex_count():
     # K3 and K3 plus an isolated vertex share their upper-triangle key
     k3, k3_plus = complete(3), Graph(4, complete(3).edges)
-    assert _upper_key(k3) == _upper_key(k3_plus)
-    assert _dedup([k3, k3_plus, cycle(3)]) == [k3, k3_plus]
+    assert upper_key(k3) == upper_key(k3_plus)
+    assert _dedup([_candidate(g) for g in (k3, k3_plus, cycle(3))]) == [k3, k3_plus]
+
+
+PARITY_PAIRS = [
+    (n, d) for n in range(1, 11) for d in range(n)
+    if n * d % 2 == 0 and (n <= 9 or _searched_directly(n, d))
+]
+
+
+@pytest.mark.parametrize("n,d", PARITY_PAIRS)
+def test_generator_matches_graph_reference(n, d):
+    # in order: _dedup keeps the first candidate of each class
+    got = _raw_connected_regular(n, d)
+    count = 0
+    for g in raw_connected_regular_reference(n, d):
+        assert next(got) == _candidate(g)  # (key, masks)
+        count += 1
+    assert next(got, None) is None
+    assert count > 0 or not _searched_directly(n, d)
+
+
+def _hypercube(k):
+    return Graph(1 << k, [(u, u ^ 1 << i) for u in range(1 << k) for i in range(k) if u < u ^ 1 << i])
+
+
+def test_bfs_relabellings_match_all_roots_on_memoised_classes():
+    # every class with n <= 8, and every class the n <= 10 catalogue memoises;
+    # the complement-built classes with n = 9, 10 never enter a memo, and the
+    # reference would take over 20 s on them (K9 alone about 8 s)
+    classes = [
+        h for n in range(1, 11) for d in range(n)
+        if n <= 8 or _searched_directly(n, d)
+        for h in connected_regular_graphs(n, d)
+    ]
+    assert len(classes) == 127
+    for h in classes:
+        assert _bfs_relabellings(h) == bfs_relabellings_all_roots(h)
+
+
+@pytest.mark.parametrize("h,orbits", [
+    (petersen(), 1),
+    (complete_bipartite(4, 4), 1),
+    (_hypercube(3), 1),
+    (path(3), 2),
+    (complete_bipartite(1, 4), 2),
+    (disjoint_union([cycle(3), cycle(3)]), None),
+    (disjoint_union([cycle(4), path(2)]), None),
+], ids=["petersen", "k44", "q3", "p3", "star", "2c3", "c4+k2"])
+def test_bfs_relabellings_enumerate_one_root_per_orbit(h, orbits, monkeypatch):
+    enumerated = []
+    bfs_keys = catalog._bfs_keys
+
+    def counted(adj, r, keys):
+        ran = bfs_keys(adj, r, keys)
+        if ran:
+            enumerated.append(r)
+        return ran
+
+    monkeypatch.setattr(catalog, "_bfs_keys", counted)
+    keys = _bfs_relabellings(h)
+    assert keys == bfs_relabellings_all_roots(h)
+    if orbits is None:  # disconnected
+        assert keys == set()
+        return
+    # the least vertex of each orbit runs the full enumeration, no other root
+    least = {min(p[v] for p in automorphisms_by_backtracking(h)) for v in range(h.n)}
+    assert enumerated == sorted(least)
+    assert len(enumerated) == orbits
+
+
+@pytest.mark.slow
+def test_eleven_vertex_counts_match_published(monkeypatch):
+    calls = []
+    search = catalog.find_isomorphism
+
+    def counted(*args):
+        w = search(*args)
+        calls.append(w is not None)
+        return w
+
+    monkeypatch.setattr(catalog, "find_isomorphism", counted)
+    # cold caches for this build only; the other tests' cached catalogue stays
+    for name in ("connected_regular_graphs", "regular_graphs"):
+        monkeypatch.setattr(catalog, name, lru_cache(maxsize=None)(getattr(catalog, name).__wrapped__))
+    counts = {}
+    for d in range(11):
+        graphs = catalog.connected_regular_graphs(11, d)
+        assert all(g.n == 11 and regularity(g) == d and is_connected(g) for g in graphs)
+        if graphs:
+            counts[(11, d)] = len(graphs)
+    assert counts == KNOWN_CONNECTED_COUNTS_N11
+    assert sum(counts.values()) == 539
+    assert calls and True not in calls  # (11, 4): every duplicate was a memo hit
 
 
 def _invariant_projection(g):
@@ -188,7 +300,8 @@ def test_vertex_invariants_match_reference():
         for n in range(1, 10)
         for d in range(n)
         if n * d % 2 == 0
-        for g in _raw_connected_regular(n, d)
+        for _, masks in _raw_connected_regular(n, d)
+        for g in [Graph.from_masks(masks)]
     ]
     assert len(graphs) == 3435
     rng = random.Random(1999)
