@@ -99,10 +99,14 @@ def _colour_map(c) -> Optional[dict[Edge, str]]:
     return {edge(u, v): col for (u, v), col in c.items()}
 
 
-def _validate(g: Graph, c: AutConstraint) -> None:
-    n = g.n
+def _check_size(n: int) -> None:
     if n > _MAX_SEARCH_N:
         raise SizeGuardError(f"search supports at most {_MAX_SEARCH_N} vertices")
+
+
+def _validate(g: Graph, c: AutConstraint) -> None:
+    n = g.n
+    _check_size(n)
 
     def check_vertex(v, what):
         if not (isinstance(v, int) and 0 <= v < n):
@@ -592,19 +596,18 @@ def find_isomorphism(
     h_adj = [h.adjacency_mask(v) for v in range(n)]
     if sorted(a.bit_count() for a in g_adj) != sorted(a.bit_count() for a in h_adj):
         return None
-    if n > _MAX_SEARCH_N:
-        raise SizeGuardError(f"search supports at most {_MAX_SEARCH_N} vertices")
-    full = (1 << n) - 1
+    _check_size(n)
     if g_labels is None:
-        allowed = [full] * n
+        allowed = [(1 << n) - 1] * n
     else:
         by_label: dict = {}
         for w, lab in enumerate(h_labels):
             by_label[lab] = by_label.get(lab, 0) | 1 << w
         allowed = [by_label.get(lab, 0) for lab in g_labels]
     # two labels: 0 for a non-edge, 1 for an edge
-    src = [[full ^ a ^ (1 << v), a] for v, a in enumerate(g_adj)]
-    dst = [[full ^ a ^ (1 << v), a] for v, a in enumerate(h_adj)]
+    edge_labels = [1] * g.edge_count
+    src = _label_rows(g, edge_labels, 2)
+    dst = _label_rows(h, edge_labels, 2)
     res = kernel.search_mapping(kernel.prepare(n, src, dst), allowed)
     if res is None:
         return None

@@ -163,7 +163,6 @@ def cmd_colour(args) -> int:
             g, c, g.n >= 2 and regularity(g) == g.n - 1
         ),
         "distinguishing": True,  # verified inside colour_regular
-        "fallback_layers": sum(1 for a in audit if a.get("fallback")),
         "audit": audit,
     }
     _emit_colouring(g, c, args.format, extra)

@@ -9,6 +9,7 @@ and exhaustive enumeration is the sole authority for negative answers.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -16,7 +17,6 @@ from typing import Iterable, Optional, Sequence
 from .aut import AutConstraint, all_automorphisms, find_automorphism, is_isomorphic
 from .colouring import BLUE, GREEN, PALETTE, RED, EdgeColouring, satisfies_blue_rule
 from .graph import (
-    Edge,
     Graph,
     complete,
     complete_bipartite,
@@ -440,16 +440,22 @@ def scan_conjecture(
     """Distinguishing indices across a corpus; flags every graph that needs
     more than two colours. The expected flagged set at this scale is the
     single-edge graph, the 3-, 4- and 5-cycles, the complete graphs on 4 and
-    5 vertices, and the 3,3 complete bipartite graph."""
+    5 vertices, and the 3,3 complete bipartite graph.
+
+    jobs > 1 scans in a process pool. The pool starts all its workers at
+    once, so it gets no more of them than there are graphs or cores."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     report = ScanReport()
     graphs = list(corpus)
-    if jobs > 1:
+    workers = min(jobs, len(graphs), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         payload = [
             (serialize_graph6(g), max_n, max_colours, budget, with_witness) for g in graphs
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             report.rows.extend(pool.map(_scan_one_graph6, payload))
     else:
         for g in graphs:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .aut import (
@@ -74,18 +73,38 @@ class VerificationError(RuntimeError):
 
 
 @dataclass
+class LayerEdgeClasses:
+    """A slice's incident edges by direction, with the counts f, b, h of
+    forward, back and horizontal edges that every vertex of the slice has."""
+
+    back: list[Edge]
+    forward: list[Edge]
+    horizontal: list[Edge]
+    f: int
+    b: int
+    h: int
+
+
+@dataclass
 class OrbitLayering:
     """Vertex slices (root-stabiliser orbits ordered by distance) with their
-    incident edge sets, the furthest slice each prefix of slices touches, the
-    edge sets settled once a prefix is coloured, and the root stabiliser's
-    generators (the pointwise stabiliser of slice 0)."""
+    incident edges, split by direction in classes, the furthest slice each
+    prefix of slices touches, and the root stabiliser's generators (the
+    pointwise stabiliser of slice 0).
+
+    Once slices 0..i are coloured, the edges with both ends in slices up to
+    reach[i] are settled. outward_edges lists every edge by the slice of its
+    later end, so those are its first settled_count[i] edges: the settled
+    sets are nested, and each holds its slice's incident edges."""
 
     root: int
     layers: list[list[int]]
-    incident_edges: list[list[Edge]]
-    reach: list[int]
-    settled_edges: list[frozenset[Edge]]
     layer_of: dict[int, int]
+    incident_edges: list[list[Edge]]
+    classes: list[LayerEdgeClasses]
+    reach: list[int]
+    outward_edges: tuple[Edge, ...]
+    settled_count: list[int]
     root_generators: list[Permutation]
 
     @property
@@ -95,98 +114,65 @@ class OrbitLayering:
     def earlier_vertices(self, i: int) -> list[int]:
         return [v for layer in self.layers[:i] for v in layer]
 
-    @cached_property
-    def settled_order(self) -> list[tuple[Edge, ...]]:
-        """Each settled edge set in ascending edge order."""
-        return [tuple(sorted(s)) for s in self.settled_edges]
+    def settled_edges(self, i: int) -> tuple[Edge, ...]:
+        return self.outward_edges[: self.settled_count[i]]
 
 
 def build_layering(g: Graph, r: int) -> OrbitLayering:
     """Orbits of the root stabiliser, ordered by (distance from root, least
-    vertex). Ties between orbits at the same distance break by least vertex."""
+    vertex), and one ascending pass over the edges that files each edge
+    under the slices of its two ends. Per-vertex (f, b, h) counts must be
+    uniform across a slice (orbit property), else the layering is broken."""
     if not 0 <= r < g.n:
         raise ValueError(f"root {r} outside vertex range")
     if not is_connected(g):
         raise ValueError("layering requires a connected graph")
     dist = distances_from(g, r)
     gens = stabiliser_generators(g, r)
-    orbits = vertex_orbits(g, gens)
-    layers = sorted(orbits, key=lambda o: (dist[o[0]], o[0]))
+    layers = sorted(vertex_orbits(g, gens), key=lambda o: (dist[o[0]], o[0]))
     if layers[0] != [r]:
         raise AssertionError("root is not alone in its orbit")
     layer_of = {v: i for i, layer in enumerate(layers) for v in layer}
 
-    incident = []
-    for layer in layers:
-        members = set(layer)
-        incident.append(sorted(e for e in g.edges if e[0] in members or e[1] in members))
-
-    touch = []  # furthest layer each single layer touches by an edge
-    for i, es in enumerate(incident):
-        furthest = i
-        for u, v in es:
-            furthest = max(furthest, layer_of[u], layer_of[v])
-        touch.append(furthest)
-    reach = []
-    for i in range(len(layers)):
-        reach.append(max(touch[: i + 1]))
-        if i + 1 < len(layers) and reach[i] < i + 1:
-            raise AssertionError(f"reach({i}) = {reach[i]} below {i + 1}")
-
-    settled = []
-    for i in range(len(layers)):
-        inside = {v for layer in layers[: reach[i] + 1] for v in layer}
-        settled.append(
-            frozenset(e for e in g.edges if e[0] in inside and e[1] in inside)
-        )
-        if i and not settled[i - 1] <= settled[i]:
-            raise AssertionError("settled edge sets are not nested")
-        if not set(incident[i]) <= settled[i]:
-            raise AssertionError(f"incident edges of layer {i} escape settlement")
-
-    return OrbitLayering(r, layers, incident, reach, settled, layer_of, gens)
-
-
-@dataclass
-class LayerEdgeClasses:
-    back: list[Edge]
-    forward: list[Edge]
-    horizontal: list[Edge]
-    f: int
-    b: int
-    h: int
-
-
-def classify_layer(g: Graph, layering: OrbitLayering, i: int) -> LayerEdgeClasses:
-    """Split the edges at slice i by direction; per-vertex counts must be
-    uniform across the slice (orbit property), else the layering is broken."""
-    if not 0 <= i < layering.count:
-        raise ValueError(f"layer index {i} out of range")
-    members = set(layering.layers[i])
-    back, forward, horizontal = [], [], []
-    per_vertex: dict[int, list[int]] = {v: [0, 0, 0] for v in members}
-    for e in layering.incident_edges[i]:
-        u, v = e
-        lu, lv = layering.layer_of[u], layering.layer_of[v]
-        if lu == lv == i:
-            horizontal.append(e)
-            per_vertex[u][2] += 1
-            per_vertex[v][2] += 1
+    k = len(layers)
+    incident, back, forward, horizontal, by_later_end = (
+        [[] for _ in range(k)] for _ in range(5)
+    )
+    fbh = [[0, 0, 0] for _ in range(g.n)]
+    touch = list(range(k))  # furthest slice each slice touches by an edge
+    for e in g.edges:
+        u, v = e if layer_of[e[0]] <= layer_of[e[1]] else e[::-1]
+        i, j = layer_of[u], layer_of[v]
+        incident[i].append(e)
+        if i == j:
+            horizontal[i].append(e)
+            fbh[u][2] += 1
+            fbh[v][2] += 1
         else:
-            inside, outside = (u, v) if lu == i else (v, u)
-            if layering.layer_of[outside] < i:
-                back.append(e)
-                per_vertex[inside][1] += 1
-            else:
-                forward.append(e)
-                per_vertex[inside][0] += 1
-    counts = {tuple(c) for c in per_vertex.values()}
-    if len(counts) != 1:
-        raise AssertionError(f"non-uniform (f,b,h) across layer {i}: {sorted(counts)}")
-    f, b, h = counts.pop()
-    if i > 0 and b == 0:
-        raise AssertionError(f"layer {i} has no back edges")
-    return LayerEdgeClasses(sorted(back), sorted(forward), sorted(horizontal), f, b, h)
+            incident[j].append(e)
+            forward[i].append(e)
+            back[j].append(e)
+            fbh[u][0] += 1
+            fbh[v][1] += 1
+            touch[i] = max(touch[i], j)
+        by_later_end[j].append(e)
+
+    classes = []
+    for i, layer in enumerate(layers):
+        counts = {tuple(fbh[v]) for v in layer}
+        if len(counts) != 1:
+            raise AssertionError(f"non-uniform (f,b,h) across layer {i}: {sorted(counts)}")
+        f, b, h = counts.pop()
+        if i > 0 and b == 0:
+            raise AssertionError(f"layer {i} has no back edges")
+        classes.append(LayerEdgeClasses(back[i], forward[i], horizontal[i], f, b, h))
+
+    reach = list(itertools.accumulate(touch, max))
+    # up_to[s]: the edges whose later end lies in slice s or before
+    up_to = list(itertools.accumulate(map(len, by_later_end)))
+    outward = tuple(itertools.chain.from_iterable(by_later_end))
+    return OrbitLayering(r, layers, layer_of, incident, classes, reach, outward,
+                         [up_to[x] for x in reach], gens)
 
 
 # -- step state -----------------------------------------------------------------
@@ -198,21 +184,16 @@ class StepState:
     layering: OrbitLayering
     degree: int
     colouring: dict[Edge, str]
-    step: int = 0
     horizontal_colours: dict[int, dict[Edge, str]] = field(default_factory=dict)
-    classes: dict[int, LayerEdgeClasses] = field(default_factory=dict)
-    previous: Optional[dict[Edge, str]] = None
     audit: list[dict] = field(default_factory=list)
-    # (j, colours on layering.settled_order[j]) -> does a root-fixing map
+    # (j, colours on layering.settled_edges(j)) -> does a root-fixing map
     # preserving those colours move slice j (see _settled_slice_movable)
     settled_verdicts: dict[tuple, bool] = field(default_factory=dict)
-    # slice i -> persistent generators; colour_horizontal drops stale entries
+    # slice i -> generators of its persistent group: the automorphisms that
+    # fix every earlier slice pointwise and preserve slice i's horizontal
+    # colouring. They fix the root, so they map every slice onto itself.
+    # colour_horizontal sets them when it installs slice i's colours
     persistent_gens: dict[int, list[Permutation]] = field(default_factory=dict)
-
-    def layer_classes(self, i: int) -> LayerEdgeClasses:
-        if i not in self.classes:
-            self.classes[i] = classify_layer(self.graph, self.layering, i)
-        return self.classes[i]
 
     def earlier_stabiliser(
         self, i: int, colours: Optional[dict[Edge, str]] = None
@@ -227,16 +208,6 @@ class StepState:
             self.graph, self.layering.earlier_vertices(i), colours
         )
 
-    def persistent_generators(self, i: int) -> list[Permutation]:
-        """Generators of slice i's persistent group: the automorphisms that
-        fix every earlier slice pointwise and preserve slice i's horizontal
-        colouring. They fix the root, so they map every slice onto itself."""
-        if i not in self.persistent_gens:
-            self.persistent_gens[i] = self.earlier_stabiliser(
-                i, self.horizontal_colours.get(i, {})
-            )
-        return self.persistent_gens[i]
-
 
 def initial_colouring(g: Graph, r: int) -> StepState:
     """Blue at the root, green everywhere else."""
@@ -246,7 +217,7 @@ def initial_colouring(g: Graph, r: int) -> StepState:
     if deg is None:
         raise ValueError("layered colouring expects a regular graph")
     state = StepState(g, layering, deg, colours)
-    state.audit.append({"layer": 0, "rule": "root", "decorations": [], "fallback": False})
+    state.audit.append({"layer": 0, "rule": "root", "decorations": []})
     return state
 
 
@@ -267,7 +238,7 @@ def _matching_orbit_colours(orbits: Sequence[Sequence[Edge]]) -> dict[Edge, str]
 
 
 def _horizontal_components(state: StepState, i: int) -> list[tuple[int, ...]]:
-    cls = state.layer_classes(i)
+    cls = state.layering.classes[i]
     members = state.layering.layers[i]
     if cls.h == 0:
         return [(v,) for v in members]
@@ -293,16 +264,18 @@ def _horizontal_components(state: StepState, i: int) -> list[tuple[int, ...]]:
     return sorted(comps)
 
 
-def colour_horizontal(g: Graph, state: StepState, i: int, verify: bool = False,
+def colour_horizontal(state: StepState, i: int, verify: bool = False,
                       budget: int = 10**8) -> StepState:
     """Colour the edges inside slice i.
 
     h = 0: nothing to do. h = 1: the slice's matching edges get a balanced
     colouring over their orbits under the pointwise stabiliser of everything
     earlier. h >= 2: every component is a regular graph of smaller degree;
-    recurse and install.
+    recurse and install. Then slice i's persistent generators are computed
+    under the installed colours.
     """
-    cls = state.layer_classes(i)
+    g = state.graph
+    cls = state.layering.classes[i]
     installed: dict[Edge, str] = {}
     if cls.h == 0:
         rule = "H0"
@@ -327,10 +300,8 @@ def colour_horizontal(g: Graph, state: StepState, i: int, verify: bool = False,
                 installed[edge(labels[a], labels[b])] = col
     state.colouring.update(installed)
     state.horizontal_colours[i] = installed
-    state.persistent_gens.pop(i, None)
-    state.audit.append(
-        {"layer": i, "rule": rule, "decorations": [], "fallback": False}
-    )
+    state.persistent_gens[i] = state.earlier_stabiliser(i, installed)
+    state.audit.append({"layer": i, "rule": rule, "decorations": []})
     return state
 
 
@@ -348,7 +319,7 @@ class Decoration:
 
 
 def _decoration_sites(state: StepState, i: int, comp: tuple[int, ...]) -> list[int]:
-    cls = state.layer_classes(i)
+    cls = state.layering.classes[i]
     if cls.h == 0:
         return list(comp)
     if cls.h == 1:
@@ -369,19 +340,17 @@ def _decoration_back_edges(state: StepState, i: int, sites: set[int]) -> list[Ed
     site when h <= 1 and a distinguishing colouring of its own when h >= 2."""
     return [
         e
-        for e in state.layer_classes(i).back
+        for e in state.layering.classes[i].back
         if (e[0] in sites or e[1] in sites) and state.colouring[e] != BLUE
     ]
 
 
-def enumerate_decorations(
-    g: Graph, state: StepState, i: int, comp: tuple[int, ...]
-) -> list[Decoration]:
+def enumerate_decorations(state: StepState, i: int, comp: tuple[int, ...]) -> list[Decoration]:
     """Candidate decorations at a component: one forward subset per size
     (lexicographically least), crossed with the allowed back-edge shapes
     (empty, one currently-red edge, two currently-green edges) drawn from
     back edges no persistent automorphism can move onto each other."""
-    cls = state.layer_classes(i)
+    cls = state.layering.classes[i]
     sites = set(_decoration_sites(state, i, comp))
     fwd = sorted(e for e in cls.forward if e[0] in sites or e[1] in sites)
     kept = _decoration_back_edges(state, i, sites)
@@ -397,9 +366,7 @@ def enumerate_decorations(
     ]
 
 
-def decoration_is_asymmetric(
-    g: Graph, state: StepState, i: int, d: Decoration
-) -> bool:
+def decoration_is_asymmetric(state: StepState, i: int, d: Decoration) -> bool:
     """No nontrivial persistent automorphism maps the component onto itself
     while mapping the decoration onto itself. Read off the persistent orbits:
 
@@ -411,10 +378,10 @@ def decoration_is_asymmetric(
     decoration is left with such a swap exactly when some persistent map
     sends u to v, because uv is the only horizontal edge at v.
     """
-    if state.layer_classes(i).h != 1 or d.forward_red or d.back_blue:
+    if state.layering.classes[i].h != 1 or d.forward_red or d.back_blue:
         return True
     u, v = d.component
-    orbits = vertex_orbits(g, state.persistent_generators(i), state.layering.layers[i])
+    orbits = vertex_orbits(state.graph, state.persistent_gens[i], state.layering.layers[i])
     return not any(u in o and v in o for o in orbits)
 
 
@@ -442,9 +409,7 @@ def _carrier(
     return None
 
 
-def decorations_similar(
-    g: Graph, state: StepState, i: int, d1: Decoration, d2: Decoration
-) -> bool:
+def decorations_similar(state: StepState, i: int, d1: Decoration, d2: Decoration) -> bool:
     """True iff a persistent automorphism carries one decorated component
     onto the other, decoration included.
 
@@ -468,7 +433,8 @@ def decorations_similar(
         targets = set(_decoration_sites(state, i, d2.component))
     else:
         source, targets = d1.component[0], set(d2.component)
-    t = _carrier(g, state.persistent_generators(i), source, targets)
+    g = state.graph
+    t = _carrier(g, state.persistent_gens[i], source, targets)
     if t is None or {t.edge_image(e) for e in d1.back_blue} != set(d2.back_blue):
         return False
     if not d1.forward_red:
@@ -497,33 +463,33 @@ def decorations_similar(
     return find_automorphism(g, c) is not None
 
 
-def _component_orbits(g: Graph, state: StepState, i: int) -> list[list[tuple[int, ...]]]:
+def _component_orbits(state: StepState, i: int) -> list[list[tuple[int, ...]]]:
     """Slice i's horizontal components grouped into persistent orbits, in
     order of first appearance. The persistent group maps the slice's
     horizontal edges onto themselves, hence components onto components: two
     lie in one orbit exactly when a vertex orbit meets both, and the least
     vertex of the orbits a component meets names its orbit."""
-    gens = state.persistent_generators(i)
-    least = {v: o[0] for o in vertex_orbits(g, gens, state.layering.layers[i]) for v in o}
+    orbits = vertex_orbits(state.graph, state.persistent_gens[i], state.layering.layers[i])
+    least = {v: o[0] for o in orbits for v in o}
     grouped: dict[int, list[tuple[int, ...]]] = {}
     for comp in _horizontal_components(state, i):
         grouped.setdefault(min(least[v] for v in comp), []).append(comp)
     return list(grouped.values())
 
 
-def assign_decorations(g: Graph, state: StepState, i: int) -> StepState:
+def assign_decorations(state: StepState, i: int) -> StepState:
     """Greedy decoration assignment: components are grouped into orbits under
     persistent automorphisms; within an orbit each component receives an
     asymmetric decoration not similar to any earlier one, the first taking
     the empty decoration whenever it qualifies."""
-    cls = state.layer_classes(i)
+    cls = state.layering.classes[i]
     entries = []
-    for orbit in _component_orbits(g, state, i):
+    for orbit in _component_orbits(state, i):
         n_k = len(orbit)
         chosen: list[Decoration] = []
         for comp in orbit:
-            cands = enumerate_decorations(g, state, i, comp)
-            asym = [d for d in cands if decoration_is_asymmetric(g, state, i, d)]
+            cands = enumerate_decorations(state, i, comp)
+            asym = [d for d in cands if decoration_is_asymmetric(state, i, d)]
             if state.degree >= 5:
                 if len(asym) < n_k:
                     raise AssertionError(
@@ -536,7 +502,7 @@ def assign_decorations(g: Graph, state: StepState, i: int) -> StepState:
                     )
             pick = None
             for d in asym:
-                if all(not decorations_similar(g, state, i, d, prev) for prev in chosen):
+                if all(not decorations_similar(state, i, d, prev) for prev in chosen):
                     pick = d
                     break
             if pick is None:
@@ -559,71 +525,71 @@ def assign_decorations(g: Graph, state: StepState, i: int) -> StepState:
                     "asymmetric": len(asym),
                 }
             )
-    for entry in state.audit:
-        if entry["layer"] == i:
-            entry["decorations"] = entries
-            break
+    state.audit[-1]["decorations"] = entries  # the entry colour_horizontal appended
     return state
 
 
 # -- step property checks -----------------------------------------------------------
 
 
-def check_step_properties(g: Graph, state: StepState) -> list[str]:
-    """Audit the invariants that keep the construction on track after the
-    current step; an empty list means the step is clean."""
-    i = state.step
+def check_step_properties(
+    state: StepState, i: int, previous: Optional[dict[Edge, str]] = None
+) -> list[str]:
+    """Audit the invariants that keep the construction on track after step
+    i; an empty list means the step is clean. Given the colouring from
+    before the step, also check that the step changed only slice i's
+    incident edges."""
+    g = state.graph
     lay = state.layering
     r = lay.root
     col = state.colouring
+    slice_of = lay.layer_of
     violations = []
 
     blue_only = all_blue_vertices(g, col)
     if blue_only != [r]:
         violations.append(f"all-blue vertices {blue_only} instead of [{r}]")
 
-    if state.previous is not None and i > 0:
-        allowed = set(lay.incident_edges[i])
-        diff = [e for e in g.edges if col[e] != state.previous[e]]
-        if not set(diff) <= allowed:
-            violations.append(f"colours changed outside the layer: {sorted(set(diff) - allowed)}")
+    if previous is not None and i > 0:
+        outside = [e for e in g.edges if col[e] != previous[e]
+                   and i not in (slice_of[e[0]], slice_of[e[1]])]
+        if outside:
+            violations.append(f"colours changed outside the layer: {outside}")
 
-    coloured_layers = {e for j in range(i + 1) for e in lay.incident_edges[j]}
     for e in g.edges:
-        if e not in coloured_layers and col[e] != GREEN:
+        if min(slice_of[e[0]], slice_of[e[1]]) > i and col[e] != GREEN:
             violations.append(f"untouched edge {e} is {col[e]}, not green")
             break
 
-    inside = {v for layer in lay.layers[: i + 1] for v in layer}
     for e, c in col.items():
-        if c == BLUE and r not in e and not (e[0] in inside and e[1] in inside):
+        if c == BLUE and r not in e and max(slice_of[e[0]], slice_of[e[1]]) > i:
             violations.append(f"blue edge {e} escapes the settled region")
             break
 
     for j in range(i + 1):
-        if _settled_slice_movable(g, state, j):
+        if _settled_slice_movable(state, j):
             violations.append(
                 f"a root-fixing map preserving the settled colouring moves layer {j}"
             )
     return violations
 
 
-def _settled_slice_movable(g: Graph, state: StepState, j: int) -> bool:
+def _settled_slice_movable(state: StepState, j: int) -> bool:
     """Does a root-fixing automorphism that preserves the state's colouring on
     the edges settled by slice j move some vertex of slice j?
 
     The verdict depends only on j and the colours of those edges, so it is
     memoised on the state under that key and a repeated query is answered
-    without a search. g must be the state's graph.
+    without a search.
     """
     lay = state.layering
-    order = lay.settled_order[j]
+    order = lay.settled_edges(j)
     colours = tuple([state.colouring[e] for e in order])
     key = (j, colours)
     verdict = state.settled_verdicts.get(key)
     if verdict is None:
         w = find_automorphism(
-            g,
+            state.graph,
             AutConstraint(
                 pinned={lay.root: lay.root},
                 colour_preserve=dict(zip(order, colours)),
@@ -642,15 +608,14 @@ def _layered_pipeline(
 ) -> EdgeColouring:
     state = initial_colouring(g, root)
     if verify:
-        bad = check_step_properties(g, state)
+        bad = check_step_properties(state, 0)
         if bad:
             raise StepPropertyError(0, bad)
     for i in range(1, state.layering.count):
-        state.previous = dict(state.colouring)
-        state.step = i
-        colour_horizontal(g, state, i, verify=verify, budget=budget)
-        assign_decorations(g, state, i)
-        bad = check_step_properties(g, state) if verify else []
+        previous = dict(state.colouring) if verify else None
+        colour_horizontal(state, i, verify=verify, budget=budget)
+        assign_decorations(state, i)
+        bad = check_step_properties(state, i, previous) if verify else []
         if bad:
             raise StepPropertyError(i, bad)
     if audit is not None:
@@ -720,13 +685,11 @@ def colour_regular(
         if result is None:
             raise VerificationError("complete graph search found no colouring")
         if audit is not None:
-            audit.append({"layer": None, "rule": "complete-search", "decorations": [],
-                          "fallback": False})
+            audit.append({"layer": None, "rule": "complete-search", "decorations": []})
     elif deg == 2:
         result = _colour_cycle_graph(g, budget)
         if audit is not None:
-            audit.append({"layer": None, "rule": "cycle", "decorations": [],
-                          "fallback": False})
+            audit.append({"layer": None, "rule": "cycle", "decorations": []})
     else:
         result = _layered_pipeline(g, root, verify, budget, audit)
 

@@ -53,7 +53,6 @@ def test_colour_petersen_json(capsys):
     assert payload["distinguishing"] is True
     assert payload["blue_rule_ok"] is True
     assert len(payload["colouring"]) == 15
-    assert payload["fallback_layers"] == 0
 
 
 def test_colour_k2_exit_code(capsys):
@@ -178,6 +177,14 @@ def test_scan_malformed_line_becomes_error_row(tmp_path, capsys, jobs):
     ]
     assert rows[1]["line"] == 2 and "alphabet" in rows[1]["error"]
     assert "line" not in rows[0] and "line" not in rows[2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_scan_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(serialize_graph6(cycle(5)) + "\n")
+    code, out, err = run(capsys, "scan", "--file", str(corpus), "--jobs", jobs)
+    assert code == 2 and out == "" and "jobs" in err
 
 
 def test_scan_exit_code_unexpected_beats_malformed():

@@ -322,6 +322,45 @@ def test_scan_parallel_matches_serial():
     assert [r["dprime"] for r in serial.rows] == [r["dprime"] for r in par.rows]
 
 
+def test_scan_pool_bounded_by_graphs_and_cores(monkeypatch):
+    # a fake pool records its size and maps serially, so no process starts
+    import concurrent.futures
+    import os
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    graphs = [cycle(n) for n in range(3, 8)]
+    serial = scan_conjecture(graphs).rows
+    for cores, jobs, want in [(2, 2, [2]), (2, 1000, [2]), (8, 3, [3]), (8, 1000, [5]),
+                              (None, 1000, []), (1, 4, [])]:
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert scan_conjecture(graphs, jobs=jobs).rows == serial
+        assert sizes == want, (cores, jobs, sizes)
+    sizes.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert scan_conjecture(graphs[:1], jobs=4).rows == serial[:1]
+    assert scan_conjecture([], jobs=4).rows == []
+    assert sizes == []
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            scan_conjecture(graphs, jobs=jobs)
+
+
 def test_monotone_witness_property():
     # any witness returned at k colours certifies the index is <= k
     for g in (cycle(8), petersen(), complete_bipartite(4, 4)):
