@@ -262,22 +262,17 @@ def find_automorphism(g: Graph, c: Optional[AutConstraint] = None) -> Optional[P
         if all(alone >> x & 1 for x in probes):
             return None
     run = _searcher(g, rows)
-    for k, x in enumerate(probes):
-        if alone >> x & 1:
-            continue
-        masks = list(allowed)
-        dead = False
-        for y in probes[:k]:
-            masks[y] &= 1 << y
-            if masks[y] == 0:
-                dead = True
-                break
-        masks[x] &= ~(1 << x)
-        if dead or masks[x] == 0:
-            continue
-        found = run(masks, c)
-        if found is not None:
-            return found
+    masks = list(allowed)  # each passed probe pinned to itself
+    for x in probes:
+        if not alone >> x & 1 and masks[x] & ~(1 << x):
+            rung = list(masks)
+            rung[x] &= ~(1 << x)
+            found = run(rung, c)
+            if found is not None:
+                return found
+        masks[x] &= 1 << x
+        if masks[x] == 0:
+            return None
     return None
 
 

@@ -38,7 +38,7 @@ from .colouring import (
     all_blue_vertices,
     satisfies_blue_rule,
 )
-from .distinguishing import is_distinguishing, search_colouring
+from .distinguishing import DEFAULT_BUDGET, is_distinguishing, search_colouring
 from .graph import Edge, Graph, distances_from, edge, is_connected, regularity
 
 
@@ -75,7 +75,8 @@ class VerificationError(RuntimeError):
 @dataclass
 class LayerEdgeClasses:
     """A slice's incident edges by direction, with the counts f, b, h of
-    forward, back and horizontal edges that every vertex of the slice has."""
+    forward, back and horizontal edges that every vertex of the slice has,
+    and the components of its horizontal edges (sorted tuples, in order)."""
 
     back: list[Edge]
     forward: list[Edge]
@@ -83,12 +84,13 @@ class LayerEdgeClasses:
     f: int
     b: int
     h: int
+    components: list[tuple[int, ...]]
 
 
 @dataclass
 class OrbitLayering:
     """Vertex slices (root-stabiliser orbits ordered by distance) with their
-    incident edges, split by direction in classes, the furthest slice each
+    incident edges split by direction in classes, the furthest slice each
     prefix of slices touches, and the root stabiliser's generators (the
     pointwise stabiliser of slice 0).
 
@@ -100,7 +102,6 @@ class OrbitLayering:
     root: int
     layers: list[list[int]]
     layer_of: dict[int, int]
-    incident_edges: list[list[Edge]]
     classes: list[LayerEdgeClasses]
     reach: list[int]
     outward_edges: tuple[Edge, ...]
@@ -121,8 +122,9 @@ class OrbitLayering:
 def build_layering(g: Graph, r: int) -> OrbitLayering:
     """Orbits of the root stabiliser, ordered by (distance from root, least
     vertex), and one ascending pass over the edges that files each edge
-    under the slices of its two ends. Per-vertex (f, b, h) counts must be
-    uniform across a slice (orbit property), else the layering is broken."""
+    under the slices of its two ends and merges the horizontal components
+    of a horizontal edge's ends. Per-vertex (f, b, h) counts must be uniform
+    across a slice (orbit property), else the layering is broken."""
     if not 0 <= r < g.n:
         raise ValueError(f"root {r} outside vertex range")
     if not is_connected(g):
@@ -135,21 +137,23 @@ def build_layering(g: Graph, r: int) -> OrbitLayering:
     layer_of = {v: i for i, layer in enumerate(layers) for v in layer}
 
     k = len(layers)
-    incident, back, forward, horizontal, by_later_end = (
-        [[] for _ in range(k)] for _ in range(5)
-    )
+    back, forward, horizontal, by_later_end = ([[] for _ in range(k)] for _ in range(4))
     fbh = [[0, 0, 0] for _ in range(g.n)]
+    comp = [[v] for v in range(g.n)]  # comp[v]: v's horizontal component so far
     touch = list(range(k))  # furthest slice each slice touches by an edge
     for e in g.edges:
         u, v = e if layer_of[e[0]] <= layer_of[e[1]] else e[::-1]
         i, j = layer_of[u], layer_of[v]
-        incident[i].append(e)
         if i == j:
             horizontal[i].append(e)
             fbh[u][2] += 1
             fbh[v][2] += 1
+            big, small = sorted((comp[u], comp[v]), key=len, reverse=True)
+            if big is not small:
+                big += small
+                for w in small:
+                    comp[w] = big
         else:
-            incident[j].append(e)
             forward[i].append(e)
             back[j].append(e)
             fbh[u][0] += 1
@@ -165,13 +169,14 @@ def build_layering(g: Graph, r: int) -> OrbitLayering:
         f, b, h = counts.pop()
         if i > 0 and b == 0:
             raise AssertionError(f"layer {i} has no back edges")
-        classes.append(LayerEdgeClasses(back[i], forward[i], horizontal[i], f, b, h))
+        components = sorted({tuple(sorted(comp[v])) for v in layer})
+        classes.append(LayerEdgeClasses(back[i], forward[i], horizontal[i], f, b, h, components))
 
     reach = list(itertools.accumulate(touch, max))
     # up_to[s]: the edges whose later end lies in slice s or before
     up_to = list(itertools.accumulate(map(len, by_later_end)))
     outward = tuple(itertools.chain.from_iterable(by_later_end))
-    return OrbitLayering(r, layers, layer_of, incident, classes, reach, outward,
+    return OrbitLayering(r, layers, layer_of, classes, reach, outward,
                          [up_to[x] for x in reach], gens)
 
 
@@ -184,7 +189,6 @@ class StepState:
     layering: OrbitLayering
     degree: int
     colouring: dict[Edge, str]
-    horizontal_colours: dict[int, dict[Edge, str]] = field(default_factory=dict)
     audit: list[dict] = field(default_factory=list)
     # (j, colours on layering.settled_edges(j)) -> does a root-fixing map
     # preserving those colours move slice j (see _settled_slice_movable)
@@ -237,42 +241,15 @@ def _matching_orbit_colours(orbits: Sequence[Sequence[Edge]]) -> dict[Edge, str]
     return out
 
 
-def _horizontal_components(state: StepState, i: int) -> list[tuple[int, ...]]:
-    cls = state.layering.classes[i]
-    members = state.layering.layers[i]
-    if cls.h == 0:
-        return [(v,) for v in members]
-    adj: dict[int, set[int]] = {v: set() for v in members}
-    for u, v in cls.horizontal:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen: set[int] = set()
-    comps = []
-    for v in members:
-        if v in seen:
-            continue
-        comp = {v}
-        queue = [v]
-        while queue:
-            x = queue.pop()
-            for w in adj[x]:
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return sorted(comps)
-
-
 def colour_horizontal(state: StepState, i: int, verify: bool = False,
-                      budget: int = 10**8) -> StepState:
+                      budget: int = DEFAULT_BUDGET) -> StepState:
     """Colour the edges inside slice i.
 
     h = 0: nothing to do. h = 1: the slice's matching edges get a balanced
     colouring over their orbits under the pointwise stabiliser of everything
     earlier. h >= 2: every component is a regular graph of smaller degree;
-    recurse and install. Then slice i's persistent generators are computed
-    under the installed colours.
+    recurse and install. No later step recolours these edges. Then slice
+    i's persistent generators are computed under the installed colours.
     """
     g = state.graph
     cls = state.layering.classes[i]
@@ -289,7 +266,7 @@ def colour_horizontal(state: StepState, i: int, verify: bool = False,
         if not 2 <= cls.h < state.degree:
             raise AssertionError(f"horizontal degree {cls.h} out of range at layer {i}")
         hgraph = Graph(g.n, cls.horizontal)
-        for comp in _horizontal_components(state, i):
+        for comp in cls.components:
             sub, labels = hgraph.induced(comp)
             try:
                 sub_colouring = colour_regular(sub, verify=verify, budget=budget)
@@ -299,7 +276,6 @@ def colour_horizontal(state: StepState, i: int, verify: bool = False,
             for (a, b), col in sub_colouring.assignment.items():
                 installed[edge(labels[a], labels[b])] = col
     state.colouring.update(installed)
-    state.horizontal_colours[i] = installed
     state.persistent_gens[i] = state.earlier_stabiliser(i, installed)
     state.audit.append({"layer": i, "rule": rule, "decorations": []})
     return state
@@ -324,13 +300,8 @@ def _decoration_sites(state: StepState, i: int, comp: tuple[int, ...]) -> list[i
         return list(comp)
     if cls.h == 1:
         return [min(comp)]
-    horiz = state.horizontal_colours[i]
-    sites = []
-    for v in comp:
-        own = [e for e in horiz if v in e]
-        if any(horiz[e] != BLUE for e in own):
-            sites.append(v)
-    return sites
+    col = state.colouring
+    return [v for v in comp if any(col[e] != BLUE for e in cls.horizontal if v in e)]
 
 
 def _decoration_back_edges(state: StepState, i: int, sites: set[int]) -> list[Edge]:
@@ -458,7 +429,7 @@ def decorations_similar(state: StepState, i: int, d1: Decoration, d2: Decoration
         pinned={v: t(v) for v in d1.component},
         pointwise_fixed=frozenset(state.layering.earlier_vertices(i)),
         setwise_pairs=[(ends1[lab], ends2[lab]) for lab in ends1],
-        colour_preserve=state.horizontal_colours.get(i, {}),
+        colour_preserve={e: state.colouring[e] for e in state.layering.classes[i].horizontal},
     )
     return find_automorphism(g, c) is not None
 
@@ -472,7 +443,7 @@ def _component_orbits(state: StepState, i: int) -> list[list[tuple[int, ...]]]:
     orbits = vertex_orbits(state.graph, state.persistent_gens[i], state.layering.layers[i])
     least = {v: o[0] for o in orbits for v in o}
     grouped: dict[int, list[tuple[int, ...]]] = {}
-    for comp in _horizontal_components(state, i):
+    for comp in state.layering.classes[i].components:
         grouped.setdefault(min(least[v] for v in comp), []).append(comp)
     return list(grouped.values())
 
@@ -654,7 +625,7 @@ def colour_regular(
     g: Graph,
     root: int = 0,
     verify: bool = False,
-    budget: int = 10**8,
+    budget: int = DEFAULT_BUDGET,
     audit: Optional[list] = None,
 ) -> EdgeColouring:
     """Distinguishing edge colouring with at most three colours for any

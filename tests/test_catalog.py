@@ -281,6 +281,24 @@ def test_eleven_vertex_counts_match_published(monkeypatch):
     assert calls and True not in calls  # (11, 4): every duplicate was a memo hit
 
 
+def test_twelve_vertex_cubic_count_keeps_memo_in_lists(monkeypatch):
+    # keys of n = 12 graphs take 66 bits, so the memo's runs are lists, not
+    # array('Q'); OEIS A002851 has 85 connected cubic graphs on 12 vertices
+    calls = []
+    search = catalog.find_isomorphism
+
+    def counted(*args):
+        w = search(*args)
+        calls.append(w is not None)
+        return w
+
+    monkeypatch.setattr(catalog, "find_isomorphism", counted)
+    graphs = catalog.connected_regular_graphs.__wrapped__(12, 3)
+    assert len(graphs) == 85
+    assert all(g.n == 12 and regularity(g) == 3 and is_connected(g) for g in graphs)
+    assert True not in calls  # every duplicate was a memo hit
+
+
 def _invariant_projection(g):
     # the bitmask invariants, projected onto the reference's fields
     gir, per_vertex = _vertex_invariants(g)

@@ -265,6 +265,42 @@ def test_witness_verifies_each_probe_colouring_once(monkeypatch, g, k):
     assert w == first
 
 
+def test_verifier_only_enumeration_matches_killer_list(monkeypatch):
+    # above _GROUP_ENUM_LIMIT automorphisms the exhaustive scan checks each
+    # colouring with is_distinguishing instead of the list of automorphisms
+    # that preserve it; with the limit at 1 every symmetric graph here takes
+    # that branch, and the indices and witnesses must not change. K_{1,5}
+    # needs five colours, so both scans refuse it
+    import edgesym.distinguishing as dist
+
+    graphs = [cycle(3), cycle(4), cycle(5), complete(4), complete(5),
+              complete_bipartite(3, 3), complete_bipartite(1, 5)]
+
+    def index(g):
+        try:
+            return distinguishing_index_with_witness(g)
+        except MaxColoursExceededError:
+            return "refused"
+
+    def answers():
+        return ([index(g) for g in graphs],
+                [search_colouring(complete(n), 3, star_constraint=True) for n in (3, 4, 5)])
+
+    want = answers()
+    enumerate_group = dist.all_automorphisms
+    over_limit = []
+
+    def enumerated(g, limit):
+        group = enumerate_group(g, limit=limit)
+        over_limit.append(group is None)
+        return group
+
+    monkeypatch.setattr(dist, "_GROUP_ENUM_LIMIT", 1)
+    monkeypatch.setattr(dist, "all_automorphisms", enumerated)
+    assert answers() == want
+    assert len(over_limit) >= 8 and all(over_limit), over_limit
+
+
 def test_hamiltonian_path_finder():
     p = hamiltonian_path(petersen())
     assert p is not None and sorted(p) == list(range(10))

@@ -31,7 +31,6 @@ from edgesym.layered import (
     _component_orbits,
     _decoration_back_edges,
     _decoration_sites,
-    _horizontal_components,
     _matching_orbit_colours,
     assign_decorations,
     build_layering,
@@ -71,6 +70,17 @@ def advance(g, upto, r=0, decorate_last=True):
     return state
 
 
+def incident_edges(lay, i):
+    """Slice i's incident edges: its back, forward and horizontal edges."""
+    cls = lay.classes[i]
+    return cls.back + cls.forward + cls.horizontal
+
+
+def slice_colours(state, i):
+    """Slice i's horizontal colours: the state's colouring on its horizontal edges."""
+    return {e: state.colouring[e] for e in state.layering.classes[i].horizontal}
+
+
 # -- layering -------------------------------------------------------------------
 
 
@@ -81,7 +91,7 @@ def test_build_layering_petersen():
     assert lay.layers[0] == [0]
     # settled edge sets grow and absorb each layer's incident edges
     for i in range(lay.count):
-        assert set(lay.incident_edges[i]) <= set(lay.settled_edges(i))
+        assert set(incident_edges(lay, i)) <= set(lay.settled_edges(i))
         if i:
             assert set(lay.settled_edges(i - 1)) <= set(lay.settled_edges(i))
 
@@ -141,11 +151,12 @@ def test_layering_matches_brute_classification():
             touch = []
             for i, layer in enumerate(lay.layers):
                 incident = [e for e in g.edges if i in at(e)]
-                assert lay.incident_edges[i] == incident
+                assert sorted(incident_edges(lay, i)) == incident
                 cls = lay.classes[i]
                 assert cls.horizontal == [e for e in incident if at(e) == (i, i)]
                 assert cls.back == [e for e in incident if min(at(e)) < i]
                 assert cls.forward == [e for e in incident if max(at(e)) > i]
+                assert cls.components == _brute_components(layer, cls.horizontal)
                 for v in layer:
                     own = [e for e in incident if v in e]
                     assert cls.h == sum(at(e) == (i, i) for e in own)
@@ -159,11 +170,32 @@ def test_layering_matches_brute_classification():
                 settled = lay.settled_edges(i)
                 assert len(settled) == len(set(settled))
                 assert set(settled) == {e for e in g.edges if max(at(e)) <= lay.reach[i]}
-                assert set(lay.incident_edges[i]) <= set(settled)
+                assert set(incident_edges(lay, i)) <= set(settled)
                 if i:
                     assert lay.settled_edges(i - 1) == settled[: len(lay.settled_edges(i - 1))]
             layerings += 1
     assert layerings >= 60, layerings
+
+
+def _brute_components(members, horizontal):
+    # connected components of a slice's horizontal edges by a walk from each
+    # unvisited member: sorted tuples, in sorted order
+    adj = {v: set() for v in members}
+    for u, v in horizontal:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen, comps = set(), []
+    for v in members:
+        if v in seen:
+            continue
+        comp, queue = {v}, [v]
+        while queue:
+            for w in adj[queue.pop()] - comp:
+                comp.add(w)
+                queue.append(w)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return sorted(comps)
 
 
 def test_persistent_generators_set_by_colour_horizontal():
@@ -180,7 +212,7 @@ def test_persistent_generators_set_by_colour_horizontal():
         lay = state.layering
         for i in range(1, lay.count):
             colour_horizontal(state, i)
-            colours = state.horizontal_colours[i]
+            colours = slice_colours(state, i)
             gens = state.persistent_gens[i]
             if i == 1 and not colours:
                 assert gens is lay.root_generators
@@ -253,14 +285,14 @@ def test_h1_on_prism_layer1():
     # the layer {1,2} carries the single matching edge (1,2); its orbit under
     # the stabiliser of vertex 0 is a singleton, so it stays green
     assert state.audit[-1]["rule"] == "H1"
-    assert state.horizontal_colours[1] == {(1, 2): GREEN}
+    assert slice_colours(state, 1) == {(1, 2): GREEN}
 
 
 def test_h2plus_on_complete5_layer1():
     g = complete(5)
     state = advance(g, 1, decorate_last=False)
     assert state.audit[-1]["rule"] == "H2plus"
-    horiz = state.horizontal_colours[1]
+    horiz = slice_colours(state, 1)
     assert set(horiz) == {e for e in g.edges if 0 not in e}
     sub = Graph(5, list(horiz))
     comp_colouring = EdgeColouring(horiz)
@@ -278,8 +310,13 @@ def test_h2plus_on_octahedron():
     state = advance(g, 1, decorate_last=False)
     assert state.audit[-1]["rule"] == "H2plus"
     # layer 1 induces a 4-cycle; its recursive colouring breaks the component
-    comps = [e for e in state.horizontal_colours[1]]
-    assert len(comps) == 4
+    horiz = slice_colours(state, 1)
+    assert len(horiz) == 4
+    cyc, labels = Graph(6, list(horiz)).induced(state.layering.layers[1])
+    relabel = {v: i for i, v in enumerate(labels)}
+    assert is_distinguishing(
+        cyc, EdgeColouring({edge(relabel[u], relabel[v]): c for (u, v), c in horiz.items()})
+    )
 
 
 # -- persistence ---------------------------------------------------------------------
@@ -290,7 +327,7 @@ def test_persistent_identity_always_exists():
     # it is the whole group, so no generator is listed
     g = petersen()
     state = advance(g, 1, decorate_last=False)
-    colours = state.horizontal_colours[1]
+    colours = slice_colours(state, 1)
     c = AutConstraint(pointwise_fixed=frozenset(state.layering.earlier_vertices(1)),
                       colour_preserve=colours)
     assert constraint_holds_naive(g, c, Permutation.identity(g.n).images)
@@ -305,7 +342,7 @@ def test_persistent_nontrivial_on_petersen_layer1():
     gens = state.persistent_gens[1]
     assert gens
     fixed = AutConstraint(pointwise_fixed=frozenset({0}),
-                          colour_preserve=state.horizontal_colours[1])
+                          colour_preserve=slice_colours(state, 1))
     for p in gens:
         assert not p.is_identity
         assert constraint_holds_naive(g, fixed, p.images)
@@ -322,14 +359,14 @@ def _brute_persistent_group(g, state, i, automorphisms):
     # slice i's persistent group as the automorphisms that fix every earlier
     # slice pointwise and preserve slice i's horizontal colours
     c = AutConstraint(pointwise_fixed=frozenset(state.layering.earlier_vertices(i)),
-                      colour_preserve=state.horizontal_colours.get(i, {}))
+                      colour_preserve=slice_colours(state, i))
     return [p for p in automorphisms if constraint_holds_naive(g, c, p)]
 
 
 def _brute_component_orbits(state, i, group):
     # components grouped by whether a group element maps one onto the other
     orbits = []
-    for comp in _horizontal_components(state, i):
+    for comp in state.layering.classes[i].components:
         for orbit in orbits:
             rep = frozenset(orbit[0])
             if any(frozenset(p[v] for v in comp) == rep for p in group):
@@ -373,7 +410,7 @@ def test_component_orbits_follow_crossed_generators():
     # The two components still form one orbit
     g = parse_graph6("FFzvO")
     state = advance(g, 1, decorate_last=False)
-    assert _horizontal_components(state, 1) == [(3, 5), (4, 6)]
+    assert state.layering.classes[1].components == [(3, 5), (4, 6)]
     state.persistent_gens[1] = [Permutation((0, 1, 2, 6, 5, 4, 3))]
     assert _component_orbits(state, 1) == [[(3, 5), (4, 6)]]
     state.persistent_gens[1] = []
@@ -407,7 +444,7 @@ def test_orbit_answers_match_pairwise_searches():
             grouped += any(len(o) > 1 for o in orbits)
             cands = []
             others = []
-            for comp in _horizontal_components(state, i):
+            for comp in state.layering.classes[i].components:
                 sites = set(_decoration_sites(state, i, comp))
                 kept = _decoration_back_edges(state, i, sites)
                 assert kept == _brute_back_edges(state, i, sites, group)
@@ -543,9 +580,8 @@ def test_similarity_sends_site_to_site_under_any_generating_set():
     # first a generator that sends 1 to 6 must not change any answer
     g = rook3()
     state = advance(g, 1, decorate_last=False)
-    assert _horizontal_components(state, 1) == [(1, 2), (3, 6)]
-    state.horizontal_colours[1] = {(1, 2): RED, (3, 6): RED}
-    state.colouring.update(state.horizontal_colours[1])
+    assert state.layering.classes[1].components == [(1, 2), (3, 6)]
+    state.colouring.update({(1, 2): RED, (3, 6): RED})
     group = _brute_persistent_group(g, state, 1, automorphisms_by_backtracking(g))
     assert len(group) == 8
     to_far_end = Permutation(next(p for p in group if p[1] == 6))
@@ -553,7 +589,7 @@ def test_similarity_sends_site_to_site_under_any_generating_set():
         ((1, 2), ()), ((1, 2), ((1, 4),)), ((1, 2), ((1, 7),)),
         ((3, 6), ()), ((3, 6), ((3, 4),)), ((3, 6), ((3, 5),)),
     ]]
-    gens = state.earlier_stabiliser(1, state.horizontal_colours[1])
+    gens = state.earlier_stabiliser(1, slice_colours(state, 1))
     positive = 0
     for order in (gens, [to_far_end] + gens):
         state.persistent_gens[1] = order
@@ -680,7 +716,7 @@ def test_step_check_memo_is_exact():
         memo_hits += len(state.settled_verdicts) - before < i + 1
         lay = state.layering
         for j in range(1, i):
-            for e in sorted(set(lay.settled_edges(j)) - set(lay.incident_edges[i])):
+            for e in sorted(set(lay.settled_edges(j)) - set(incident_edges(lay, i))):
                 for c in (RED, GREEN, BLUE):
                     if c == state.colouring[e]:
                         continue
