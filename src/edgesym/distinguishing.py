@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .aut import AutConstraint, all_automorphisms, find_automorphism, is_isomorphic
+from .aut import AutConstraint, SizeGuardError, all_automorphisms, find_automorphism, is_isomorphic
 from .colouring import BLUE, GREEN, PALETTE, RED, EdgeColouring, satisfies_blue_rule
 from .graph import (
     Graph,
@@ -400,6 +400,9 @@ def _scan_one(g: Graph, max_n: int, max_colours: int, budget: int, with_witness:
         return row
     try:
         value, witness = distinguishing_index_with_witness(g, max_colours, budget)
+    except SizeGuardError:  # above the search guard, whatever max_n allows
+        row.update(dprime=None, status="skipped_too_large")
+        return row
     except BudgetExceededError:
         row.update(dprime=None, status="budget_exceeded")
         return row

@@ -13,6 +13,9 @@ from typing import Iterable, Optional
 Edge = tuple[int, int]
 
 _G6_MAX_SHORT = 62
+# The long header is '~' and n in three bytes; a first byte of '~' would open
+# the 36-bit form instead, which is not implemented, so n < 63 * 64**2.
+_G6_MAX_N = 258047
 
 
 class GraphError(ValueError):
@@ -196,8 +199,9 @@ def girth(g: Graph) -> Optional[int]:
 
 
 # -- graph6 interchange format ---------------------------------------------
-# Short form only (n <= 62): byte n+63, then the upper triangle read
-# column-by-column, packed 6 bits per byte, each byte offset by 63.
+# The header is byte n+63 for n <= 62, else '~' and n as three 6-bit bytes,
+# most significant first. Then the upper triangle read column-by-column,
+# packed 6 bits per byte; every byte is offset by 63.
 
 
 def parse_graph6(text: str) -> Graph:
@@ -206,46 +210,41 @@ def parse_graph6(text: str) -> Graph:
         raise GraphError("empty graph6 string")
     if any(not (63 <= ord(ch) <= 126) for ch in s):
         raise GraphError("character outside the printable graph6 alphabet")
-    n = ord(s[0]) - 63
-    if n > _G6_MAX_SHORT:
-        raise GraphError("only the short graph6 form (n <= 62) is supported")
-    body = s[1:]
+    if s.startswith("~~"):
+        raise GraphError(f"graph6 supports at most {_G6_MAX_N} vertices")
+    if s[0] == "~":
+        if len(s) < 4:
+            raise GraphError("truncated long graph6 header")
+        n = sum(ord(ch) - 63 << shift for ch, shift in zip(s[1:4], (12, 6, 0)))
+        body = s[4:]
+    else:
+        n = ord(s[0]) - 63
+        body = s[1:]
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
         raise GraphError(
             f"graph6 bit field length mismatch: n={n} needs {(need + 5) // 6} bytes, got {len(body)}"
         )
-    bits = 0
-    for ch in body:
-        bits = bits << 6 | (ord(ch) - 63)
-    pad = len(body) * 6 - need
-    if pad and bits & ((1 << pad) - 1):
+    bits = "".join([format(ord(ch) - 63, "06b") for ch in body])
+    if "1" in bits[need:]:
         raise GraphError("nonzero padding bits in graph6 encoding")
-    bits >>= pad
-    edges = []
-    pos = need - 1
-    for v in range(1, n):
-        for u in range(v):
-            if pos >= 0 and bits >> pos & 1:
-                edges.append((u, v))
-            pos -= 1
+    # column v is bits v(v-1)/2 up to v(v+1)/2, one per u < v
+    edges = [(u, v) for v in range(1, n)
+             for u, b in enumerate(bits[v * (v - 1) // 2 : v * (v + 1) // 2]) if b == "1"]
     return Graph(n, edges)
 
 
 def serialize_graph6(g: Graph) -> str:
-    if g.n > _G6_MAX_SHORT:
-        raise GraphError("only the short graph6 form (n <= 62) is supported")
-    bits = 0
-    for v in range(1, g.n):
-        for u in range(v):
-            bits = bits << 1 | (1 if g.has_edge(u, v) else 0)
-    need = g.n * (g.n - 1) // 2
-    nbytes = (need + 5) // 6
-    bits <<= nbytes * 6 - need
-    out = [chr(g.n + 63)]
-    for i in range(nbytes - 1, -1, -1):
-        out.append(chr((bits >> (6 * i) & 63) + 63))
-    return "".join(out)
+    n = g.n
+    if n > _G6_MAX_N:
+        raise GraphError(f"graph6 supports at most {_G6_MAX_N} vertices")
+    header = chr(n + 63) if n <= _G6_MAX_SHORT else "~" + "".join(
+        chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+    # column v: bit u of v's mask for u < v, u ascending
+    bits = "".join(format(g.adjacency_mask(v) & ((1 << v) - 1), f"0{v}b")[::-1]
+                   for v in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return header + "".join(chr(int(bits[k : k + 6], 2) + 63) for k in range(0, len(bits), 6))
 
 
 # -- generators -------------------------------------------------------------

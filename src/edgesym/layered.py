@@ -190,9 +190,6 @@ class StepState:
     degree: int
     colouring: dict[Edge, str]
     audit: list[dict] = field(default_factory=list)
-    # (j, colours on layering.settled_edges(j)) -> does a root-fixing map
-    # preserving those colours move slice j (see _settled_slice_movable)
-    settled_verdicts: dict[tuple, bool] = field(default_factory=dict)
     # slice i -> generators of its persistent group: the automorphisms that
     # fix every earlier slice pointwise and preserve slice i's horizontal
     # colouring. They fix the root, so they map every slice onto itself.
@@ -549,26 +546,22 @@ def _settled_slice_movable(state: StepState, j: int) -> bool:
     """Does a root-fixing automorphism that preserves the state's colouring on
     the edges settled by slice j move some vertex of slice j?
 
-    The verdict depends only on j and the colours of those edges, so it is
-    memoised on the state under that key and a repeated query is answered
-    without a search.
+    Slices are orbits of the root stabiliser, and every map asked about lies
+    in that stabiliser, so it maps each slice onto itself and fixes a slice
+    of one vertex: that answer needs no search.
     """
     lay = state.layering
-    order = lay.settled_edges(j)
-    colours = tuple([state.colouring[e] for e in order])
-    key = (j, colours)
-    verdict = state.settled_verdicts.get(key)
-    if verdict is None:
-        w = find_automorphism(
-            state.graph,
-            AutConstraint(
-                pinned={lay.root: lay.root},
-                colour_preserve=dict(zip(order, colours)),
-                nontrivial_on=frozenset(lay.layers[j]),
-            ),
-        )
-        verdict = state.settled_verdicts[key] = w is not None
-    return verdict
+    if len(lay.layers[j]) == 1:
+        return False
+    w = find_automorphism(
+        state.graph,
+        AutConstraint(
+            pinned={lay.root: lay.root},
+            colour_preserve={e: state.colouring[e] for e in lay.settled_edges(j)},
+            nontrivial_on=frozenset(lay.layers[j]),
+        ),
+    )
+    return w is not None
 
 
 # -- the headline procedure ------------------------------------------------------------

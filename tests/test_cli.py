@@ -259,6 +259,23 @@ def test_scan_reads_corpus_from_stdin(capsys, monkeypatch):
     ]
 
 
+def test_long_form_graph6_through_gen_scan_and_colour(capsys, monkeypatch):
+    import io
+
+    code, out, _ = run(capsys, "gen", "cycle", "70")
+    line = out.strip()
+    assert code == 0 and line[0] == "~" and parse_graph6(line) == cycle(70)
+    for max_n in ("10", "100"):  # past max_n, then past the search guard
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+        code, out, _ = run(capsys, "scan", "--file", "-", "--max-n", max_n)
+        rows = [json.loads(row) for row in out.strip().splitlines()]
+        assert code == 0 and [(r["graph6"], r["status"]) for r in rows] == [
+            (line, "skipped_too_large")
+        ]
+    code, out, err = run(capsys, "colour", "--g6", line)
+    assert code == 2 and not out and "at most 64 vertices" in err
+
+
 @pytest.mark.parametrize("command", ["colour", "scan"])
 def test_missing_input_file(tmp_path, capsys, command):
     missing = tmp_path / "absent.g6"

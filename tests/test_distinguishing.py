@@ -336,18 +336,27 @@ def test_scan_flags_k2_not_distinguishable():
     assert row["status"] == "known_exception"
 
 
-def test_scan_skips_bad_inputs():
+def test_scan_skips_bad_inputs(monkeypatch):
+    import edgesym.distinguishing as dist
     from edgesym.graph import disjoint_union
 
-    report = scan_conjecture(
-        [disjoint_union([cycle(3), cycle(3)]), spider([1, 2, 3]), cycle(20)],
-        max_n=10,
-    )
-    assert [r["status"] for r in report.rows] == [
-        "skipped_disconnected",
-        "skipped_not_regular",
-        "skipped_too_large",
-    ]
+    # cycle(66) is past max_n = 10, and at max_n = 100 past the search guard
+    graphs = [disjoint_union([cycle(3), cycle(3)]), spider([1, 2, 3]), cycle(20), cycle(66)]
+    for max_n, cycle20 in [(10, "skipped_too_large"), (100, "ok")]:
+        for jobs in (1, 2):
+            report = scan_conjecture(graphs, max_n=max_n, jobs=jobs)
+            assert [r["status"] for r in report.rows] == [
+                "skipped_disconnected",
+                "skipped_not_regular",
+                cycle20,
+                "skipped_too_large",
+            ]
+
+    # a broken invariant is not a skipped graph: it stops the scan
+    monkeypatch.setattr(dist, "_spider_colouring",
+                        lambda g, path: EdgeColouring.on_graph(g, [RED] * g.edge_count))
+    with pytest.raises(RuntimeError, match="spider colouring failed verification"):
+        scan_conjecture([cycle(66), complete(7)], max_n=100)
 
 
 def test_scan_parallel_matches_serial():

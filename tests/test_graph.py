@@ -138,8 +138,14 @@ def test_parse_graph6_errors():
         parse_graph6("B")  # truncated bit field
     with pytest.raises(GraphError):
         parse_graph6("A" + chr(20))  # outside printable alphabet
-    with pytest.raises(GraphError):
-        serialize_graph6(Graph(63))
+    with pytest.raises(GraphError, match="at most 258047 vertices"):
+        serialize_graph6(Graph(258048))
+    with pytest.raises(GraphError, match="at most 258047 vertices"):
+        parse_graph6("~~???~??")  # the 36-bit header, here for n = 258048
+    with pytest.raises(GraphError, match="n=258047 needs"):
+        parse_graph6("~}~~")  # the largest long header, with no bit field
+    with pytest.raises(GraphError, match="truncated long graph6 header"):
+        parse_graph6("~??")
 
 
 @settings(max_examples=120, deadline=None)
@@ -155,6 +161,18 @@ def test_graph6_round_trip(data):
 def test_graph6_round_trip_at_size_cap():
     g = random_regular(62, 3, seed=5)
     assert parse_graph6(serialize_graph6(g)) == g
+
+
+@pytest.mark.parametrize("n", [63, 64, 100])
+def test_graph6_long_form_matches_networkx(n):
+    nx = pytest.importorskip("networkx")
+    for g in (random_regular(n, 4, seed=n), Graph(n), complete(n)):
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges)
+        s = serialize_graph6(g)
+        assert s.encode() == nx.to_graph6_bytes(h, header=False).rstrip(b"\n")
+        assert s[0] == "~" and parse_graph6(s) == g
 
 
 def test_generators_shapes():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from edgesym.aut import AutConstraint, Permutation, pointwise_stabiliser_generators
+from edgesym.aut import AutConstraint, Permutation, find_automorphism, pointwise_stabiliser_generators
 from edgesym.catalog import connected_regular_upto
 from edgesym.colouring import BLUE, GREEN, RED, EdgeColouring, all_blue_vertices, satisfies_blue_rule
 from edgesym.distinguishing import is_distinguishing
@@ -44,6 +44,8 @@ from edgesym.layered import (
 )
 
 from oracles import automorphisms_by_backtracking, constraint_holds_naive
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 def prism():
@@ -699,48 +701,74 @@ def _stepped_states(graphs):
             yield g, state, i, previous
 
 
-def test_step_check_memo_is_exact():
-    # a step check answered from the memo equals the same check with an empty
-    # memo, at every step of the n <= 8 catalogue and Petersen; then a
-    # recolouring outside the current slice that makes an earlier slice
-    # movable is still reported, though that slice's old verdict is memoised
-    moved = "a root-fixing map preserving the settled colouring moves layer {}"
-    graphs = connected_regular_upto(8) + [petersen()]
-    steps = memo_hits = recoloured_moves = 0
-    for g, state, i, previous in _stepped_states(graphs):
-        before = len(state.settled_verdicts)
-        assert check_step_properties(state, i, previous) == check_step_properties(
-            dataclasses.replace(state, settled_verdicts={}), i, previous
-        )
-        steps += 1
-        memo_hits += len(state.settled_verdicts) - before < i + 1
+MOVED = "a root-fixing map preserving the settled colouring moves layer {}"
+
+
+def _settled_search(state, j):
+    """The step check's search for slice j, run whatever the slice's size: a
+    root-fixing map that preserves the settled colours and moves slice j."""
+    lay = state.layering
+    return find_automorphism(
+        state.graph,
+        AutConstraint(
+            pinned={lay.root: lay.root},
+            colour_preserve={e: state.colouring[e] for e in lay.settled_edges(j)},
+            nontrivial_on=frozenset(lay.layers[j]),
+        ),
+    )
+
+
+def _checked_moves(state, i, previous):
+    """The slice verdicts check_step_properties reports after step i."""
+    return [v for v in check_step_properties(state, i, previous) if v.startswith(MOVED.format(""))]
+
+
+def _searched_moves(state, i):
+    """The slice verdicts of a loop that searches every slice j <= i."""
+    return [MOVED.format(j) for j in range(i + 1) if _settled_search(state, j) is not None]
+
+
+def test_step_check_skips_only_slices_the_root_stabiliser_fixes():
+    # at every step of the n <= 8 catalogue, Petersen and the benchmark's
+    # large graphs, the search on a one-vertex slice finds nothing, and the
+    # step check reports what searching every slice reports; then on the
+    # small graphs, an edge recoloured outside slice i that makes an earlier
+    # slice movable is reported, and so is every other slice that moves
+    small = connected_regular_upto(8) + [petersen()]
+    large = [parse_graph6(line) for line in (BENCH_DATA / "large.g6").read_text().split()]
+    one_vertex = {False: 0, True: 0}  # keyed by "on a large graph"
+    multi_vertex = recoloured_moves = 0
+    for g, state, i, previous in _stepped_states(small + large):
         lay = state.layering
+        on_large = any(g is h for h in large)
+        for j in range(i + 1):
+            if len(lay.layers[j]) == 1:
+                assert _settled_search(state, j) is None, (g, i, j)
+                one_vertex[on_large] += 1
+            else:
+                multi_vertex += 1
+        assert _checked_moves(state, i, previous) == _searched_moves(state, i)
+        if on_large:
+            continue
         for j in range(1, i):
             for e in sorted(set(lay.settled_edges(j)) - set(incident_edges(lay, i))):
                 for c in (RED, GREEN, BLUE):
                     if c == state.colouring[e]:
                         continue
-                    recoloured = {**state.colouring, e: c}
-                    fresh = check_step_properties(
-                        dataclasses.replace(state, colouring=recoloured, settled_verdicts={}),
-                        i,
-                        previous,
-                    )
-                    if moved.format(j) not in fresh:
+                    recoloured = dataclasses.replace(state, colouring={**state.colouring, e: c})
+                    if _settled_search(recoloured, j) is None:
                         continue
-                    memoised = check_step_properties(
-                        dataclasses.replace(state, colouring=recoloured), i, previous
-                    )
-                    assert moved.format(j) in memoised and memoised == fresh
+                    moves = _checked_moves(recoloured, i, previous)
+                    assert MOVED.format(j) in moves
+                    assert moves == _searched_moves(recoloured, i)
                     recoloured_moves += 1
-    assert steps >= 40 and memo_hits >= 10 and recoloured_moves >= 10, (
-        steps, memo_hits, recoloured_moves)
+    assert one_vertex[False] >= 176 and one_vertex[True] >= 2892, one_vertex
+    assert multi_vertex >= 93 and recoloured_moves >= 10, (multi_vertex, recoloured_moves)
 
 
 # -- the headline operation -------------------------------------------------------------
 
 
-BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 # SHA-256 over the colourings and audit trails of colour_regular(verify=True)
 # on the benchmark corpus; output is part of the contract, so a deliberate
 # change to it updates this digest and says why
