@@ -1,43 +1,41 @@
 """Exhaustive catalogues of small regular graphs, up to isomorphism.
 
-Direct generation runs a symmetry-broken row-by-row search (first edge of
-every so-far-isolated vertex must go to the least such vertex) followed by
-isomorphism rejection. The search emits exactly the breadth-first numberings
-of each class, so once a class has a representative, every later candidate
-of the class is found by looking its packed key up among the keys of the
-representative's relabellings; only a candidate of a new class becomes a
-Graph and reaches the isomorphism search. Degrees
-above (n-1)/2 come from complements of the low-degree catalogue,
-disconnected graphs from compositions of connected ones, so only a handful
-of (n, d) pairs are ever searched directly.
+Direct generation is orderly (Read, 1978): a row-by-row search over
+breadth-first numberings that prunes every node some other numbering of the
+rows filled so far beats, so it yields exactly one graph per isomorphism
+class, its least numbering. The invariant-bucketed isomorphism search that
+follows only verifies that. Degrees above (n-1)/2 come from complements of
+the low-degree catalogue, disconnected graphs from compositions of connected
+ones, so only a handful of (n, d) pairs are ever searched directly.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from array import array
-from bisect import bisect_left
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .aut import find_isomorphism
-from .graph import Graph, complete, cycle, disjoint_union, is_connected
+from .graph import Graph, complete, cycle, disjoint_union, is_connected, serialize_graph6
 
 
-def _raw_connected_regular(n: int, d: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Labelled d-regular connected graphs, several per isomorphism class, as
-    (key, masks): the upper triangle of the adjacency matrix packed column by
-    column (bit k(k-1)/2 + j is the pair j < k) and every vertex's neighbour
-    mask. A generator: each graph is yielded as soon as its last row is filled.
+def _raw_connected_regular(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """One labelled d-regular connected graph per isomorphism class, as its
+    tuple of neighbour masks. A generator: each graph is yielded as soon as
+    its last row is filled.
 
     Vertex 0 is the root, a vertex's row is filled only once an earlier row
     has reached it, and its new neighbours take the next unused numbers. So
-    the labelled graphs of a class h are exactly {pi(h) : pi a breadth-first
-    numbering of h}, each yielded once (see _bfs_relabellings), and each is
-    connected: every vertex is joined to an earlier one."""
+    the labelled graphs of the search tree are the breadth-first numberings
+    of the classes, each connected. Row k's choice is its code (j, old): j
+    fresh neighbours, and the set old of numbered neighbours above k. Rows
+    are tried in increasing code order (fewer fresh first, then old sets
+    lexicographically), so the depth-first order is the lexicographic order
+    of code sequences, and a node whose rows some other numbering beats
+    (see _beaten) is pruned: only each class's least numbering is yielded."""
     adj = [0] * n
     deg = [0] * n
+    codes = [(0, 0)] * n
 
     def feasible(cands: list[int]) -> bool:
         # every vertex above v still short of degree d has as many other such
@@ -51,14 +49,12 @@ def _raw_connected_regular(n: int, d: int) -> Iterator[tuple[int, tuple[int, ...
                 return False
         return True
 
-    def rows(v: int, key: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    def rows(v: int) -> Iterator[tuple[int, ...]]:
         if v == n:
-            yield key, tuple(adj)
+            yield tuple(adj)
             return
         if v > 0 and deg[v] == 0:
             return  # isolated so far: cannot reach vertex 0
-        # column v is final once row v starts: earlier rows filled it
-        key |= (adj[v] & ((1 << v) - 1)) << (v * (v - 1) // 2)
         need = d - deg[v]
         cands = [w for w in range(v + 1, n) if deg[w] < d]
         if need > len(cands):
@@ -76,15 +72,111 @@ def _raw_connected_regular(n: int, d: int) -> Iterator[tuple[int, tuple[int, ...
                     adj[w] |= bit
                     deg[w] += 1
                 adj[v] = row
-                if feasible(cands):
-                    yield from rows(v + 1, key)
+                codes[v] = (j, sum(1 << w for w in old_pick))
+                if feasible(cands) and not _beaten(adj, v, codes):
+                    yield from rows(v + 1)
                 for w in partners:
                     row ^= 1 << w
                     adj[w] ^= bit
                     deg[w] -= 1
                 adj[v] = row
 
-    return rows(0, 0)
+    return rows(0)
+
+
+def _beaten(adj: list[int], v: int, codes: list[tuple[int, int]]) -> bool:
+    """Whether some breadth-first numbering of the graph with neighbour masks
+    adj, whose rows 0..v are complete, has a smaller code sequence than the
+    identity numbering's codes[0..v] in every completion of the rows above v.
+
+    Every root r <= v and every order of each expanded vertex's fresh
+    children is tried. Row k of such a numbering expands the vertex numbered
+    k; while that vertex is at most v its row is known, so its code can be
+    compared with codes[k]. A larger code ends the branch, a smaller one
+    means the numbering beats the identity whatever the later rows hold, and
+    a tie moves on to row k + 1. A branch that reaches a vertex above v is
+    undecided. With every row complete (v = n - 1) this is exact: the
+    identity is beaten iff it is not its class's least numbering.
+
+    Two children with the same neighbours apart from each other, both at
+    most v or both above it, keep one order only: swapping them is an
+    automorphism of the graph so far (every edge has an end at most v) that
+    keeps 0..v, so it maps the numberings of one order onto those of the
+    other with the same decided codes."""
+    n = len(adj)
+    num = [0] * n
+    order = [0] * n
+
+    def ties_then_wins(k: int, count: int, numbered: int) -> bool:
+        nb = adj[order[k]]
+        kids = nb & ~numbered
+        j = kids.bit_count()
+        old = 0
+        m = nb & numbered
+        while m:
+            low = m & -m
+            m ^= low
+            w = num[low.bit_length() - 1]
+            if w > k:
+                old |= 1 << w
+        cj, cold = codes[k]
+        if j != cj:
+            return j < cj
+        if old != cold:
+            diff = old ^ cold
+            return bool(old & diff & -diff)  # the least differing member is ours
+        if k + 1 == count + j:
+            return False  # all numbered, or the root's component is closed
+        if k + 1 < count and order[k + 1] > v:
+            return False  # row k + 1 is not known yet, whatever the order
+        numbered |= kids
+        # twins on one side of v: swapping them keeps the graph and rows 0..v
+        twins: list[list[int]] = []
+        children = []
+        while kids:
+            low = kids & -kids
+            kids ^= low
+            c = low.bit_length() - 1
+            children.append(c)
+            for cls in twins:
+                a = cls[0]
+                if (a > v) == (c > v) and adj[a] & ~low == adj[c] & ~(1 << a):
+                    cls.append(c)
+                    break
+            else:
+                twins.append([c])
+        # with no twins, itertools gives the same orders faster
+        perms = itertools.permutations(children) if len(twins) == j else _arrangements(twins)
+        for perm in perms:
+            if k + 1 == count and perm[0] > v:
+                continue
+            for i, c in enumerate(perm, count):
+                num[c] = i
+                order[i] = c
+            if ties_then_wins(k + 1, count + j, numbered):
+                return True
+        return False
+
+    for r in range(v + 1):
+        num[r] = 0
+        order[0] = r
+        if ties_then_wins(0, 1, 1 << r):
+            return True
+    return False
+
+
+def _arrangements(classes: list[list[int]]) -> Iterator[list[int]]:
+    """Every order of the members of classes that keeps each class in its
+    own order: each distinct order of the class labels once."""
+    if not any(classes):
+        yield []
+        return
+    for i, cls in enumerate(classes):
+        if cls:
+            classes[i] = cls[1:]
+            for rest in _arrangements(classes):
+                yield [cls[0]] + rest
+            classes[i] = cls
 
 
 def _vertex_invariants(g: Graph) -> tuple[Optional[int], list[tuple]]:
@@ -134,124 +226,30 @@ def _vertex_invariants(g: Graph) -> tuple[Optional[int], list[tuple]]:
     return best, per_vertex
 
 
-def _bfs_keys(adj: list[int], r: int, keys: set[int]) -> bool:
-    """Add to keys the key (packed as by _raw_connected_regular) of pi(h) for
-    every breadth-first numbering pi of h from root r, h the graph with
-    neighbour masks adj: r is numbered 0, vertices are expanded in the order
-    of their numbers, and each one's unnumbered neighbours take the next
-    numbers, in any order. Returns False, adding nothing, if the first
-    numbering (lowest child first at every step) gives a key already in keys,
-    and True otherwise.
+def _dedup(candidates: Iterable[Sequence[int]]) -> list[Graph]:
+    """The graphs with the given neighbour masks, after checking that no two
+    are isomorphic. Raises RuntimeError if two are: _raw_connected_regular
+    yields one graph per class, so a positive answer means its canonicity
+    test is broken.
 
-    Numberings that share a prefix share its work: vertex x numbered k adds
-    its edges to the vertices numbered before it as column k of the key."""
-    n = len(adj)
-    num = [0] * n
-    order = [0] * n
-    order[0] = r
-    first = True
-
-    def place(k: int, numbered: int, head: int, key: int) -> bool:
-        # True stops the whole enumeration
-        nonlocal first
-        if k == n:
-            if first:
-                if key in keys:
-                    return True
-                first = False
-            keys.add(key)
-            return False
-        kids = adj[order[head]] & ~numbered
-        while not kids:
-            head += 1
-            if head == k:
-                return False  # the component of the root is exhausted
-            kids = adj[order[head]] & ~numbered
-        shift = k * (k - 1) // 2
-        while kids:
-            low = kids & -kids
-            kids ^= low
-            x = low.bit_length() - 1
-            col = 0
-            m = adj[x] & numbered
-            while m:
-                b = m & -m
-                m ^= b
-                col |= 1 << num[b.bit_length() - 1]
-            num[x] = k
-            order[k] = x
-            if place(k + 1, numbered | low, head, key | col << shift):
-                return True
-        return False
-
-    return not place(1, 1 << r, 0, 0)
-
-
-def _bfs_relabellings(h: Graph) -> set[int]:
-    """The keys of pi(h) for every breadth-first numbering pi of h, from any
-    root (see _bfs_keys). Empty for a disconnected h.
-
-    Only one root per orbit of Aut(h) is enumerated. Roots in one orbit give
-    the same keys, and equal keys from roots r and s mean pi(h) = sigma(h),
-    so sigma^-1 pi is an automorphism taking r to s: roots in different
-    orbits give disjoint keys. So a root whose first numbering's key is
-    already known lies in an earlier root's orbit and adds nothing."""
-    adj = [h.adjacency_mask(v) for v in range(h.n)]
-    keys: set[int] = set()
-    for r in range(h.n):
-        _bfs_keys(adj, r, keys)
-    return keys
-
-
-def _in_runs(runs: list, key: int) -> bool:
-    for run in runs:
-        i = bisect_left(run, key)
-        if i < len(run) and run[i] == key:
-            return True
-    return False
-
-
-def _dedup(candidates: Iterable[tuple[int, Sequence[int]]]) -> list[Graph]:
-    """The first graph of each isomorphism class, in input order, from
-    (key, masks) pairs as _raw_connected_regular yields them.
-
-    Each representative h puts the keys of all its breadth-first relabellings
-    into a memo for its vertex count. A later candidate whose key is in the
-    memo is such a relabelling, so it is skipped without building a Graph.
-    For the candidates of _raw_connected_regular this is every duplicate.
-
-    A candidate not in the memo becomes a Graph, is bucketed by (n, m, girth,
-    sorted per-vertex invariants) and compared only with the representatives
-    in its bucket, by an isomorphism search that maps each vertex only to
-    vertices with the same per-vertex invariant; that search alone decides
-    that a class is new.
-
-    A memo is a list of sorted runs, each searched by bisection. A new
-    class's keys form a new run, merged into the last run while that run is
-    at most twice its size, so each run is more than twice the next and there
-    are O(log) runs. A run is an array('Q') while the n(n-1)/2-bit keys fit
-    64 bits (n <= 11), a list above that."""
+    Each graph is bucketed by (n, m, girth, sorted per-vertex invariants) and
+    compared only with the earlier graphs in its bucket, by an isomorphism
+    search that maps each vertex only to vertices with the same per-vertex
+    invariant."""
     buckets: dict[tuple, list[tuple[Graph, list[tuple]]]] = {}
-    memos: dict[int, list] = {}
     out = []
-    for key, masks in candidates:
-        n = len(masks)
-        runs = memos.setdefault(n, [])
-        if _in_runs(runs, key):
-            continue
+    for masks in candidates:
         g = Graph.from_masks(masks)
         gir, labels = _vertex_invariants(g)
-        bucket = (n, g.edge_count, gir, tuple(sorted(labels)))
-        reps = buckets.setdefault(bucket, [])
-        if any(find_isomorphism(g, h, labels, h_labels) is not None for h, h_labels in reps):
-            continue
+        reps = buckets.setdefault((g.n, g.edge_count, gir, tuple(sorted(labels))), [])
+        for h, h_labels in reps:
+            if find_isomorphism(g, h, labels, h_labels) is not None:
+                raise RuntimeError(
+                    f"catalogue generator yielded two isomorphic graphs: "
+                    f"{serialize_graph6(h)} and {serialize_graph6(g)}"
+                )
         reps.append((g, labels))
         out.append(g)
-        pack = list if n * (n - 1) // 2 > 64 else partial(array, "Q")
-        run = pack(sorted(_bfs_relabellings(g)))
-        while runs and len(runs[-1]) <= 2 * len(run):
-            run = pack(heapq.merge(runs.pop(), run))
-        runs.append(run)
     return out
 
 

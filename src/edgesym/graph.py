@@ -216,6 +216,11 @@ def parse_graph6(text: str) -> Graph:
         if len(s) < 4:
             raise GraphError("truncated long graph6 header")
         n = sum(ord(ch) - 63 << shift for ch, shift in zip(s[1:4], (12, 6, 0)))
+        if n <= _G6_MAX_SHORT:
+            raise GraphError(
+                f"long graph6 header for n={n}: graphs of at most {_G6_MAX_SHORT} vertices"
+                f" use the short form {chr(n + 63)!r}"
+            )
         body = s[4:]
     else:
         n = ord(s[0]) - 63

@@ -473,3 +473,63 @@ def bfs_relabellings_all_roots(h: Graph) -> set[int]:
     for r in range(n):
         extend([r], 0)
     return keys
+
+
+def bfs_row_codes(h: Graph, roots: Optional[Iterable[int]] = None) -> dict[tuple, int]:
+    """Every breadth-first numbering pi of h from the given roots (all by
+    default), each expanded vertex's unnumbered neighbours numbered in every
+    order, as its row-code sequence mapped to upper_key(pi(h)).
+
+    Row k's code is (j, old): the vertex numbered k numbers j new
+    neighbours, and old is the sorted tuple of the numbers above k of its
+    neighbours numbered before it. The catalogue's generator tries rows in
+    increasing code order, so the least sequence is the one it reaches
+    first. Empty for a disconnected h."""
+    n = h.n
+    out: dict[tuple, int] = {}
+
+    def extend(order: list[int], codes: list[tuple]) -> None:
+        k = len(codes)
+        if k == n:
+            num = {x: i for i, x in enumerate(order)}
+            key = 0
+            for u, v in h.edges:
+                a, b = sorted((num[u], num[v]))
+                key |= 1 << b * (b - 1) // 2 + a
+            # a code sequence fixes the numbered graph row by row
+            assert out.setdefault(tuple(codes), key) == key
+            return
+        if k == len(order):
+            return  # the root's component is exhausted
+        nbrs = h.neighbours(order[k])
+        kids = [y for y in nbrs if y not in order]
+        old = tuple(i for i, y in enumerate(order) if i > k and y in nbrs)
+        for perm in itertools.permutations(kids):
+            extend(order + list(perm), codes + [(len(kids), old)])
+
+    for r in range(n) if roots is None else roots:
+        extend([r], [])
+    return out
+
+
+def beaten_reference(adj: list[int], v: int, codes) -> bool:
+    """edgesym.catalog._beaten by plain enumeration: whether a breadth-first
+    numbering from a root r <= v, children numbered in every order, ties the
+    identity's codes[k] = (j, mask of old numbers) at every row before some
+    row k that expands a vertex at most v and has a smaller code."""
+    n = len(adj)
+    nbrs = [[w for w in range(n) if adj[x] >> w & 1] for x in range(n)]
+
+    def walk(order: list[int], k: int) -> bool:
+        if k == len(order) or order[k] > v:
+            return False  # the component is closed, or row k is not known
+        x = order[k]
+        kids = [w for w in nbrs[x] if w not in order]
+        mine = (len(kids), tuple(i for i, y in enumerate(order) if i > k and y in nbrs[x]))
+        j, mask = codes[k]
+        theirs = (j, tuple(i for i in range(n) if mask >> i & 1))
+        if mine != theirs:
+            return mine < theirs
+        return any(walk(order + list(p), k + 1) for p in itertools.permutations(kids))
+
+    return any(walk([r], 0) for r in range(v + 1))

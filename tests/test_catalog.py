@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -9,7 +10,6 @@ import pytest
 import edgesym.catalog as catalog
 from edgesym.aut import is_isomorphic
 from edgesym.catalog import (
-    _bfs_relabellings,
     _dedup,
     _raw_connected_regular,
     _vertex_invariants,
@@ -33,8 +33,10 @@ from edgesym.graph import (
 
 from oracles import (
     automorphisms_by_backtracking,
+    beaten_reference,
     bfs_girth,
     bfs_relabellings_all_roots,
+    bfs_row_codes,
     catalog_invariant_reference,
     raw_connected_regular_reference,
     upper_key,
@@ -114,7 +116,7 @@ def test_catalogue_equals_benchmark_corpus():
         assert a == b, f"class {i}"
 
 
-MEMO_PAIRS = [(8, 3), (9, 4), (10, 3)]
+RELABEL_PAIRS = [(8, 3), (9, 4), (10, 3)]
 
 
 def _decode_upper_key(n, key):
@@ -122,45 +124,92 @@ def _decode_upper_key(n, key):
     return Graph(n, [(j, k) for k in range(n) for j in range(k) if key >> (k * (k - 1) // 2 + j) & 1])
 
 
-@pytest.mark.parametrize("n,d", MEMO_PAIRS)
+def _generated(n, d):
+    return [Graph.from_masks(masks) for masks in _raw_connected_regular(n, d)]
+
+
+@pytest.mark.parametrize("n,d", RELABEL_PAIRS)
 def test_bfs_relabellings_are_exactly_the_generated_candidates(n, d):
-    candidates = [key for key, _ in _raw_connected_regular(n, d)]
+    # the reference yields every breadth-first numbering of every class once;
+    # the orderly generator's graphs are one per class, so their relabellings
+    # split the reference's candidates
+    candidates = [upper_key(g) for g in raw_connected_regular_reference(n, d)]
     assert len(set(candidates)) == len(candidates)
     memo = set()
-    for h in connected_regular_graphs(n, d):
-        keys = _bfs_relabellings(h)
+    for h in _generated(n, d):
+        keys = bfs_relabellings_all_roots(h)
         assert upper_key(h) in keys and not keys & memo
         memo |= keys
     assert memo == set(candidates)
 
 
-@pytest.mark.parametrize("n,d", MEMO_PAIRS)
+@pytest.mark.parametrize("n,d", RELABEL_PAIRS)
 def test_bfs_relabellings_are_isomorphs_by_networkx(n, d):
     nx = pytest.importorskip("networkx")
-
-    def to_nx(g):
-        h = nx.Graph()
-        h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edges)
-        return h
-
     for h in connected_regular_graphs(n, d):
-        target = to_nx(h)
-        for key in _bfs_relabellings(h):
+        target = _to_nx(h)
+        for key in bfs_relabellings_all_roots(h):
             g = _decode_upper_key(n, key)
             assert upper_key(g) == key
-            assert nx.is_isomorphic(to_nx(g), target)
+            assert nx.is_isomorphic(_to_nx(g), target)
 
 
 def test_bfs_relabellings_small_cases():
     # rooted at an end, P3 is numbered along the path; rooted at its middle,
     # the root is 0 and both ends hang from it
-    assert _bfs_relabellings(path(3)) == {upper_key(path(3)), upper_key(Graph(3, [(0, 1), (0, 2)]))}
-    assert _bfs_relabellings(disjoint_union([cycle(3), cycle(3)])) == set()
+    along, star = upper_key(path(3)), upper_key(Graph(3, [(0, 1), (0, 2)]))
+    assert bfs_relabellings_all_roots(path(3)) == {along, star}
+    assert bfs_row_codes(path(3)) == {
+        ((1, ()), (1, ()), (0, ())): along,
+        ((2, ()), (0, ()), (0, ())): star,
+    }
+    # C4 from any root: two children, joined by the last vertex
+    assert bfs_row_codes(cycle(4)) == {((2, ()), (1, ()), (0, (3,)), (0, ())): upper_key(
+        Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))}
+    assert _generated(4, 2) == [Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])]
+    for h in (disjoint_union([cycle(3), cycle(3)]), disjoint_union([cycle(4), path(2)])):
+        assert bfs_relabellings_all_roots(h) == set() and bfs_row_codes(h) == {}
 
 
-def test_memo_leaves_search_only_new_classes(monkeypatch):
-    want = connected_regular_upto(9)
+def test_generator_emits_least_row_code_numbering():
+    # every class the generator emits for n <= 8, (9, 4) and (10, 3) is the
+    # numbering with the least row-code sequence over every root and every
+    # order of every vertex's children
+    pairs = [(n, d) for n in range(1, 9) for d in range(n) if n * d % 2 == 0]
+    classes = [h for n, d in pairs + [(9, 4), (10, 3)] for h in _generated(n, d)]
+    assert len(classes) == 68
+    for h in classes:
+        codes = bfs_row_codes(h)
+        assert codes[min(codes)] == upper_key(h)
+
+
+@pytest.mark.parametrize("n,d", [(8, 3), (9, 4), (10, 3)])
+def test_canonicity_test_matches_every_order_at_every_node(n, d, monkeypatch):
+    # keeping one order of each pair of twins changes no node's verdict
+    beaten = catalog._beaten
+    verdicts = []
+
+    def checked(adj, v, codes):
+        got = beaten(adj, v, codes)
+        assert got == beaten_reference(adj, v, codes)
+        verdicts.append(got)
+        return got
+
+    monkeypatch.setattr(catalog, "_beaten", checked)
+    assert len(list(_raw_connected_regular(n, d))) == KNOWN_CONNECTED_COUNTS[(n, d)]
+    assert True in verdicts and False in verdicts
+
+
+def test_arrangements_keep_each_class_in_order():
+    assert list(catalog._arrangements([[0, 1], [2]])) == [[0, 1, 2], [0, 2, 1], [2, 0, 1]]
+    assert list(catalog._arrangements([[3], [1], [2]])) == [
+        list(p) for p in itertools.permutations([3, 1, 2])]
+    assert list(catalog._arrangements([[5, 6, 7]])) == [[5, 6, 7]]
+
+
+def _counting_isomorphism_search(monkeypatch):
+    # record whether each catalogue isomorphism search answers yes, and give
+    # this test cold caches; the session's cached catalogue stays
     calls = []
     search = catalog.find_isomorphism
 
@@ -170,23 +219,42 @@ def test_memo_leaves_search_only_new_classes(monkeypatch):
         return w
 
     monkeypatch.setattr(catalog, "find_isomorphism", counted)
-    # cold caches for this build only; the session's cached catalogue stays
     for name in ("connected_regular_graphs", "regular_graphs"):
         monkeypatch.setattr(catalog, name, lru_cache(maxsize=None)(getattr(catalog, name).__wrapped__))
-    assert connected_regular_upto(9) == want
-    assert True not in calls  # every duplicate was a memo hit
+    return calls
 
 
-def _candidate(g):
-    # a graph as _raw_connected_regular yields it: (key, masks)
-    return upper_key(g), tuple(g.adjacency_mask(v) for v in range(g.n))
+def test_verifier_finds_no_isomorphic_pair(monkeypatch):
+    want = connected_regular_upto(10)
+    calls = _counting_isomorphism_search(monkeypatch)
+    assert connected_regular_upto(10) == want
+    # the invariants split all but 7 bucket-mates, and no search succeeds
+    assert calls == [False] * 7
 
 
-def test_dedup_memo_is_per_vertex_count():
-    # K3 and K3 plus an isolated vertex share their upper-triangle key
+def test_verifier_raises_on_a_repeated_class(monkeypatch):
+    calls = _counting_isomorphism_search(monkeypatch)
+    generate = catalog._raw_connected_regular
+
+    def repeating(n, d):
+        graphs = list(generate(n, d))
+        return iter(graphs + graphs[-1:])
+
+    monkeypatch.setattr(catalog, "_raw_connected_regular", repeating)
+    with pytest.raises(RuntimeError, match="two isomorphic graphs"):
+        catalog.connected_regular_graphs(9, 4)
+    assert calls[-1] is True
+
+
+def test_dedup_buckets_are_per_vertex_count():
+    # K3 and K3 plus an isolated vertex share their upper-triangle key, and
+    # neither is compared with the other
     k3, k3_plus = complete(3), Graph(4, complete(3).edges)
     assert upper_key(k3) == upper_key(k3_plus)
-    assert _dedup([_candidate(g) for g in (k3, k3_plus, cycle(3))]) == [k3, k3_plus]
+    masks = [tuple(g.adjacency_mask(v) for v in range(g.n)) for g in (k3, k3_plus, cycle(3))]
+    assert _dedup(masks[:2]) == [k3, k3_plus]
+    with pytest.raises(RuntimeError, match="two isomorphic graphs: Bw and Bw"):
+        _dedup(masks)
 
 
 PARITY_PAIRS = [
@@ -195,34 +263,61 @@ PARITY_PAIRS = [
 ]
 
 
+def _to_nx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def _first_of_each_class_by_networkx(graphs):
+    nx = pytest.importorskip("networkx")
+    buckets: dict[tuple, list] = {}
+    firsts = []
+    for g in graphs:
+        h = _to_nx(g)
+        tri = nx.triangles(h)
+        reps = buckets.setdefault(tuple(sorted(tri.values())), [])
+        if not any(nx.is_isomorphic(h, r) for r in reps):
+            reps.append(h)
+            firsts.append(g)
+    return firsts
+
+
+def _first_of_each_class_by_relabellings(graphs, classes):
+    # the class of a graph is the one whose breadth-first relabellings hold
+    # its key; every graph must lie in exactly one
+    owner = {}
+    for i, h in enumerate(classes):
+        for key in bfs_relabellings_all_roots(h):
+            assert owner.setdefault(key, i) == i
+    firsts = {}
+    for g in graphs:
+        firsts.setdefault(owner[upper_key(g)], g)
+    assert len(firsts) == len(classes)
+    return list(firsts.values())
+
+
 @pytest.mark.parametrize("n,d", PARITY_PAIRS)
 def test_generator_matches_graph_reference(n, d):
-    # in order: _dedup keeps the first candidate of each class
-    got = _raw_connected_regular(n, d)
-    count = 0
-    for g in raw_connected_regular_reference(n, d):
-        assert next(got) == _candidate(g)  # (key, masks)
-        count += 1
-    assert next(got, None) is None
-    assert count > 0 or not _searched_directly(n, d)
+    # the orderly generator yields, in order, the first graph of each class
+    # among the reference's candidates: every breadth-first numbering of every
+    # class, in the row-by-row search order. Classes are decided by networkx
+    # up to n = 9, and by the oracle's relabellings, which networkx checks on
+    # (10, 3) above, at n = 10
+    got = _generated(n, d)
+    reference = raw_connected_regular_reference(n, d)
+    if n <= 9:
+        want = _first_of_each_class_by_networkx(reference)
+    else:
+        want = _first_of_each_class_by_relabellings(reference, got)
+    assert got == want
+    assert got or not _searched_directly(n, d)
 
 
 def _hypercube(k):
     return Graph(1 << k, [(u, u ^ 1 << i) for u in range(1 << k) for i in range(k) if u < u ^ 1 << i])
-
-
-def test_bfs_relabellings_match_all_roots_on_memoised_classes():
-    # every class with n <= 8, and every class the n <= 10 catalogue memoises;
-    # the complement-built classes with n = 9, 10 never enter a memo, and the
-    # reference would take over 20 s on them (K9 alone about 8 s)
-    classes = [
-        h for n in range(1, 11) for d in range(n)
-        if n <= 8 or _searched_directly(n, d)
-        for h in connected_regular_graphs(n, d)
-    ]
-    assert len(classes) == 127
-    for h in classes:
-        assert _bfs_relabellings(h) == bfs_relabellings_all_roots(h)
 
 
 @pytest.mark.parametrize("h,orbits", [
@@ -234,42 +329,27 @@ def test_bfs_relabellings_match_all_roots_on_memoised_classes():
     (disjoint_union([cycle(3), cycle(3)]), None),
     (disjoint_union([cycle(4), path(2)]), None),
 ], ids=["petersen", "k44", "q3", "p3", "star", "2c3", "c4+k2"])
-def test_bfs_relabellings_enumerate_one_root_per_orbit(h, orbits, monkeypatch):
-    enumerated = []
-    bfs_keys = catalog._bfs_keys
-
-    def counted(adj, r, keys):
-        ran = bfs_keys(adj, r, keys)
-        if ran:
-            enumerated.append(r)
-        return ran
-
-    monkeypatch.setattr(catalog, "_bfs_keys", counted)
-    keys = _bfs_relabellings(h)
-    assert keys == bfs_relabellings_all_roots(h)
+def test_bfs_relabellings_enumerate_one_root_per_orbit(h, orbits):
+    # enumerated root by root, the relabellings give one key set per orbit of
+    # Aut(h): equal keys from roots r and s mean pi(h) = sigma(h), and
+    # sigma^-1 pi is an automorphism taking r to s
+    per_root = [frozenset(bfs_row_codes(h, [r]).values()) for r in range(h.n)]
+    assert set().union(*per_root) == bfs_relabellings_all_roots(h)
     if orbits is None:  # disconnected
-        assert keys == set()
+        assert not any(per_root)
         return
-    # the least vertex of each orbit runs the full enumeration, no other root
-    least = {min(p[v] for p in automorphisms_by_backtracking(h)) for v in range(h.n)}
-    assert enumerated == sorted(least)
-    assert len(enumerated) == orbits
+    orbit_of = [frozenset(p[v] for p in automorphisms_by_backtracking(h)) for v in range(h.n)]
+    for r, s in itertools.combinations(range(h.n), 2):
+        if orbit_of[r] == orbit_of[s]:
+            assert per_root[r] == per_root[s]
+        else:
+            assert not per_root[r] & per_root[s]
+    assert len(set(per_root)) == len(set(orbit_of)) == orbits
 
 
 @pytest.mark.slow
 def test_eleven_vertex_counts_match_published(monkeypatch):
-    calls = []
-    search = catalog.find_isomorphism
-
-    def counted(*args):
-        w = search(*args)
-        calls.append(w is not None)
-        return w
-
-    monkeypatch.setattr(catalog, "find_isomorphism", counted)
-    # cold caches for this build only; the other tests' cached catalogue stays
-    for name in ("connected_regular_graphs", "regular_graphs"):
-        monkeypatch.setattr(catalog, name, lru_cache(maxsize=None)(getattr(catalog, name).__wrapped__))
+    calls = _counting_isomorphism_search(monkeypatch)
     counts = {}
     for d in range(11):
         graphs = catalog.connected_regular_graphs(11, d)
@@ -278,25 +358,27 @@ def test_eleven_vertex_counts_match_published(monkeypatch):
             counts[(11, d)] = len(graphs)
     assert counts == KNOWN_CONNECTED_COUNTS_N11
     assert sum(counts.values()) == 539
-    assert calls and True not in calls  # (11, 4): every duplicate was a memo hit
+    assert calls and True not in calls  # (11, 4): the verifier found no repeat
 
 
-def test_twelve_vertex_cubic_count_keeps_memo_in_lists(monkeypatch):
-    # keys of n = 12 graphs take 66 bits, so the memo's runs are lists, not
-    # array('Q'); OEIS A002851 has 85 connected cubic graphs on 12 vertices
-    calls = []
-    search = catalog.find_isomorphism
-
-    def counted(*args):
-        w = search(*args)
-        calls.append(w is not None)
-        return w
-
-    monkeypatch.setattr(catalog, "find_isomorphism", counted)
-    graphs = catalog.connected_regular_graphs.__wrapped__(12, 3)
+def test_twelve_vertex_cubic_count_matches_published(monkeypatch):
+    # OEIS A002851 has 85 connected cubic graphs on 12 vertices
+    calls = _counting_isomorphism_search(monkeypatch)
+    graphs = catalog.connected_regular_graphs(12, 3)
     assert len(graphs) == 85
     assert all(g.n == 12 and regularity(g) == 3 and is_connected(g) for g in graphs)
-    assert True not in calls  # every duplicate was a memo hit
+    assert True not in calls
+
+
+@pytest.mark.slow
+def test_twelve_vertex_quartic_list_is_pinned():
+    # 1,544 connected quartic graphs on 12 vertices (OEIS A006820), as the
+    # generate-then-deduplicate catalogue listed them before generation
+    # became orderly
+    lines = [serialize_graph6(g) for g in catalog.connected_regular_graphs.__wrapped__(12, 4)]
+    assert len(lines) == 1544
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "0e0ee97fa29235e389c3e5332777632e2a10e5aa4f04082c7ce1e4b65368845e"
 
 
 def _invariant_projection(g):
@@ -318,8 +400,7 @@ def test_vertex_invariants_match_reference():
         for n in range(1, 10)
         for d in range(n)
         if n * d % 2 == 0
-        for _, masks in _raw_connected_regular(n, d)
-        for g in [Graph.from_masks(masks)]
+        for g in raw_connected_regular_reference(n, d)
     ]
     assert len(graphs) == 3435
     rng = random.Random(1999)

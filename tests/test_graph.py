@@ -146,6 +146,11 @@ def test_parse_graph6_errors():
         parse_graph6("~}~~")  # the largest long header, with no bit field
     with pytest.raises(GraphError, match="truncated long graph6 header"):
         parse_graph6("~??")
+    # one graph, one string: the long header is only for n >= 63
+    with pytest.raises(GraphError, match="use the short form '\\?'"):
+        parse_graph6("~???")
+    with pytest.raises(GraphError, match="n=62: .* short form '}'"):
+        parse_graph6("~??}" + "?" * 316)
 
 
 @settings(max_examples=120, deadline=None)
@@ -161,6 +166,10 @@ def test_graph6_round_trip(data):
 def test_graph6_round_trip_at_size_cap():
     g = random_regular(62, 3, seed=5)
     assert parse_graph6(serialize_graph6(g)) == g
+    # the last short header and the first long one
+    for g in (random_regular(62, 4, seed=5), random_regular(63, 4, seed=5)):
+        s = serialize_graph6(g)
+        assert s[0] == ("~" if g.n == 63 else "}") and parse_graph6(s) == g
 
 
 @pytest.mark.parametrize("n", [63, 64, 100])
