@@ -45,12 +45,6 @@ class Permutation:
         """self after other: (self * other)(v) = self(other(v))."""
         return Permutation(tuple(self.images[w] for w in other.images))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for v, w in enumerate(self.images):
-            inv[w] = v
-        return Permutation(tuple(inv))
-
     @property
     def is_identity(self) -> bool:
         return all(w == v for v, w in enumerate(self.images))
@@ -67,8 +61,7 @@ class Permutation:
 class AutConstraint:
     """Declarative description of an automorphism-existence query.
 
-    pinned            required vertex images
-    pointwise_fixed   vertices that must map to themselves
+    pinned            required vertex images; pin a vertex to itself to fix it
     setwise_pairs     (source vertex set, required image vertex set) pairs
     colour_preserve   partial edge colouring the map must preserve;
                       uncoloured edges must map to uncoloured edges
@@ -76,7 +69,6 @@ class AutConstraint:
     """
 
     pinned: dict[int, int] = field(default_factory=dict)
-    pointwise_fixed: frozenset[int] = frozenset()
     setwise_pairs: list[tuple[frozenset[int], frozenset[int]]] = field(default_factory=list)
     colour_preserve: Optional[Mapping[Edge, str]] = None
     nontrivial_on: Optional[frozenset[int]] = None
@@ -84,7 +76,6 @@ class AutConstraint:
     def normalised(self) -> "AutConstraint":
         return AutConstraint(
             pinned=dict(self.pinned),
-            pointwise_fixed=frozenset(self.pointwise_fixed),
             setwise_pairs=[(frozenset(a), frozenset(b)) for a, b in self.setwise_pairs],
             colour_preserve=_colour_map(self.colour_preserve),
             nontrivial_on=None if self.nontrivial_on is None else frozenset(self.nontrivial_on),
@@ -117,8 +108,6 @@ def _validate(g: Graph, c: AutConstraint) -> None:
         check_vertex(w, "pinned image")
     if len(set(c.pinned.values())) != len(c.pinned):
         raise ConstraintError("pinned images are not distinct")
-    for v in c.pointwise_fixed:
-        check_vertex(v, "pointwise-fixed vertex")
     for a, b in c.setwise_pairs:
         for v in a | b:
             check_vertex(v, "setwise-pair vertex")
@@ -166,8 +155,6 @@ def _build_query(g: Graph, c: AutConstraint):
     allowed = [full] * n
     for v, w in c.pinned.items():
         allowed[v] &= 1 << w
-    for v in c.pointwise_fixed:
-        allowed[v] &= 1 << v
     for a, b in c.setwise_pairs:
         bmask = 0
         for w in b:
@@ -191,9 +178,6 @@ def satisfies(g: Graph, c: AutConstraint, p: Permutation) -> bool:
             return False
     for v, w in c.pinned.items():
         if p(v) != w:
-            return False
-    for v in c.pointwise_fixed:
-        if p(v) != v:
             return False
     for a, b in c.setwise_pairs:
         if {p(v) for v in a} != set(b):
@@ -240,13 +224,13 @@ def find_automorphism(g: Graph, c: Optional[AutConstraint] = None) -> Optional[P
     nontrivial_on becomes a ladder of positive searches over its sorted
     vertices: rung k pins the earlier probes to themselves and forbids the
     k-th its own image. When every pinned vertex maps to itself and there
-    are no setwise pairs, a map meeting c fixes the pinned and fixed
-    vertices and preserves the edge labels, so it maps each cell of the
-    coarsest equitable partition of the labelled graph, refined from those
-    vertices, onto itself. A probe alone in its cell is fixed by every such
-    map: its rung is skipped, and when every probe is alone the answer is
-    None with no kernel query at all. The rungs that do run keep their
-    masks, so the witness is the one the full ladder finds.
+    are no setwise pairs, a map meeting c fixes the pinned vertices and
+    preserves the edge labels, so it maps each cell of the coarsest
+    equitable partition of the labelled graph, refined from those vertices,
+    onto itself. A probe alone in its cell is fixed by every such map: its
+    rung is skipped, and when every probe is alone the answer is None with
+    no kernel query at all. The rungs that do run keep their masks, so the
+    witness is the one the full ladder finds.
     """
     c = (c or AutConstraint()).normalised()
     _validate(g, c)
@@ -257,7 +241,7 @@ def find_automorphism(g: Graph, c: Optional[AutConstraint] = None) -> Optional[P
     probes = sorted(c.nontrivial_on)
     alone = 0  # probes every map meeting c fixes
     if not c.setwise_pairs and all(v == w for v, w in c.pinned.items()):
-        cells = _refined(rows, c.pointwise_fixed.union(c.pinned))
+        cells = _refined(rows, c.pinned)
         alone = sum(x for x in cells if x & (x - 1) == 0)
         if all(alone >> x & 1 for x in probes):
             return None
@@ -398,17 +382,17 @@ def _chain_transversals(
     start_fixed (the whole automorphism group when start_fixed is empty),
     restricted to the maps that preserve colour_preserve when it is given.
     Level b holds, for each target w != b in ascending order, the witness of
-    find_automorphism(pinned={b: w}, pointwise_fixed=fixed, colour_preserve)
-    when one exists, where fixed is start_fixed followed by the earlier
-    levels.
+    find_automorphism(pinned={**pins, b: w}, colour_preserve) when one
+    exists, where pins pins start_fixed and the earlier levels to
+    themselves.
 
     The constraint is validated once, on entry. Every level's query differs
-    only in its pinned and pointwise-fixed vertices, so the kernel query is
-    prepared once (on the first search) and each target only changes the
-    candidate masks; every witness is vetted against its full constraint.
+    only in its pinned vertices, so the kernel query is prepared once (on
+    the first search) and each target only changes the candidate masks;
+    every witness is vetted against its full constraint.
 
     Targets are pruned by equitable refinement: an automorphism that fixes
-    every vertex of fixed maps each cell of the coarsest equitable partition
+    every vertex of pins maps each cell of the coarsest equitable partition
     with those vertices individualised onto itself, so only targets in b's
     cell are searched. The refinement is the one that prunes
     find_automorphism's nontrivial_on ladder, given rows with one label,
@@ -420,41 +404,38 @@ def _chain_transversals(
     level by individualising b. The skipped searches are exactly ones that
     would fail, so the witness list is the same as without pruning.
     """
-    fixed = list(dict.fromkeys(start_fixed))
-    c = AutConstraint(pointwise_fixed=frozenset(fixed), colour_preserve=colour_preserve)
-    c = c.normalised()
+    pins = {v: v for v in start_fixed}
+    c = AutConstraint(pins, colour_preserve=colour_preserve).normalised()
     _validate(g, c)
     n = g.n
     edge_rows = [(0, g.adjacency_mask(v)) for v in range(n)]  # label 0 is ignored
-    masks = [(1 << n) - 1] * n  # candidates at the current level: fixed vertices pinned
-    for v in fixed:
+    masks = [(1 << n) - 1] * n  # candidates at the current level: pinned vertices fixed
+    for v in pins:
         masks[v] = 1 << v
-    cells = _refined(edge_rows, fixed)
+    cells = _refined(edge_rows, pins)
 
     gens: list[Permutation] = []
     run = None
     for b in range(n):
         if len(cells) == n:
-            break  # discrete: only the identity fixes fixed, here and below
-        if b in c.pointwise_fixed:
+            break  # discrete: only the identity fixes pins, here and below
+        if b in pins:
             continue
         bit = 1 << b
         targets = next(x for x in cells if x & bit) ^ bit
-        if targets:
-            if run is None:
-                run = _searcher(g, _build_query(g, c)[0])
-            pointwise = frozenset(fixed)
+        if targets and run is None:
+            run = _searcher(g, _build_query(g, c)[0])
         while targets:
             low = targets & -targets
             targets ^= low
             w = low.bit_length() - 1
             level = list(masks)
             level[b] = low
-            check = AutConstraint({b: w}, pointwise, colour_preserve=c.colour_preserve)
+            check = AutConstraint({**pins, b: w}, colour_preserve=c.colour_preserve)
             witness = run(level, check)
             if witness is not None:
                 gens.append(witness)
-        fixed.append(b)
+        pins[b] = b
         masks[b] = bit
         cells = _individualise(edge_rows, cells, b)
     return gens

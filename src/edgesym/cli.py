@@ -57,7 +57,7 @@ class _InputError(ValueError):
     pass
 
 
-def _generate(spec: list[str], seed: Optional[int]) -> list[Graph]:
+def _generate(spec: list[str], seed: int) -> list[Graph]:
     if not spec:
         raise _InputError("empty generator spec")
     name, *params = spec
@@ -74,7 +74,7 @@ def _generate(spec: list[str], seed: Optional[int]) -> list[Graph]:
             steps = [int(s) for s in params[1].split(",")]
             return [circulant(int(params[0]), steps)]
         if name == "random-regular":
-            return [random_regular(int(params[0]), int(params[1]), seed or 0)]
+            return [random_regular(int(params[0]), int(params[1]), seed)]
         if name == "regular-all":
             return list(connected_regular_graphs(int(params[0]), int(params[1])))
     except (IndexError, ValueError) as exc:
@@ -87,6 +87,7 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
     grp.add_argument("--g6", metavar="STRING", help="inline graph6 string")
     grp.add_argument("--file", metavar="PATH", help="file with one graph6 line ('-' = stdin)")
     grp.add_argument("--gen", metavar="SPEC", help="generator spec, e.g. 'cycle 5'")
+    p.add_argument("--seed", type=int, default=0, help="seed of a random generator spec")
 
 
 def _open_input(path: str):
@@ -98,7 +99,7 @@ def _load_graph(args) -> Graph:
     if args.g6 is not None:
         return parse_graph6(args.g6)
     if args.gen is not None:
-        graphs = _generate(args.gen.split(), getattr(args, "seed", None))
+        graphs = _generate(args.gen.split(), args.seed)
         if len(graphs) != 1:
             raise _InputError("generator spec must produce exactly one graph here")
         return graphs[0]
@@ -260,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", type=int, default=0)
     p.add_argument("--verify", action="store_true", help="check step invariants while colouring")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "dot", "text"), default="json")
     p.set_defaults(func=cmd_colour)
 
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p)
     p.add_argument("--max-colours", type=int, default=3)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--witness", action="store_true", help="include a witness colouring")
     p.set_defaults(func=cmd_dprime)
 
@@ -283,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aut", help="automorphism group and stabiliser orbits")
     _add_input_options(p)
     p.add_argument("--root", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_aut)
 
     return ap

@@ -103,9 +103,6 @@ class EdgeColouring:
     def __repr__(self) -> str:
         return f"EdgeColouring({len(self)} edges, {sorted(self.colours_used())})"
 
-    def copy(self) -> "EdgeColouring":
-        return EdgeColouring(self.items())
-
     def colours_used(self) -> set[str]:
         return {PALETTE[i] for i in set(self._codes)}
 

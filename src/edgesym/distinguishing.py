@@ -8,6 +8,7 @@ and exhaustive enumeration is the sole authority for negative answers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -60,6 +61,7 @@ class ChordlessPathError(ValueError):
 
 DEFAULT_BUDGET = 10**8
 _GROUP_ENUM_LIMIT = 200_000
+_PROBE_TRIES = 512  # random k-colourings tried before the exhaustive scan
 
 
 def is_distinguishing(g: Graph, c: EdgeColouring) -> bool:
@@ -156,7 +158,7 @@ def _spider_colouring(g: Graph, path: Sequence[int]) -> EdgeColouring:
     )
 
 
-def _probe_candidates(g: Graph, k: int, tries: int = 512):
+def _probe_candidates(g: Graph, k: int):
     """Deterministic stream of (candidate k-colouring, proven) pairs worth
     verifying. proven marks the spider colouring, which is distinguishing by
     construction; it is yielded unverified, so the caller's one verification
@@ -185,7 +187,7 @@ def _probe_candidates(g: Graph, k: int, tries: int = 512):
 
         rng = random.Random(0x5EED ^ (g.n * 2_654_435_761 + g.edge_count * 97 + k))
         palette = PALETTE[:k]
-        for _ in range(tries):
+        for _ in range(_PROBE_TRIES):
             yield EdgeColouring.on_graph(g, [rng.choice(palette) for _ in edges]), False
 
 
@@ -213,64 +215,48 @@ def _edge_index_perms(g: Graph, perms) -> list[tuple[int, ...]]:
     return rows
 
 
-def _exhaustive_witness(
-    g: Graph,
-    k: int,
-    budget: _Budget,
-    extra_check=None,
-    first_edge_palette: Optional[Sequence[str]] = None,
-) -> Optional[EdgeColouring]:
+def _meets_blue_rule(g: Graph, c: EdgeColouring) -> bool:
+    """search_colouring's star constraint: at most one vertex sees only
+    blue, none at all on a complete graph."""
+    return satisfies_blue_rule(g, c, g.n >= 2 and g.edge_count == g.n * (g.n - 1) // 2)
+
+
+def _exhaustive_witness(g: Graph, k: int, budget: _Budget, star: bool) -> Optional[EdgeColouring]:
     """Scan k-colourings in lexicographic order over the sorted edge list.
 
     One colour of the first edge per palette symmetry class is enough: colour
-    relabellings preserve the distinguishing property (blue is kept separate
-    by callers whose extra_check treats it specially).
+    relabellings preserve the distinguishing property. Under the blue rule
+    (star) blue is not interchangeable with red and green, so the first edge
+    also takes blue when the palette has it.
     """
-    edges = g.edges
-    m = len(edges)
+    m = g.edge_count
     palette = PALETTE[:k]
-    if m == 0:
-        c = EdgeColouring({})
-        if is_distinguishing(g, c) and (extra_check is None or extra_check(c)):
-            return c
-        return None
-
+    firsts = (RED, BLUE) if star and k >= 3 else (RED,)
     group = all_automorphisms(g, limit=_GROUP_ENUM_LIMIT)
-    killers: Optional[list[tuple[int, ...]]] = None
-    if group is not None:
-        killers = _edge_index_perms(g, group)
+    killers = None if group is None else _edge_index_perms(g, group)
 
-    firsts = tuple(first_edge_palette) if first_edge_palette is not None else (palette[0],)
-
-    for first in firsts:
-        for rest in itertools.product(palette, repeat=m - 1):
-            budget.spend()
-            cols = (first,) + rest
+    for cols in itertools.product(*([firsts] + [palette] * (m - 1))[:m]):
+        budget.spend()
+        preserved = False
+        for idx, row in enumerate(killers or ()):
+            if all(cols[i] == cols[row[i]] for i in range(m)):
+                preserved = True
+                if idx:  # move-to-front: recent killers go first
+                    killers.insert(0, killers.pop(idx))
+                break
+        if preserved:
+            continue
+        c = EdgeColouring.on_graph(g, cols)
+        if not is_distinguishing(g, c):
             if killers is not None:
-                preserved = False
-                for idx, row in enumerate(killers):
-                    if all(cols[i] == cols[row[i]] for i in range(m)):
-                        preserved = True
-                        if idx:  # move-to-front: recent killers go first
-                            killers.insert(0, killers.pop(idx))
-                        break
-                if preserved:
-                    continue
-                c = EdgeColouring.on_graph(g, cols)
-                if not is_distinguishing(g, c):
-                    raise RuntimeError("enumeration disagreed with the verifier")
-            else:
-                c = EdgeColouring.on_graph(g, cols)
-                if not is_distinguishing(g, c):
-                    continue
-            if extra_check is None or extra_check(c):
-                return c
+                raise RuntimeError("enumeration disagreed with the verifier")
+            continue
+        if not star or _meets_blue_rule(g, c):
+            return c
     return None
 
 
-def _witness(
-    g: Graph, k: int, budget: _Budget, extra_check=None, first_edge_palette=None
-) -> Optional[EdgeColouring]:
+def _witness(g: Graph, k: int, budget: _Budget, star: bool = False) -> Optional[EdgeColouring]:
     allowed = set(PALETTE[:k])
     # on small graphs the random probes repeat; a verdict never changes. A
     # proven probe is checked even when an equal probe was rejected before.
@@ -279,12 +265,12 @@ def _witness(
         if (cand in rejected and not proven) or not cand.colours_used() <= allowed:
             continue
         if is_distinguishing(g, cand):
-            if extra_check is None or extra_check(cand):
+            if not star or _meets_blue_rule(g, cand):
                 return cand
         elif proven:
             raise RuntimeError("spider colouring failed verification")
         rejected.add(cand)
-    return _exhaustive_witness(g, k, budget, extra_check, first_edge_palette)
+    return _exhaustive_witness(g, k, budget, star)
 
 
 # -- the index -----------------------------------------------------------------
@@ -335,20 +321,7 @@ def search_colouring(
     exhaustive search proves there is no such colouring."""
     if k not in (1, 2, 3):
         raise ValueError("palette size must be 1, 2 or 3")
-    g_complete = g.n >= 2 and all(g.degree(v) == g.n - 1 for v in g.vertices())
-
-    extra = None
-    if star_constraint:
-        def extra(c: EdgeColouring) -> bool:
-            return satisfies_blue_rule(g, c, g_complete)
-
-    firsts: Sequence[str] = (RED,)
-    if star_constraint and k >= 3:
-        # blue is pinned by the constraint; only red/green are interchangeable
-        firsts = (RED, BLUE)
-
-    tracker = _Budget(budget)
-    return _witness(g, k, tracker, extra, firsts)
+    return _witness(g, k, _Budget(budget), star_constraint)
 
 
 # -- conjecture scan -------------------------------------------------------------
@@ -425,13 +398,6 @@ def _scan_one(g: Graph, max_n: int, max_colours: int, budget: int, with_witness:
     return row
 
 
-def _scan_one_graph6(args) -> dict:
-    from .graph import parse_graph6
-
-    g6, max_n, max_colours, budget, with_witness = args
-    return _scan_one(parse_graph6(g6), max_n, max_colours, budget, with_witness)
-
-
 def scan_conjecture(
     corpus: Iterable[Graph],
     max_n: int = 10,
@@ -449,18 +415,14 @@ def scan_conjecture(
     once, so it gets no more of them than there are graphs or cores."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    report = ScanReport()
     graphs = list(corpus)
+    scan = functools.partial(
+        _scan_one, max_n=max_n, max_colours=max_colours, budget=budget, with_witness=with_witness
+    )
     workers = min(jobs, len(graphs), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        payload = [
-            (serialize_graph6(g), max_n, max_colours, budget, with_witness) for g in graphs
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            report.rows.extend(pool.map(_scan_one_graph6, payload))
-    else:
-        for g in graphs:
-            report.rows.append(_scan_one(g, max_n, max_colours, budget, with_witness))
-    return report
+            return ScanReport(list(pool.map(scan, graphs)))
+    return ScanReport(list(map(scan, graphs)))

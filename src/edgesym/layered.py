@@ -336,7 +336,7 @@ def enumerate_decorations(state: StepState, i: int, comp: tuple[int, ...]) -> li
 
 def decoration_is_asymmetric(state: StepState, i: int, d: Decoration) -> bool:
     """No nontrivial persistent automorphism maps the component onto itself
-    while mapping the decoration onto itself. Read off the persistent orbits:
+    while mapping the decoration onto itself. By cases:
 
     h = 0: the component is one vertex. h >= 2: the component carries a
     distinguishing colouring that persistent maps preserve, so a map keeping
@@ -349,8 +349,7 @@ def decoration_is_asymmetric(state: StepState, i: int, d: Decoration) -> bool:
     if state.layering.classes[i].h != 1 or d.forward_red or d.back_blue:
         return True
     u, v = d.component
-    orbits = vertex_orbits(state.graph, state.persistent_gens[i], state.layering.layers[i])
-    return not any(u in o and v in o for o in orbits)
+    return _carrier(state.graph, state.persistent_gens[i], u, {v}) is None
 
 
 def _carrier(
@@ -422,9 +421,9 @@ def decorations_similar(state: StepState, i: int, d1: Decoration, d2: Decoration
     ends1, ends2 = far_ends(d1, t), far_ends(d2, lambda s: s)
     if {lab: len(ws) for lab, ws in ends1.items()} != {lab: len(ws) for lab, ws in ends2.items()}:
         return False
+    earlier = state.layering.earlier_vertices(i)
     c = AutConstraint(
-        pinned={v: t(v) for v in d1.component},
-        pointwise_fixed=frozenset(state.layering.earlier_vertices(i)),
+        pinned={v: v for v in earlier} | {v: t(v) for v in d1.component},
         setwise_pairs=[(ends1[lab], ends2[lab]) for lab in ends1],
         colour_preserve={e: state.colouring[e] for e in state.layering.classes[i].horizontal},
     )

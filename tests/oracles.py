@@ -129,9 +129,6 @@ def constraint_holds_naive(g: Graph, c, p: tuple[int, ...]) -> bool:
     for v, w in c.pinned.items():
         if p[v] != w:
             return False
-    for v in c.pointwise_fixed:
-        if p[v] != v:
-            return False
     for a, b in c.setwise_pairs:
         if {p[v] for v in a} != set(b):
             return False
@@ -166,7 +163,11 @@ def random_constraint(g: Graph, rng):
         v = rng.randrange(n)
         c.pinned = {v: rng.randrange(n)}
     if rng.random() < 0.4 and n:
-        c.pointwise_fixed = frozenset(rng.sample(range(n), rng.randint(0, min(2, n))))
+        # fixed vertices as identity pins, skipping any vertex already pinned
+        # or already an image, so the query stays well formed
+        for v in rng.sample(range(n), rng.randint(0, min(2, n))):
+            if v not in c.pinned and v not in c.pinned.values():
+                c.pinned[v] = v
     if rng.random() < 0.3 and n >= 2:
         k = rng.randint(1, 2)
         c.setwise_pairs = [

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -17,6 +19,7 @@ from edgesym.distinguishing import (
     search_colouring,
 )
 from edgesym.graph import (
+    Graph,
     complete,
     complete_bipartite,
     cycle,
@@ -146,6 +149,24 @@ def test_search_colouring_k3_star():
     from edgesym.colouring import all_blue_vertices
 
     assert all_blue_vertices(complete(3), c) == []
+
+
+def test_search_colouring_blue_rule_changes_the_answer():
+    # the path 3-0-1-2: the first distinguishing 3-colouring found leaves 0
+    # and 3 seeing only blue; under the blue rule the search goes on
+    import edgesym.distinguishing as dist
+    from edgesym.colouring import all_blue_vertices
+
+    g = Graph(4, [(0, 1), (0, 3), (1, 2)])
+    assert all_blue_vertices(g, search_colouring(g, 3)) == [0, 3]
+    c = search_colouring(g, 3, star_constraint=True)
+    assert is_distinguishing(g, c) and all_blue_vertices(g, c) == [3]
+    # one vertex seeing only blue is allowed, except on a complete graph
+    one_blue = {(0, 1): BLUE, (0, 2): RED}
+    assert dist._meets_blue_rule(Graph(3, list(one_blue)), EdgeColouring(one_blue))
+    k3 = EdgeColouring({**one_blue, (1, 2): BLUE})
+    assert all_blue_vertices(complete(3), k3) == [1]
+    assert not dist._meets_blue_rule(complete(3), k3)
 
 
 def test_search_colouring_absent_cases():
@@ -361,10 +382,10 @@ def test_scan_skips_bad_inputs(monkeypatch):
 
 def test_scan_parallel_matches_serial():
     graphs = [cycle(5), complete(4), petersen(), complete_bipartite(3, 3)]
-    serial = scan_conjecture(graphs)
-    par = scan_conjecture(graphs, jobs=2)
-    assert [r["graph6"] for r in serial.rows] == [r["graph6"] for r in par.rows]
-    assert [r["dprime"] for r in serial.rows] == [r["dprime"] for r in par.rows]
+    serial = scan_conjecture(graphs, with_witness=True)
+    par = scan_conjecture(graphs, with_witness=True, jobs=2)
+    assert par.rows == serial.rows
+    assert sum("witness_colouring" in r for r in serial.rows) == 4
 
 
 def test_scan_pool_bounded_by_graphs_and_cores(monkeypatch):
@@ -404,6 +425,30 @@ def test_scan_pool_bounded_by_graphs_and_cores(monkeypatch):
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
             scan_conjecture(graphs, jobs=jobs)
+
+
+def test_search_colouring_answers_are_pinned():
+    # SHA-256 of every answer on K3..K7 and C3..C7, k in {2, 3}, with the blue
+    # rule off and on (12 of the 40 are None): it pins the probe and scan
+    # order. The rule changes no answer on these graphs;
+    # test_search_colouring_blue_rule_changes_the_answer shows it at work
+    grid = []
+    for g in [complete(n) for n in range(3, 8)] + [cycle(n) for n in range(3, 8)]:
+        for k in (2, 3):
+            for star in (False, True):
+                c = search_colouring(g, k, star)
+                grid.append(None if c is None else c.to_json())
+    digest = hashlib.sha256(json.dumps(grid).encode()).hexdigest()
+    assert digest == "0ba5407866750d5daf65ab765637367b11c123d172be8e75a7e6d766f536444f"
+
+
+def test_edgeless_graphs_scan_the_empty_colouring_once():
+    # with no edges the scan has one colouring, the empty one, and spends one
+    # budget unit on it; K1 is distinguished by it, two isolated vertices not
+    assert search_colouring(Graph(1), 1) == EdgeColouring({})
+    assert search_colouring(Graph(2), 3, star_constraint=True) is None
+    with pytest.raises(BudgetExceededError):
+        search_colouring(Graph(1), 1, budget=0)
 
 
 def test_monotone_witness_property():

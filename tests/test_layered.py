@@ -330,7 +330,7 @@ def test_persistent_identity_always_exists():
     g = petersen()
     state = advance(g, 1, decorate_last=False)
     colours = slice_colours(state, 1)
-    c = AutConstraint(pointwise_fixed=frozenset(state.layering.earlier_vertices(1)),
+    c = AutConstraint({v: v for v in state.layering.earlier_vertices(1)},
                       colour_preserve=colours)
     assert constraint_holds_naive(g, c, Permutation.identity(g.n).images)
     assert pointwise_stabiliser_generators(g, range(g.n), colours) == []
@@ -343,8 +343,7 @@ def test_persistent_nontrivial_on_petersen_layer1():
     state = advance(g, 1, decorate_last=False)
     gens = state.persistent_gens[1]
     assert gens
-    fixed = AutConstraint(pointwise_fixed=frozenset({0}),
-                          colour_preserve=slice_colours(state, 1))
+    fixed = AutConstraint({0: 0}, colour_preserve=slice_colours(state, 1))
     for p in gens:
         assert not p.is_identity
         assert constraint_holds_naive(g, fixed, p.images)
@@ -360,7 +359,7 @@ def test_persistent_absent_on_asymmetric_graph():
 def _brute_persistent_group(g, state, i, automorphisms):
     # slice i's persistent group as the automorphisms that fix every earlier
     # slice pointwise and preserve slice i's horizontal colours
-    c = AutConstraint(pointwise_fixed=frozenset(state.layering.earlier_vertices(i)),
+    c = AutConstraint({v: v for v in state.layering.earlier_vertices(i)},
                       colour_preserve=slice_colours(state, i))
     return [p for p in automorphisms if constraint_holds_naive(g, c, p)]
 
