@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import kernel
 from .graph import Edge, Graph, edge
@@ -497,6 +497,22 @@ def all_automorphisms(g: Graph, limit: int = 1_000_000) -> Optional[list[Permuta
 # -- orbits ------------------------------------------------------------------
 
 
+def _walk(gens: Sequence[Permutation], source: int) -> Iterator[tuple[int, dict]]:
+    """Breadth-first walk of source's orbit under the group gens generate.
+    Yields each vertex as it leaves the queue, before its images join it,
+    with the Schreier vector so far: each vertex reached maps to the vertex
+    and generator that first reached it, and source to None."""
+    step: dict[int, Optional[tuple[int, Permutation]]] = {source: None}
+    queue = [source]
+    for v in queue:
+        yield v, step
+        for p in gens:
+            w = p.images[v]
+            if w not in step:
+                step[w] = (v, p)
+                queue.append(w)
+
+
 def vertex_orbits(
     g: Graph, gens: Sequence[Permutation], domain: Optional[Iterable[int]] = None
 ) -> list[list[int]]:
@@ -508,43 +524,30 @@ def vertex_orbits(
         for v in dom:
             if p(v) not in dom_set:
                 raise ConstraintError(f"generator moves {v} out of the domain")
-    return _closure(dom, dom_set, gens, lambda p, x: p(x))
-
-
-def edge_orbits(
-    g: Graph, gens: Sequence[Permutation], domain: Optional[Iterable[Edge]] = None
-) -> list[list[Edge]]:
-    """Orbit partition of an edge set under the generated group."""
-    dom = sorted({edge(*e) for e in domain}) if domain is not None else list(g.edges)
-    dom_set = set(dom)
-    for e in dom:
-        if not g.has_edge(*e):
-            raise ConstraintError(f"domain references non-edge {e}")
-    for p in gens:
-        for e in dom:
-            if p.edge_image(e) not in dom_set:
-                raise ConstraintError(f"generator moves {e} out of the domain")
-    return _closure(dom, dom_set, gens, lambda p, e: p.edge_image(e))
-
-
-def _closure(dom, dom_set, gens, act):
-    remaining = set(dom)
     orbits = []
+    seen: set[int] = set()
     for x in dom:
-        if x not in remaining:
-            continue
-        orbit = {x}
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for p in gens:
-                z = act(p, y)
-                if z not in orbit:
-                    orbit.add(z)
-                    queue.append(z)
-        orbits.append(sorted(orbit))
-        remaining -= orbit
+        if x not in seen:
+            orbit = sorted(v for v, _ in _walk(gens, x))
+            seen.update(orbit)
+            orbits.append(orbit)
     return orbits
+
+
+def carrier(
+    g: Graph, gens: Sequence[Permutation], source: int, targets: set[int]
+) -> Optional[Permutation]:
+    """A member of the group generated by gens that sends source into
+    targets, or None: walk source's orbit to the first target reached, then
+    multiply the generators of the Schreier vector along the path back."""
+    for v, step in _walk(gens, source):
+        if v in targets:
+            t = Permutation.identity(g.n)
+            while step[v] is not None:
+                v, p = step[v]
+                t = t.compose(p)
+            return t
+    return None
 
 
 # -- isomorphism --------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .aut import AutConstraint, SizeGuardError, all_automorphisms, find_automorphism, is_isomorphic
-from .colouring import BLUE, GREEN, PALETTE, RED, EdgeColouring, satisfies_blue_rule
+from .colouring import GREEN, PALETTE, RED, EdgeColouring, satisfies_blue_rule
 from .graph import (
     Graph,
     complete,
@@ -62,6 +62,7 @@ class ChordlessPathError(ValueError):
 DEFAULT_BUDGET = 10**8
 _GROUP_ENUM_LIMIT = 200_000
 _PROBE_TRIES = 512  # random k-colourings tried before the exhaustive scan
+_HAMILTON_NODES = 50_000  # search nodes hamiltonian_path may visit
 
 
 def is_distinguishing(g: Graph, c: EdgeColouring) -> bool:
@@ -84,23 +85,18 @@ def is_distinguishing(g: Graph, c: EdgeColouring) -> bool:
 # -- witness probes -----------------------------------------------------------
 
 
-def hamiltonian_path(g: Graph, node_budget: int = 200_000) -> Optional[list[int]]:
-    """A Hamiltonian path by depth-first search, or None within the budget."""
+def hamiltonian_path(g: Graph) -> Optional[list[int]]:
+    """A Hamiltonian path by depth-first search, or None when none is found
+    within _HAMILTON_NODES search nodes."""
     n = g.n
-    if n == 0:
-        return None
-    if n == 1:
-        return [0]
     nodes = 0
-    best: Optional[list[int]] = None
 
     def extend(pathv: list[int], seen: int) -> bool:
-        nonlocal nodes, best
+        nonlocal nodes
         nodes += 1
-        if nodes > node_budget:
+        if nodes > _HAMILTON_NODES:
             return False
         if len(pathv) == n:
-            best = list(pathv)
             return True
         for w in g.neighbours(pathv[-1]):
             if not seen >> w & 1:
@@ -111,10 +107,9 @@ def hamiltonian_path(g: Graph, node_budget: int = 200_000) -> Optional[list[int]
         return False
 
     for start in range(n):
-        if extend([start], 1 << start):
-            return best
-        if nodes > node_budget:
-            return None
+        pathv = [start]
+        if extend(pathv, 1 << start):
+            return pathv
     return None
 
 
@@ -178,7 +173,7 @@ def _probe_candidates(g: Graph, k: int):
         yield EdgeColouring.on_graph(g, [RED if e in tree else GREEN for e in edges]), False
 
         if g.n >= 7:
-            pathv = hamiltonian_path(g, node_budget=50_000)
+            pathv = hamiltonian_path(g)
             if pathv is not None:
                 try:
                     yield _spider_colouring(g, pathv), True
@@ -200,8 +195,8 @@ class _Budget:
     def __init__(self, amount: int):
         self.left = amount
 
-    def spend(self, amount: int = 1) -> None:
-        self.left -= amount
+    def spend(self) -> None:
+        self.left -= 1
         if self.left < 0:
             raise BudgetExceededError("colouring enumeration budget exhausted")
 
@@ -222,20 +217,21 @@ def _meets_blue_rule(g: Graph, c: EdgeColouring) -> bool:
 
 
 def _exhaustive_witness(g: Graph, k: int, budget: _Budget, star: bool) -> Optional[EdgeColouring]:
-    """Scan k-colourings in lexicographic order over the sorted edge list.
-
-    One colour of the first edge per palette symmetry class is enough: colour
-    relabellings preserve the distinguishing property. Under the blue rule
-    (star) blue is not interchangeable with red and green, so the first edge
-    also takes blue when the palette has it.
-    """
+    """Scan k-colourings in lexicographic order over the sorted edge list,
+    the first edge red only. Let c be distinguishing and, under the blue
+    rule (star), meet it, and O be the Aut(G)-orbit of edge 0. If c colours
+    some f in O red or green, c composed with an automorphism taking edge 0
+    to f, red and green swapped if need be, is such a colouring with edge 0
+    red. Otherwise O is all blue; recolour it red. A map preserving the new
+    colouring maps O onto O, so it preserves c and is the identity, and the
+    all-blue vertices only shrink. So the red block, first in the scan of
+    every first colour, holds a witness whenever one exists."""
     m = g.edge_count
     palette = PALETTE[:k]
-    firsts = (RED, BLUE) if star and k >= 3 else (RED,)
     group = all_automorphisms(g, limit=_GROUP_ENUM_LIMIT)
     killers = None if group is None else _edge_index_perms(g, group)
 
-    for cols in itertools.product(*([firsts] + [palette] * (m - 1))[:m]):
+    for cols in itertools.product(*([(RED,)] + [palette] * (m - 1))[:m]):
         budget.spend()
         preserved = False
         for idx, row in enumerate(killers or ()):
@@ -356,7 +352,7 @@ class ScanReport:
         return not self.unexpected
 
 
-def _scan_one(g: Graph, max_n: int, max_colours: int, budget: int, with_witness: bool) -> dict:
+def _scan_one(g: Graph, max_n: int, budget: int, with_witness: bool) -> dict:
     row: dict = {
         "graph6": serialize_graph6(g),
         "n": g.n,
@@ -372,7 +368,7 @@ def _scan_one(g: Graph, max_n: int, max_colours: int, budget: int, with_witness:
         row.update(dprime=None, status="skipped_not_regular")
         return row
     try:
-        value, witness = distinguishing_index_with_witness(g, max_colours, budget)
+        value, witness = distinguishing_index_with_witness(g, budget=budget)
     except SizeGuardError:  # above the search guard, whatever max_n allows
         row.update(dprime=None, status="skipped_too_large")
         return row
@@ -380,7 +376,7 @@ def _scan_one(g: Graph, max_n: int, max_colours: int, budget: int, with_witness:
         row.update(dprime=None, status="budget_exceeded")
         return row
     except MaxColoursExceededError:
-        row.update(dprime=f">{max_colours}", status="unexpected_exception")
+        row.update(dprime=">3", status="unexpected_exception")
         return row
     if value is NOT_DISTINGUISHABLE:
         row["dprime"] = "not_distinguishable"
@@ -401,7 +397,6 @@ def _scan_one(g: Graph, max_n: int, max_colours: int, budget: int, with_witness:
 def scan_conjecture(
     corpus: Iterable[Graph],
     max_n: int = 10,
-    max_colours: int = 3,
     budget: int = DEFAULT_BUDGET,
     with_witness: bool = False,
     jobs: int = 1,
@@ -417,7 +412,7 @@ def scan_conjecture(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     graphs = list(corpus)
     scan = functools.partial(
-        _scan_one, max_n=max_n, max_colours=max_colours, budget=budget, with_witness=with_witness
+        _scan_one, max_n=max_n, budget=budget, with_witness=with_witness
     )
     workers = min(jobs, len(graphs), os.cpu_count() or 1)
     if workers > 1:

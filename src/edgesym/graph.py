@@ -16,6 +16,7 @@ _G6_MAX_SHORT = 62
 # The long header is '~' and n in three bytes; a first byte of '~' would open
 # the 36-bit form instead, which is not implemented, so n < 63 * 64**2.
 _G6_MAX_N = 258047
+_PAIRING_TRIES = 1000  # random_regular's pairings before it gives up
 
 
 class GraphError(ValueError):
@@ -313,17 +314,17 @@ def spider(legs: Iterable[int]) -> Graph:
     return Graph(nxt, edges)
 
 
-def random_regular(n: int, d: int, seed: int, max_retries: int = 1000) -> Graph:
+def random_regular(n: int, d: int, seed: int) -> Graph:
     """d-regular simple graph from the pairing model; rejection sampling.
 
     Deterministic for a fixed seed. Raises GraphError when the degree
-    sequence is infeasible or the retry budget runs out.
+    sequence is infeasible or _PAIRING_TRIES pairings all fail.
     """
     if d < 0 or d >= n or (n * d) % 2:
         raise GraphError(f"no {d}-regular simple graph on {n} vertices")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
-    for _ in range(max_retries):
+    for _ in range(_PAIRING_TRIES):
         rng.shuffle(stubs)
         seen: set[Edge] = set()
         ok = True
@@ -340,7 +341,7 @@ def random_regular(n: int, d: int, seed: int, max_retries: int = 1000) -> Graph:
         if ok:
             return Graph(n, seen)
     raise GraphError(
-        f"pairing model failed to produce a simple {d}-regular graph in {max_retries} tries"
+        f"pairing model failed to produce a simple {d}-regular graph in {_PAIRING_TRIES} tries"
     )
 
 

@@ -23,10 +23,10 @@ from typing import Optional, Sequence
 from .aut import (
     AutConstraint,
     Permutation,
+    carrier,
     find_automorphism,
     pointwise_stabiliser_generators,
     stabiliser_generators,
-    edge_orbits,
     vertex_orbits,
 )
 from .colouring import (
@@ -226,14 +226,14 @@ def initial_colouring(g: Graph, r: int) -> StepState:
 
 
 def _matching_orbit_colours(orbits: Sequence[Sequence[Edge]]) -> dict[Edge, str]:
-    """Cyclic red/green/blue over each orbit keeps every colour to at most
-    half of any orbit with two or more edges; singletons stay green."""
+    """Cyclic red/green/blue over each orbit, in its order, keeps every colour
+    to at most half of any orbit with two or more edges; singletons stay green."""
     out: dict[Edge, str] = {}
     for orbit in orbits:
         if len(orbit) == 1:
             out[orbit[0]] = GREEN
         else:
-            for j, e in enumerate(sorted(orbit)):
+            for j, e in enumerate(orbit):
                 out[e] = PALETTE[j % 3]
     return out
 
@@ -244,8 +244,8 @@ def colour_horizontal(state: StepState, i: int, verify: bool = False,
 
     h = 0: nothing to do. h = 1: the slice's matching edges get a balanced
     colouring over their orbits under the pointwise stabiliser of everything
-    earlier. h >= 2: every component is a regular graph of smaller degree;
-    recurse and install. No later step recolours these edges. Then slice
+    earlier, grouped as components are. h >= 2: every component is a
+    regular graph of smaller degree; recurse and install. No later step recolours these edges. Then slice
     i's persistent generators are computed under the installed colours.
     """
     g = state.graph
@@ -255,8 +255,7 @@ def colour_horizontal(state: StepState, i: int, verify: bool = False,
         rule = "H0"
     elif cls.h == 1:
         rule = "H1"
-        gens = state.earlier_stabiliser(i)
-        orbits = edge_orbits(g, gens, cls.horizontal)
+        orbits = _component_orbits(state, i, state.earlier_stabiliser(i))
         installed = _matching_orbit_colours(orbits)
     else:
         rule = "H2plus"
@@ -349,31 +348,7 @@ def decoration_is_asymmetric(state: StepState, i: int, d: Decoration) -> bool:
     if state.layering.classes[i].h != 1 or d.forward_red or d.back_blue:
         return True
     u, v = d.component
-    return _carrier(state.graph, state.persistent_gens[i], u, {v}) is None
-
-
-def _carrier(
-    g: Graph, gens: Sequence[Permutation], source: int, targets: set[int]
-) -> Optional[Permutation]:
-    """A member of the group generated by gens that sends source into
-    targets, or None: a breadth-first walk of source's orbit that records
-    the generator reaching each new vertex, then multiplies those along the
-    path back from the first target reached."""
-    step: dict[int, Optional[tuple[int, Permutation]]] = {source: None}
-    queue = [source]
-    for v in queue:
-        if v in targets:
-            t = Permutation.identity(g.n)
-            while step[v] is not None:
-                v, p = step[v]
-                t = t.compose(p)
-            return t
-        for p in gens:
-            w = p.images[v]
-            if w not in step:
-                step[w] = (v, p)
-                queue.append(w)
-    return None
+    return carrier(state.graph, state.persistent_gens[i], u, {v}) is None
 
 
 def decorations_similar(state: StepState, i: int, d1: Decoration, d2: Decoration) -> bool:
@@ -401,7 +376,7 @@ def decorations_similar(state: StepState, i: int, d1: Decoration, d2: Decoration
     else:
         source, targets = d1.component[0], set(d2.component)
     g = state.graph
-    t = _carrier(g, state.persistent_gens[i], source, targets)
+    t = carrier(g, state.persistent_gens[i], source, targets)
     if t is None or {t.edge_image(e) for e in d1.back_blue} != set(d2.back_blue):
         return False
     if not d1.forward_red:
@@ -430,13 +405,18 @@ def decorations_similar(state: StepState, i: int, d1: Decoration, d2: Decoration
     return find_automorphism(g, c) is not None
 
 
-def _component_orbits(state: StepState, i: int) -> list[list[tuple[int, ...]]]:
-    """Slice i's horizontal components grouped into persistent orbits, in
-    order of first appearance. The persistent group maps the slice's
-    horizontal edges onto themselves, hence components onto components: two
-    lie in one orbit exactly when a vertex orbit meets both, and the least
-    vertex of the orbits a component meets names its orbit."""
-    orbits = vertex_orbits(state.graph, state.persistent_gens[i], state.layering.layers[i])
+def _component_orbits(
+    state: StepState, i: int, gens: Sequence[Permutation]
+) -> list[list[tuple[int, ...]]]:
+    """Slice i's horizontal components grouped into orbits of the group gens
+    generate, in order of first appearance, each orbit sorted. gens fix the
+    root, so they map the slice's horizontal edges, hence its components,
+    onto themselves: if p sends a vertex of C into C', then p(C) meets C'
+    and is C'. So two components lie in one orbit exactly when a vertex
+    orbit meets both, and the least vertex of the orbits a component meets
+    names its orbit. At h = 1 a component is a matching edge, the only
+    horizontal edge at either end, so these are the matching edges' orbits."""
+    orbits = vertex_orbits(state.graph, gens, state.layering.layers[i])
     least = {v: o[0] for o in orbits for v in o}
     grouped: dict[int, list[tuple[int, ...]]] = {}
     for comp in state.layering.classes[i].components:
@@ -451,7 +431,7 @@ def assign_decorations(state: StepState, i: int) -> StepState:
     the empty decoration whenever it qualifies."""
     cls = state.layering.classes[i]
     entries = []
-    for orbit in _component_orbits(state, i):
+    for orbit in _component_orbits(state, i, state.persistent_gens[i]):
         n_k = len(orbit)
         chosen: list[Decoration] = []
         for comp in orbit:

@@ -196,19 +196,30 @@ def _edge_perms(g: Graph, perms: list[tuple[int, ...]]) -> np.ndarray:
 
 
 def exists_distinguishing_colouring_brute(
-    g: Graph, k: int, perms: Optional[list[tuple[int, ...]]] = None
+    g: Graph,
+    k: int,
+    perms: Optional[list[tuple[int, ...]]] = None,
+    star: bool = False,
+    red_edge: Optional[int] = None,
 ) -> bool:
     """Scan every k-colouring of the edges; True once one kills all nontrivial
-    automorphisms. Vectorised over chunks, early exit on the first witness."""
+    automorphisms. Colour digit d is the palette's d-th colour: red, green,
+    blue. With star, it must also meet the blue rule: at most one vertex of
+    positive degree sees only blue edges, and none on a complete graph. With
+    red_edge, an index into g.edges, that edge must be red. Vectorised over
+    chunks, early exit on the first witness."""
     if perms is None:
         perms = automorphisms_by_backtracking(g)
     nontrivial = [p for p in perms if any(p[v] != v for v in range(g.n))]
     m = g.edge_count
     if not nontrivial:
-        return True
+        return True  # the all-red colouring
     if m == 0:
         return False
     eperms = _edge_perms(g, nontrivial)
+    incident = [[j for j, e in enumerate(g.edges) if v in e] for v in range(g.n)]
+    incident = [inc for inc in incident if inc]
+    blue_allowed = 0 if m == g.n * (g.n - 1) // 2 else 1
     total = k**m
     chunk = 1 << 14
     # digits matrix built per chunk: colouring index -> per-edge colours
@@ -219,6 +230,12 @@ def exists_distinguishing_colouring_brute(
         idx = np.arange(start, stop, dtype=np.int64)
         digits = (idx[:, None] // weights[None, :]) % k
         alive = np.arange(stop - start)
+        if red_edge is not None:
+            alive = alive[digits[alive, red_edge] == 0]
+        if star:
+            all_blue = sum((digits[alive][:, inc] == 2).all(axis=1).astype(np.int64)
+                           for inc in incident)
+            alive = alive[all_blue <= blue_allowed]
         for row in eperms:
             if alive.size == 0:
                 break

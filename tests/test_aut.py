@@ -16,7 +16,6 @@ from edgesym.aut import (
     SizeGuardError,
     all_automorphisms,
     automorphism_generators,
-    edge_orbits,
     find_automorphism,
     find_isomorphism,
     group_order,
@@ -185,19 +184,6 @@ def test_vertex_orbits_examples():
     orbits = vertex_orbits(k4, stabiliser_generators(k4, 0))
     assert sorted(len(o) for o in orbits) == [1, 3]
     assert vertex_orbits(k4, []) == [[0], [1], [2], [3]]
-
-
-def test_edge_orbits_examples():
-    c6 = cycle(6)
-    assert len(edge_orbits(c6, automorphism_generators(c6))) == 1
-    star = Graph(5, [(0, i) for i in range(1, 5)])
-    orbs = edge_orbits(star, stabiliser_generators(star, 0))
-    assert len(orbs) == 1 and len(orbs[0]) == 4
-    g = petersen()
-    gens = stabiliser_generators(g, 0)
-    at_root = [e for e in g.edges if 0 in e]
-    orbs = edge_orbits(g, gens, at_root)
-    assert len(orbs) == 1 and len(orbs[0]) == 3
 
 
 def test_orbit_domain_violation():

@@ -31,6 +31,7 @@ from edgesym.graph import (
 from edgesym.layered import colour_regular
 
 from oracles import (
+    all_connected_graphs_upto,
     automorphisms_by_backtracking,
     distinguishing_index_brute,
     exists_distinguishing_colouring_brute,
@@ -440,6 +441,35 @@ def test_search_colouring_answers_are_pinned():
                 grid.append(None if c is None else c.to_json())
     digest = hashlib.sha256(json.dumps(grid).encode()).hexdigest()
     assert digest == "0ba5407866750d5daf65ab765637367b11c123d172be8e75a7e6d766f536444f"
+
+
+def test_a_red_first_edge_loses_no_colouring():
+    # the lemma behind the exhaustive scan's red first edge, by brute force
+    # on every connected graph with at most 5 vertices and every edge e: a
+    # distinguishing k-colouring, under the blue rule or not, exists exactly
+    # when one with e red does. search_colouring agrees on existence
+    checked = 0
+    for g in all_connected_graphs_upto(5):
+        perms = automorphisms_by_backtracking(g)
+        for k in (1, 2, 3):
+            for star in (False, True):
+                want = exists_distinguishing_colouring_brute(g, k, perms, star)
+                assert (search_colouring(g, k, star) is not None) == want
+                for j in range(g.edge_count):
+                    assert exists_distinguishing_colouring_brute(g, k, perms, star, j) == want
+                    checked += 1
+    assert checked == 966
+
+
+def test_brute_force_blue_rule_bites():
+    # two claws joined by a path of two edges: each claw's leaves need three
+    # colours, so two leaves see only blue. Three colours distinguish the
+    # graph, and none do under the blue rule
+    g = Graph(9, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7), (0, 8), (4, 8)])
+    assert exists_distinguishing_colouring_brute(g, 3)
+    assert not exists_distinguishing_colouring_brute(g, 3, star=True)
+    assert search_colouring(g, 3) is not None
+    assert search_colouring(g, 3, star_constraint=True) is None
 
 
 def test_edgeless_graphs_scan_the_empty_colouring_once():

@@ -412,10 +412,35 @@ def test_component_orbits_follow_crossed_generators():
     g = parse_graph6("FFzvO")
     state = advance(g, 1, decorate_last=False)
     assert state.layering.classes[1].components == [(3, 5), (4, 6)]
-    state.persistent_gens[1] = [Permutation((0, 1, 2, 6, 5, 4, 3))]
-    assert _component_orbits(state, 1) == [[(3, 5), (4, 6)]]
-    state.persistent_gens[1] = []
-    assert _component_orbits(state, 1) == [[(3, 5)], [(4, 6)]]
+    crossed = [Permutation((0, 1, 2, 6, 5, 4, 3))]
+    assert _component_orbits(state, 1, crossed) == [[(3, 5), (4, 6)]]
+    assert _component_orbits(state, 1, []) == [[(3, 5)], [(4, 6)]]
+
+
+def test_h1_orbits_are_the_matching_edge_orbits():
+    # on every H1 slice of the n <= 8 catalogue and Petersen, the matching
+    # edges grouped by the earlier stabiliser's vertex orbits are their
+    # orbits under that group enumerated by brute force, each sorted
+    slices = merged = 0
+    for g in connected_regular_upto(8) + [petersen()]:
+        deg = regularity(g)
+        if g.n <= 2 or deg == 2 or deg == g.n - 1:
+            continue  # cycle and complete-graph branches have no layer steps
+        automorphisms = automorphisms_by_backtracking(g)
+        state = initial_colouring(g, 0)
+        lay = state.layering
+        for i in range(1, lay.count):
+            if lay.classes[i].h != 1:
+                continue
+            fixed = AutConstraint({v: v for v in lay.earlier_vertices(i)})
+            group = [p for p in automorphisms if constraint_holds_naive(g, fixed, p)]
+            want = sorted({tuple(sorted({edge(p[u], p[v]) for p in group}))
+                           for u, v in lay.classes[i].horizontal})
+            got = _component_orbits(state, i, state.earlier_stabiliser(i))
+            assert got == [list(o) for o in want], (g.n, sorted(g.edges), i)
+            slices += 1
+            merged += any(len(o) > 1 for o in got)
+    assert (slices, merged) == (19, 2)
 
 
 def test_orbit_answers_match_pairwise_searches():
@@ -440,7 +465,7 @@ def test_orbit_answers_match_pairwise_searches():
         for i in range(1, state.layering.count):
             colour_horizontal(state, i)
             group = _brute_persistent_group(g, state, i, automorphisms)
-            orbits = _component_orbits(state, i)
+            orbits = _component_orbits(state, i, state.persistent_gens[i])
             assert orbits == _brute_component_orbits(state, i, group)
             grouped += any(len(o) > 1 for o in orbits)
             cands = []

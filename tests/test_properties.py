@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from edgesym.aut import (
     AutConstraint,
     automorphism_generators,
-    edge_orbits,
+    carrier,
     find_automorphism,
+    stabiliser_generators,
     vertex_orbits,
 )
 from edgesym.catalog import connected_regular_upto
@@ -21,7 +22,7 @@ from edgesym.distinguishing import (
 )
 from edgesym.graph import Graph, is_connected
 
-from oracles import constraint_holds_naive
+from oracles import automorphisms_by_backtracking, constraint_holds_naive
 
 
 def _random_graph(data, max_n=8):
@@ -46,13 +47,28 @@ def test_orbits_partition_and_closure(data):
                 seen
             )
             assert all(_orbit_of(v, orbits) == _orbit_of(p(v), orbits) for v in members)
-    eorbs = edge_orbits(g, gens)
-    eseen = [e for o in eorbs for e in o]
-    assert sorted(eseen) == sorted(g.edges)
-    for orbit in eorbs:
-        members = set(orbit)
-        for p in gens:
-            assert {p.edge_image(e) for e in members} == members
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_carrier_finds_a_group_element_exactly_when_one_exists(data):
+    # against every automorphism by backtracking: the full group, or the
+    # stabiliser of a vertex r
+    g = _random_graph(data, max_n=7)
+    group = automorphisms_by_backtracking(g)
+    gens = automorphism_generators(g)
+    if data.draw(st.booleans()):
+        r = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+        gens = stabiliser_generators(g, r)
+        group = [p for p in group if p[r] == r]
+    source = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+    targets = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+    t = carrier(g, gens, source, targets)
+    if t is None:
+        assert not any(p[source] in targets for p in group)
+    else:
+        assert t.images in group and t(source) in targets
+        assert t.is_identity or source not in targets  # the walk stops at source
 
 
 def _orbit_of(v, orbits):

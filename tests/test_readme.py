@@ -1,10 +1,11 @@
 """README states the bounds and the query fields the code has."""
 
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
-from edgesym import aut, graph
+from edgesym import aut, graph, layered
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +31,21 @@ def test_readme_constraint_fields_match_the_code():
     named = re.findall(r"`(\w+)` \(", listed)
     assert named == [f.name for f in dataclasses.fields(aut.AutConstraint)]
     assert count == ("one", "two", "three", "four", "five", "six")[len(named) - 1]
+
+
+def test_readme_stage_signatures_match_the_code():
+    # "The stage functions of `edgesym.layered` take the step state alone:
+    # `colour_horizontal(state, i, verify=False, budget=DEFAULT_BUDGET)`, ...
+    # and `check_step_properties(state, i, previous=None)`, where ..."
+    text = " ".join(README.read_text().split())
+    sentence = text.split("The stage functions of `edgesym.layered` take the step state alone: ",
+                          1)[1].split(", where ", 1)[0]
+    calls = re.findall(r"`(\w+)\(([^`]*)\)`", sentence)
+    assert len(calls) == 6
+    for name, params in calls:
+        written = [p.split("=") for p in params.split(", ")]
+        parameters = inspect.signature(getattr(layered, name)).parameters
+        assert [w[0] for w in written] == list(parameters), name
+        for w, p in zip(written, parameters.values()):
+            default = eval(w[1], vars(layered)) if len(w) == 2 else inspect.Parameter.empty
+            assert p.default == default, (name, p.name)
