@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .aut import (
     AutConstraint,
     Permutation,
+    _equitable_cells,
+    _label_rows,
     carrier,
     find_automorphism,
     pointwise_stabiliser_generators,
@@ -485,7 +487,13 @@ def check_step_properties(
     """Audit the invariants that keep the construction on track after step
     i; an empty list means the step is clean. Given the colouring from
     before the step, also check that the step changed only slice i's
-    incident edges."""
+    incident edges.
+
+    For each slice j <= i, check that no root-fixing map preserving the
+    colours settled by slice j moves a vertex of slice j. A slice of one
+    vertex never moves; the others are decided together by one refinement
+    carried from j to j (_settled_cells), and only a slice it leaves some
+    vertex of in a cell of two or more vertices is searched."""
     g = state.graph
     lay = state.layering
     r = lay.root
@@ -513,31 +521,76 @@ def check_step_properties(
             violations.append(f"blue edge {e} escapes the settled region")
             break
 
-    for j in range(i + 1):
-        if _settled_slice_movable(state, j):
+    for j, cells in _settled_cells(state, i):
+        alone = sum(x for x in cells if x & (x - 1) == 0)
+        loose = [v for v in lay.layers[j] if not alone >> v & 1]
+        if loose and _settled_slice_movable(state, j, loose):
             violations.append(
                 f"a root-fixing map preserving the settled colouring moves layer {j}"
             )
     return violations
 
 
-def _settled_slice_movable(state: StepState, j: int) -> bool:
-    """Does a root-fixing automorphism that preserves the state's colouring on
-    the edges settled by slice j move some vertex of slice j?
+def _settled_cells(state: StepState, i: int) -> Iterator[tuple[int, list[int]]]:
+    """For each slice j <= i of two or more vertices, in ascending order, j
+    and the coarsest equitable partition finer than the slices, as bitmask
+    cells, of the graph whose edges settled by slice j carry their colours
+    and whose other edges carry one label of their own.
 
-    Slices are orbits of the root stabiliser, and every map asked about lies
-    in that stabiliser, so it maps each slice onto itself and fixes a slice
-    of one vertex: that answer needs no search.
+    Every map a step check asks about fixes the root, so it maps each slice
+    onto itself, hence the edges slice j settles too, and preserves these
+    labels: it maps every cell onto itself and fixes every vertex alone in
+    its cell. One set of label rows and one partition serve every j.
+    Between two cells inside slices the edges are all settled by j or all
+    not, so the partition for a later j is equitable under j's labels too,
+    hence finer than j's partition; refining j's partition under the later
+    labels thus gives the later partition. The settled sets are prefixes of
+    outward_edges, so moving j's newly settled edges from the unsettled
+    label to their colours' labels gives j's labels, and only the cells
+    meeting one of their ends can have become unequitable: those are the
+    splitters. When no slice 0..i has two or more vertices, nothing is
+    built.
     """
     lay = state.layering
-    if len(lay.layers[j]) == 1:
-        return False
+    multi = [j for j in range(i + 1) if len(lay.layers[j]) > 1]
+    if not multi:
+        return
+    g = state.graph
+    col = state.colouring
+    ids = {c: lab for lab, c in enumerate(PALETTE, 2)}  # 1: unsettled
+    rows = _label_rows(g, [1] * g.edge_count, len(PALETTE) + 2)
+    cells = [sum(1 << v for v in layer) for layer in lay.layers]
+    touched = (1 << g.n) - 1  # no partition is known equitable yet: every slice splits
+    done = 0
+    for j in multi:
+        for u, v in lay.outward_edges[done:lay.settled_count[j]]:
+            lab = ids[col[u, v]]
+            rows[u][1] ^= 1 << v
+            rows[u][lab] |= 1 << v
+            rows[v][1] ^= 1 << u
+            rows[v][lab] |= 1 << u
+            touched |= 1 << u | 1 << v
+        done = lay.settled_count[j]
+        cells = _equitable_cells(rows, cells, [x for x in cells if x & touched])
+        touched = 0
+        yield j, cells
+
+
+def _settled_slice_movable(state: StepState, j: int, loose: Sequence[int]) -> bool:
+    """Does a root-fixing automorphism that preserves the state's colouring on
+    the edges settled by slice j move some vertex of loose?
+
+    loose holds the vertices of slice j that _settled_cells leaves in cells
+    of two or more vertices. Every map asked about fixes the others, so
+    asking about loose alone gives the answer for the whole slice.
+    """
+    lay = state.layering
     w = find_automorphism(
         state.graph,
         AutConstraint(
             pinned={lay.root: lay.root},
             colour_preserve={e: state.colouring[e] for e in lay.settled_edges(j)},
-            nontrivial_on=frozenset(lay.layers[j]),
+            nontrivial_on=frozenset(loose),
         ),
     )
     return w is not None

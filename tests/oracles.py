@@ -269,14 +269,17 @@ def distinguishing_index_brute(g: Graph, max_colours: int = 3):
 # -- equitable partitions ------------------------------------------------------
 
 
-def equitable_cells_by_rounds(g: Graph, fixed, labels=None) -> list[int]:
+def equitable_cells_by_rounds(g: Graph, fixed, labels=None, seed=None) -> list[int]:
     """Cell of each vertex in the coarsest equitable partition of g in which
     every vertex of fixed has a cell of its own, by whole rounds of colour
     refinement: every vertex is re-signed by its cell and, for each edge
     label, its number of neighbours by edges of that label in every cell,
     until the number of cells stops growing. labels[k] is the label of
     g.edges[k]; without labels every edge has one label, which is the
-    stabiliser chain's refinement before it moved to a splitter queue."""
+    stabiliser chain's refinement before it moved to a splitter queue.
+    seed[v], a non-negative int, names the cell v starts in, so that the
+    result is finer than the seed's partition; without it every vertex
+    starts in one cell."""
     n = g.n
     if labels is None:
         labels = [1] * g.edge_count
@@ -286,9 +289,10 @@ def equitable_cells_by_rounds(g: Graph, fixed, labels=None) -> list[int]:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     adjs = [by_label[lab] for lab in sorted(by_label)]
-    cell = [0] * n
+    cell = [0] * n if seed is None else list(seed)
+    top = max(cell, default=0)
     for i, v in enumerate(fixed):
-        cell[v] = i + 1
+        cell[v] = top + i + 1
     count = len(set(cell))
     while True:
         masks = [0] * (max(cell) + 1)

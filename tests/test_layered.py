@@ -9,7 +9,7 @@ import pytest
 
 from edgesym.aut import AutConstraint, Permutation, find_automorphism, pointwise_stabiliser_generators
 from edgesym.catalog import connected_regular_upto
-from edgesym.colouring import BLUE, GREEN, RED, EdgeColouring, all_blue_vertices, satisfies_blue_rule
+from edgesym.colouring import BLUE, GREEN, PALETTE, RED, EdgeColouring, all_blue_vertices, satisfies_blue_rule
 from edgesym.distinguishing import is_distinguishing
 from edgesym.graph import (
     Graph,
@@ -32,6 +32,7 @@ from edgesym.layered import (
     _decoration_back_edges,
     _decoration_sites,
     _matching_orbit_colours,
+    _settled_cells,
     assign_decorations,
     build_layering,
     check_step_properties,
@@ -43,7 +44,7 @@ from edgesym.layered import (
     initial_colouring,
 )
 
-from oracles import automorphisms_by_backtracking, constraint_holds_naive
+from oracles import automorphisms_by_backtracking, constraint_holds_naive, equitable_cells_by_rounds
 
 BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
@@ -60,6 +61,15 @@ def frucht():
     g = Graph(12, es)
     assert regularity(g) == 3
     return g
+
+
+def shrikhande():
+    # Cayley graph of Z4 x Z4 on +-(1, 0), +-(0, 1), +-(1, 1): vertex-transitive,
+    # and its root stabiliser splits the distance-2 vertices into orbits of 3
+    # and 6, which colour refinement from the root alone does not separate
+    steps = [(1, 0), (0, 1), (1, 1)]
+    return Graph(16, {edge(4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)
+                      for a in range(4) for b in range(4) for x, y in steps})
 
 
 def advance(g, upto, r=0, decorate_last=True):
@@ -790,6 +800,124 @@ def test_step_check_skips_only_slices_the_root_stabiliser_fixes():
     assert multi_vertex >= 93 and recoloured_moves >= 10, (multi_vertex, recoloured_moves)
 
 
+def _labels_settled_by(state, j):
+    """Each edge's label in the step check of slice j: its colour once slice
+    j settles it, else one label of its own ("", below every colour)."""
+    settled = set(state.layering.settled_edges(j))
+    return [state.colouring[e] if e in settled else "" for e in state.graph.edges]
+
+
+def _blocks(cells):
+    return sorted(sorted(v for v in range(c.bit_length()) if c >> v & 1) for c in cells)
+
+
+def test_carried_step_cells_equal_a_refinement_from_the_slices():
+    # at every step i of the n <= 8 catalogue, Petersen, the benchmark's
+    # large graphs, C16/C32(1,7) and the Shrikhande graph, _settled_cells
+    # yields exactly the slices j <= i of two or more vertices, each with the
+    # partition that whole rounds of refinement from the slices give under
+    # slice j's labels. On graphs of at most 10 vertices each settled edge
+    # is also recoloured in turn, which leaves some slices undecided.
+    # The initial colouring is checked at every slice: on the Shrikhande
+    # graph it leaves the root's slices of 3 and 6 vertices at distance 2 in
+    # one cell when refined from {root, rest} instead
+    small = connected_regular_upto(8) + [petersen(), shrikhande()]
+    large = [parse_graph6(line) for line in (BENCH_DATA / "large.g6").read_text().split()]
+    circulants = [circulant(16, [1, 7]), circulant(32, [1, 7])]
+    compared = undecided = 0
+    for g, state, i, _ in _stepped_states(small + large + circulants):
+        lay = state.layering
+        if i == 0:
+            i = lay.count - 1
+        seed = [lay.layer_of[v] for v in range(g.n)]
+        states = [state]
+        if g.n <= 10:
+            for e in lay.settled_edges(i):
+                c = PALETTE[(PALETTE.index(state.colouring[e]) + 1) % 3]
+                states.append(dataclasses.replace(state, colouring={**state.colouring, e: c}))
+        for s in states:
+            yielded = list(_settled_cells(s, i))
+            assert [j for j, _ in yielded] == [j for j in range(i + 1) if len(lay.layers[j]) > 1]
+            for j, cells in yielded:
+                ids = equitable_cells_by_rounds(g, [], _labels_settled_by(s, j), seed)
+                want = sorted(sorted(v for v in range(g.n) if ids[v] == c) for c in set(ids))
+                assert _blocks(cells) == want, (g.edges, i, j)
+                compared += 1
+                undecided += any(x & (x - 1) and x & sum(1 << v for v in lay.layers[j])
+                                 for x in cells)
+    assert compared >= 1600 and undecided >= 100, (compared, undecided)
+
+
+def test_carried_step_cells_are_unions_of_orbits():
+    # at n <= 8, every map of the brute-force automorphism group that fixes
+    # the root and preserves slice j's labels maps each carried cell onto
+    # itself, after every step and with each settled edge recoloured in turn
+    checked = moved = 0
+    for g in connected_regular_upto(8):
+        perms = None
+        index = {e: k for k, e in enumerate(g.edges)}
+        for _, state, i, _ in _stepped_states([g]):
+            if perms is None:
+                perms = [p for p in automorphisms_by_backtracking(g) if p[0] == 0]
+            lay = state.layering
+            states = [state] + [
+                dataclasses.replace(state, colouring={**state.colouring, e: c})
+                for e in lay.settled_edges(i) for c in PALETTE if c != state.colouring[e]]
+            for s in states:
+                for j, cells in _settled_cells(s, i):
+                    labels = _labels_settled_by(s, j)
+                    for p in perms:
+                        if all(labels[index[edge(p[u], p[v])]] == labels[k]
+                               for k, (u, v) in enumerate(g.edges)):
+                            for x in cells:
+                                assert sum(1 << p[v] for v in range(g.n) if x >> v & 1) == x
+                            moved += p != tuple(range(g.n))
+                    checked += 1
+    assert checked >= 2700 and moved >= 500, (checked, moved)
+
+
+# SHA-256 of colour_regular(verify=True) on C64(1,7): its colouring and audit
+# trail, as test_colourings_and_audits_match_pinned_digest hashes them
+C64_1_7_SHA256 = "ce05c3d6a89f2a3fee141145c74d1058ba9d027b07829fe56a82e2d6706c0925"
+
+
+def test_step_checks_on_c64_1_7_make_no_search(monkeypatch):
+    # the root stabiliser of C64(1,7) has order 2, so every slice but two has
+    # two vertices, and step i checks every slice j <= i. Refining afresh per
+    # slice cost 527 find_automorphism calls and as many _refined calls
+    # (560 over the whole run); the carried cells decide every slice alone
+    import edgesym.aut as aut_module
+    import edgesym.layered as layered_module
+
+    inside = [False]
+    calls = {"_refined": 0, "find_automorphism": 0}
+
+    def counted(module, name):
+        f = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += inside[0]
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    def step_checks(*args):
+        inside[0] = True
+        try:
+            return check_step_properties(*args)
+        finally:
+            inside[0] = False
+
+    counted(aut_module, "_refined")
+    counted(layered_module, "find_automorphism")
+    monkeypatch.setattr(layered_module, "check_step_properties", step_checks)
+    audit = []
+    c = colour_regular(circulant(64, [1, 7]), verify=True, audit=audit)
+    assert calls == {"_refined": 0, "find_automorphism": 0}
+    digest = hashlib.sha256(json.dumps([c.to_json(), audit], sort_keys=True).encode())
+    assert digest.hexdigest() == C64_1_7_SHA256
+
+
 # -- the headline operation -------------------------------------------------------------
 
 
@@ -900,12 +1028,12 @@ def test_colour_regular_frucht():
 
 
 def test_verification_ladders_are_pruned_at_the_root(monkeypatch):
-    # On nearly asymmetric graphs, label-aware refinement from the root (step
-    # checks) and from the final colouring alone (the final check) leaves
-    # every probe in a cell of its own, so neither makes a kernel search: 0
-    # on these six graphs, against 287 for the unpruned ladders. A
-    # refinement that ignores colours stays sound, so only this count
-    # catches it: it leaves the final check's cell whole.
+    # On nearly asymmetric graphs, the step checks' carried cells decide
+    # every slice, and label-aware refinement from the final colouring alone
+    # (the final check) leaves every probe in a cell of its own, so neither
+    # makes a kernel search: 0 on these six graphs, against 287 for the
+    # unpruned ladders. A refinement that ignores colours stays sound, so
+    # only this count catches it: it leaves the final check's cell whole.
     import edgesym.layered as layered_module
     from edgesym import kernel
 
