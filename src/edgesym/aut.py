@@ -227,10 +227,12 @@ def find_automorphism(g: Graph, c: Optional[AutConstraint] = None) -> Optional[P
     are no setwise pairs, a map meeting c fixes the pinned vertices and
     preserves the edge labels, so it maps each cell of the coarsest
     equitable partition of the labelled graph, refined from those vertices,
-    onto itself. A probe alone in its cell is fixed by every such map: its
-    rung is skipped, and when every probe is alone the answer is None with
-    no kernel query at all. The rungs that do run keep their masks, so the
-    witness is the one the full ladder finds.
+    onto itself. The ladder then reads the level walk of _levels over the
+    probes, which individualises each probe once its rung fails (no
+    remaining map moves it). A probe alone in its cell is fixed by every
+    remaining map, so its rung is skipped; other constraints walk the probes
+    unrefined. The query is prepared on the first rung that runs, and those
+    rungs keep their masks, so the witness is the one the full ladder finds.
     """
     c = (c or AutConstraint()).normalised()
     _validate(g, c)
@@ -239,22 +241,22 @@ def find_automorphism(g: Graph, c: Optional[AutConstraint] = None) -> Optional[P
         return _searcher(g, rows)(allowed, c)
 
     probes = sorted(c.nontrivial_on)
-    alone = 0  # probes every map meeting c fixes
     if not c.setwise_pairs and all(v == w for v, w in c.pinned.items()):
-        cells = _refined(rows, c.pinned)
-        alone = sum(x for x in cells if x & (x - 1) == 0)
-        if all(alone >> x & 1 for x in probes):
-            return None
-    run = _searcher(g, rows)
+        walk = _levels(rows, c.pinned, probes)
+    else:
+        walk = ((x, -1) for x in probes)  # unrefined: one cell of every vertex
+    run = None
     masks = list(allowed)  # each passed probe pinned to itself
-    for x in probes:
-        if not alone >> x & 1 and masks[x] & ~(1 << x):
+    for x, cell in walk:
+        bit = 1 << x
+        if cell != bit and masks[x] & ~bit:
             rung = list(masks)
-            rung[x] &= ~(1 << x)
+            rung[x] &= ~bit
+            run = run or _searcher(g, rows)
             found = run(rung, c)
             if found is not None:
                 return found
-        masks[x] &= 1 << x
+        masks[x] &= bit
         if masks[x] == 0:
             return None
     return None
@@ -271,12 +273,12 @@ def _equitable_cells(rows, cells: list[int], splitters: list[int]) -> list[int]:
     are the partition's cells as disjoint bitmasks. For each cell that is
     not among the splitters, the partition must already be equitable with
     respect to that cell, or to that cell together with some splitters (as
-    after _individualise). Each splitter W splits every non-singleton cell
-    it reaches by each vertex's vector of per-label neighbour counts in W;
-    the pieces of a cell still queued replace it in the queue, and otherwise
-    every piece but one largest joins the queue. The result, returned once
-    no splitter is left or every cell is a singleton, is the same set
-    partition in whatever order the cells come.
+    when _levels individualises a base). Each splitter W splits every
+    non-singleton cell it reaches by each vertex's vector of per-label
+    neighbour counts in W; the pieces of a cell still queued replace it in
+    the queue, and otherwise every piece but one largest joins the queue.
+    The result, returned once no splitter is left or every cell is a
+    singleton, is the same set partition in whatever order the cells come.
 
     The counts are bit-sliced: the rows of W's vertices are added, label by
     label, into carry-save bitmask planes, plane i holding bit i of every
@@ -348,29 +350,28 @@ def _equitable_cells(rows, cells: list[int], splitters: list[int]) -> list[int]:
     return cells
 
 
-def _individualise(rows, cells: list[int], v: int) -> list[int]:
-    """Coarsest equitable refinement of an equitable partition with v given
-    a cell of its own. The old partition is equitable with respect to v's
-    old cell, so {v} is the only splitter needed."""
-    bit = 1 << v
-    out = []
-    for x in cells:
-        if x & bit and x != bit:
-            out += [bit, x ^ bit]
-        else:
-            out.append(x)
-    if len(out) == len(cells):
-        return out  # v already had a cell of its own
-    return _equitable_cells(rows, out, [bit])
+def _levels(rows, fixed: Iterable[int], bases: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The level walk of the stabiliser chain and the nontrivial_on ladder.
 
-
-def _refined(rows, fixed: Iterable[int]) -> list[int]:
-    """Coarsest equitable refinement of {each fixed vertex alone, the rest}."""
+    Refines {each fixed vertex alone, the rest} to its coarsest equitable
+    partition, then yields each base with its cell (a bitmask) and, once the
+    caller resumes it, individualises the base, splitting by {base} alone;
+    it stops once the partition is discrete. The caller must resume only
+    when every map it still asks about fixes the base."""
     cells = [1 << v for v in fixed]
     rest = (1 << len(rows)) - 1 - sum(cells)
     if rest:
         cells.append(rest)
-    return _equitable_cells(rows, cells, list(cells))
+    cells = _equitable_cells(rows, cells, list(cells))
+    for b in bases:
+        if len(cells) == len(rows):
+            return
+        bit = 1 << b
+        cell = next(x for x in cells if x & bit)
+        yield b, cell
+        if cell != bit:
+            split = [bit, cell ^ bit, *(x for x in cells if x != cell)]
+            cells = _equitable_cells(rows, split, [bit])
 
 
 def _chain_transversals(
@@ -384,25 +385,24 @@ def _chain_transversals(
     Level b holds, for each target w != b in ascending order, the witness of
     find_automorphism(pinned={**pins, b: w}, colour_preserve) when one
     exists, where pins pins start_fixed and the earlier levels to
-    themselves.
+    themselves. One witness per other point of b's orbit under the maps
+    fixing pins: with the identity, a full transversal of that level.
 
     The constraint is validated once, on entry. Every level's query differs
     only in its pinned vertices, so the kernel query is prepared once (on
     the first search) and each target only changes the candidate masks;
     every witness is vetted against its full constraint.
 
-    Targets are pruned by equitable refinement: an automorphism that fixes
-    every vertex of pins maps each cell of the coarsest equitable partition
-    with those vertices individualised onto itself, so only targets in b's
-    cell are searched. The refinement is the one that prunes
-    find_automorphism's nontrivial_on ladder, given rows with one label,
-    the edges: the cells ignore colours, so they hold the orbits of the
-    uncoloured group, which contains the coloured one. (Colour-aware cells
-    cut the chain searches of a colour_regular(verify=True) pass over the
-    n <= 10 catalogue from 1,119 to 948 but saved no time, because every
-    chain then builds label rows.) The partition is carried from level to
-    level by individualising b. The skipped searches are exactly ones that
-    would fail, so the witness list is the same as without pruning.
+    Targets are pruned by the level walk of _levels: a map fixing pins maps
+    each cell of the coarsest equitable partition with pins individualised
+    onto itself, so only targets in b's cell are searched. The walk gets
+    rows with one label, the edges: the cells ignore colours, so they hold
+    orbits of the uncoloured group, which contains the coloured one.
+    (Colour-aware cells cut the chain searches of a verified colour_regular
+    pass over the n <= 10 catalogue from 1,119 to 948 but saved no time,
+    because every chain then builds label rows.) The skipped searches
+    are exactly ones that would fail, so the witnesses are those of the
+    unpruned chain.
     """
     pins = {v: v for v in start_fixed}
     c = AutConstraint(pins, colour_preserve=colour_preserve).normalised()
@@ -412,17 +412,12 @@ def _chain_transversals(
     masks = [(1 << n) - 1] * n  # candidates at the current level: pinned vertices fixed
     for v in pins:
         masks[v] = 1 << v
-    cells = _refined(edge_rows, pins)
 
     gens: list[Permutation] = []
     run = None
-    for b in range(n):
-        if len(cells) == n:
-            break  # discrete: only the identity fixes pins, here and below
-        if b in pins:
-            continue
+    for b, cell in _levels(edge_rows, pins, [b for b in range(n) if b not in pins]):
         bit = 1 << b
-        targets = next(x for x in cells if x & bit) ^ bit
+        targets = cell ^ bit
         if targets and run is None:
             run = _searcher(g, _build_query(g, c)[0])
         while targets:
@@ -437,7 +432,6 @@ def _chain_transversals(
                 gens.append(witness)
         pins[b] = b
         masks[b] = bit
-        cells = _individualise(edge_rows, cells, b)
     return gens
 
 
@@ -461,36 +455,37 @@ def pointwise_stabiliser_generators(
     return _chain_transversals(g, sorted(set(fixed)), colour_preserve)
 
 
-def group_order(g: Graph) -> int:
-    """|Aut(G)| by an orbit-stabiliser chain.
+def _transversals(gens: Iterable[Permutation]) -> list[list[Permutation]]:
+    """The levels of a chain's witnesses: each witness of level b fixes the
+    earlier bases and moves b, so bucketing by first moved vertex recovers
+    the levels, in the order of their bases. A level's witnesses with the
+    identity are a full transversal."""
+    levels: dict[int, list[Permutation]] = {}
+    for p in gens:
+        levels.setdefault(p.moved()[0], []).append(p)
+    return list(levels.values())
 
-    Every chain witness of level b fixes 0..b-1 and moves b, so the orbit of
-    b under its level's stabiliser is b plus those witnesses' images of b.
-    """
-    orbit = [1] * g.n
-    for p in _chain_transversals(g, []):
-        orbit[p.moved()[0]] += 1
-    return math.prod(orbit)
+
+def group_order(g: Graph) -> int:
+    """|Aut(G)| by an orbit-stabiliser chain: the product of the basic orbit
+    sizes, each a level's witness count plus one for its base."""
+    return math.prod(len(t) + 1 for t in _transversals(_chain_transversals(g, [])))
 
 
 def all_automorphisms(g: Graph, limit: int = 1_000_000) -> Optional[list[Permutation]]:
-    """Every automorphism by closure over generators; None if more than limit."""
-    gens = automorphism_generators(g)
-    seen = {tuple(range(g.n))}
-    frontier = [Permutation.identity(g.n)]
-    out = list(frontier)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in gens:
-                r = q.compose(p)
-                if r.images not in seen:
-                    seen.add(r.images)
-                    if len(seen) > limit:
-                        return None
-                    nxt.append(r)
-                    out.append(r)
-        frontier = nxt
+    """Every automorphism, each once, identity first; None if more than limit.
+
+    The order comes from the chain alone, so a group over the limit costs no
+    products, and a limit below 1 always gives None. Otherwise the levels'
+    transversals are multiplied out deepest first: each element is
+    t_0 t_1 ... t_k with t_b the identity or a witness of level b.
+    """
+    levels = _transversals(automorphism_generators(g))
+    if math.prod(len(t) + 1 for t in levels) > limit:
+        return None
+    out = [Permutation.identity(g.n)]
+    for level in reversed(levels):
+        out += [t.compose(p) for t in level for p in out]
     return out
 
 

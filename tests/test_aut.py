@@ -7,10 +7,10 @@ from edgesym.aut import (
     AutConstraint,
     _build_query,
     _chain_transversals,
-    _individualise,
     _label_rows,
-    _refined,
+    _levels,
     _searcher,
+    _transversals,
     ConstraintError,
     Permutation,
     SizeGuardError,
@@ -212,11 +212,36 @@ def test_group_order_matches_enumeration_on_random_graphs():
         assert group_order(g) == len(automorphisms_by_full_enumeration(g))
 
 
-def test_all_automorphisms_closure():
-    g = cycle(5)
-    group = all_automorphisms(g)
-    assert group is not None and len(group) == 10
-    assert all_automorphisms(complete(6), limit=100) is None
+def test_all_automorphisms_matches_brute_force():
+    # the chain's transversals multiplied out: every automorphism once, as
+    # many as group_order, and None exactly when the order passes the limit
+    graphs = list(connected_regular_upto(8)) + [petersen(), complete_bipartite(3, 4)]
+    nontrivial = 0
+    for g in graphs:
+        group = all_automorphisms(g)
+        images = [p.images for p in group]
+        assert len(set(images)) == len(images) == group_order(g), g.edges
+        assert set(images) == set(automorphisms_by_backtracking(g)), g.edges
+        assert all_automorphisms(g, limit=len(group)) == group
+        assert all_automorphisms(g, limit=len(group) - 1) is None
+        nontrivial += len(_transversals(automorphism_generators(g))) > 1
+    assert len(graphs) == 35 and nontrivial == 31, (len(graphs), nontrivial)
+    assert all_automorphisms(Graph(0), limit=0) is None
+
+
+def test_all_automorphisms_over_the_limit_makes_no_products(monkeypatch):
+    # |Aut(K9)| = 362,880: the chain's order alone refuses it
+    compose = Permutation.compose
+    calls = [0]
+
+    def counted(self, other):
+        calls[0] += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(Permutation, "compose", counted)
+    assert all_automorphisms(complete(9), limit=200_000) is None
+    assert calls[0] == 0
+    assert len(all_automorphisms(complete(5))) == 120 and calls[0] == 119
 
 
 def test_pointwise_stabiliser_generators():
@@ -416,61 +441,74 @@ def _adjacency(g):
     return [(0, g.adjacency_mask(v)) for v in range(g.n)]
 
 
+def _walk_matches_rounds(g, rows, fixed, bases, labels=None):
+    # each cell the level walk yields is its base's cell in the round
+    # reference with the fixed vertices and the earlier bases alone, the
+    # walk stops exactly when that partition is discrete, and the partition
+    # refined from scratch (one single-base walk per vertex) is the same.
+    # Returns the reference blocks of every level up to the first discrete one.
+    walked = list(_levels(rows, fixed, bases))
+    refs = []
+    for k in range(len(bases) + 1):
+        want = _blocks_of_labels(equitable_cells_by_rounds(g, fixed + bases[:k], labels))
+        fresh = [next(_levels(rows, fixed + bases[:k], [v]), (v, 1 << v))[1] for v in range(g.n)]
+        assert _blocks_of_masks(fresh) == want, (g.edges, labels, fixed, bases[:k])
+        refs.append(want)
+        if len(want) == g.n:
+            break
+    reached = min(len(bases), sum(len(want) < g.n for want in refs))
+    assert [b for b, _ in walked] == bases[:reached], (g.edges, labels, fixed, bases)
+    for (b, cell), want in zip(walked, refs):
+        assert cell >> b & 1 and _blocks_of_masks([cell]) <= want, (g.edges, labels, fixed, bases)
+    return refs
+
+
+def _fixed_and_bases(g, rng):
+    order = rng.sample(range(g.n), g.n)
+    cut = rng.randint(0, min(2, g.n))
+    return order[:cut], order[cut : rng.randint(cut, g.n)]
+
+
 def test_splitter_refinement_matches_round_reference():
     # the same set partition as whole rounds of colour refinement, from
-    # scratch and carried along a random prefix one vertex at a time; at
-    # n <= 7 every cell is a union of orbits of the pointwise stabiliser
+    # scratch and carried along a random list of bases one vertex at a time;
+    # at n <= 7 every cell is a union of orbits of the pointwise stabiliser
     rng = random.Random(1911)
-    graphs = [g for g in connected_regular_upto(8) if g.n >= 1]
-    graphs += [_random_gnp(rng.randint(1, 9), rng) for _ in range(60)]
+    graphs = [g for g in connected_regular_upto(8) if g.n >= 1] * 2
+    graphs += [_random_gnp(rng.randint(1, 9), rng) for _ in range(120)]
     compared = split = orbit_checked = 0
     for g in graphs:
-        adj = _adjacency(g)
-        prefix = rng.sample(range(g.n), rng.randint(0, g.n))
         perms = automorphisms_by_full_enumeration(g) if g.n <= 7 else None
-        carried = _refined(adj, [])
-        for k in range(len(prefix) + 1):
-            if k:
-                carried = _individualise(adj, carried, prefix[k - 1])
-            want = _blocks_of_labels(equitable_cells_by_rounds(g, prefix[:k]))
-            assert _blocks_of_masks(carried) == want, (g.edges, prefix[:k])
-            assert _blocks_of_masks(_refined(adj, prefix[:k])) == want
-            assert sum(carried) == (1 << g.n) - 1 and len(carried) == len(want)
+        fixed, bases = _fixed_and_bases(g, rng)
+        for k, want in enumerate(_walk_matches_rounds(g, _adjacency(g), fixed, bases)):
             compared += 1
-            split += len(want) > k + 1
+            split += len(want) > len(fixed) + k + 1
             if perms is not None:
                 cell_of = {v: b for b in want for v in b}
                 for p in perms:
-                    if all(p[v] == v for v in prefix[:k]):
+                    if all(p[v] == v for v in fixed + bases[:k]):
                         assert all(p[v] in cell_of[v] for v in range(g.n))
                 orbit_checked += 1
-    assert compared > 300 and split > 100 and orbit_checked > 150, (compared, split, orbit_checked)
+    assert compared > 300 and split > 200 and orbit_checked > 180, (compared, split, orbit_checked)
 
 
 def test_labelled_refinement_matches_round_reference():
     # random edge labellings with one to three labels: the same set partition
     # as whole rounds of labelled colour refinement, from scratch and carried
-    # along a random prefix one vertex at a time
+    # along a random list of bases one vertex at a time
     rng = random.Random(1912)
-    graphs = [g for g in connected_regular_upto(8) if g.n >= 1]
-    graphs += [_random_gnp(rng.randint(1, 10), rng) for _ in range(80)]
+    graphs = [g for g in connected_regular_upto(8) if g.n >= 1] * 3
+    graphs += [_random_gnp(rng.randint(1, 10), rng) for _ in range(240)]
     compared = finer = 0
     for g in graphs:
         nlabels = rng.randint(1, 3)
         labels = [rng.randint(1, nlabels) for _ in g.edges]
         rows = _label_rows(g, labels, nlabels + 1)
-        prefix = rng.sample(range(g.n), rng.randint(0, g.n))
-        carried = _refined(rows, [])
-        for k in range(len(prefix) + 1):
-            if k:
-                carried = _individualise(rows, carried, prefix[k - 1])
-            want = _blocks_of_labels(equitable_cells_by_rounds(g, prefix[:k], labels))
-            assert _blocks_of_masks(carried) == want, (g.edges, labels, prefix[:k])
-            assert _blocks_of_masks(_refined(rows, prefix[:k])) == want
-            assert sum(carried) == (1 << g.n) - 1 and len(carried) == len(want)
+        fixed, bases = _fixed_and_bases(g, rng)
+        for k, want in enumerate(_walk_matches_rounds(g, rows, fixed, bases, labels)):
             compared += 1
-            finer += len(want) > len(set(equitable_cells_by_rounds(g, prefix[:k])))
-    assert compared > 350 and finer > 80, (compared, finer)
+            finer += len(want) > len(set(equitable_cells_by_rounds(g, fixed + bases[:k])))
+    assert compared > 400 and finer > 90, (compared, finer)
 
 
 def _ladder_unpruned(g, c):
@@ -510,6 +548,31 @@ def _ladder_constraint(g, rng):
         colour_preserve=colours,
         nontrivial_on=frozenset(probes),
     ).normalised()
+
+
+def test_ladder_carries_individualisation_from_rung_to_rung(monkeypatch):
+    # on the 167 connected regular graphs with 10 vertices the root
+    # partition is often coarser than the orbits; individualising each probe
+    # whose rung failed splits the cells of the later probes, so the ladder
+    # makes 188 searches where the root partition alone lets 276 run
+    searches = [0]
+    search = kernel.search_mapping
+
+    def counted(query, masks):
+        searches[0] += 1
+        return search(query, masks)
+
+    monkeypatch.setattr(kernel, "search_mapping", counted)
+    graphs = [g for g in connected_regular_upto(10) if g.n == 10]
+    pruned = none = 0
+    for g in graphs:
+        c = AutConstraint(nontrivial_on=frozenset(range(g.n))).normalised()
+        searches[0] = 0
+        got = find_automorphism(g, c)
+        pruned += searches[0]
+        assert got == _ladder_unpruned(g, c), g.edges
+        none += got is None
+    assert len(graphs) == 167 and none == 8 and pruned <= 190, (len(graphs), none, pruned)
 
 
 def test_pruned_ladder_matches_brute_force_and_unpruned_witness(monkeypatch):

@@ -884,13 +884,14 @@ C64_1_7_SHA256 = "ce05c3d6a89f2a3fee141145c74d1058ba9d027b07829fe56a82e2d6706c09
 def test_step_checks_on_c64_1_7_make_no_search(monkeypatch):
     # the root stabiliser of C64(1,7) has order 2, so every slice but two has
     # two vertices, and step i checks every slice j <= i. Refining afresh per
-    # slice cost 527 find_automorphism calls and as many _refined calls
-    # (560 over the whole run); the carried cells decide every slice alone
+    # slice cost 527 find_automorphism calls and as many refinements (560
+    # over the whole run); the carried cells decide every slice alone, with
+    # no aut._levels walk
     import edgesym.aut as aut_module
     import edgesym.layered as layered_module
 
     inside = [False]
-    calls = {"_refined": 0, "find_automorphism": 0}
+    calls = {"_levels": 0, "find_automorphism": 0}
 
     def counted(module, name):
         f = getattr(module, name)
@@ -908,12 +909,12 @@ def test_step_checks_on_c64_1_7_make_no_search(monkeypatch):
         finally:
             inside[0] = False
 
-    counted(aut_module, "_refined")
+    counted(aut_module, "_levels")
     counted(layered_module, "find_automorphism")
     monkeypatch.setattr(layered_module, "check_step_properties", step_checks)
     audit = []
     c = colour_regular(circulant(64, [1, 7]), verify=True, audit=audit)
-    assert calls == {"_refined": 0, "find_automorphism": 0}
+    assert calls == {"_levels": 0, "find_automorphism": 0}
     digest = hashlib.sha256(json.dumps([c.to_json(), audit], sort_keys=True).encode())
     assert digest.hexdigest() == C64_1_7_SHA256
 
