@@ -98,44 +98,63 @@ def _beaten(adj: list[int], v: int, codes: list[tuple[int, int]]) -> bool:
     undecided. With every row complete (v = n - 1) this is exact: the
     identity is beaten iff it is not its class's least numbering.
 
+    Once row k ties, the part of row k + 1's code that no order of row k's
+    children can change is compared once, before their orders are tried. If
+    row k + 1 expands a vertex numbered before them, a difference in its
+    fresh count, or in its old set below the children's numbers, decides
+    every order alike. If it expands the first child, the fresh count is
+    that child's own: a first child with a smaller count than codes[k + 1]
+    wins in every order, and one with a larger count is never put first. An
+    order is then compared on row k + 1's neighbours among the children
+    only.
+
     Two children with the same neighbours apart from each other, both at
     most v or both above it, keep one order only: swapping them is an
     automorphism of the graph so far (every edge has an end at most v) that
     keeps 0..v, so it maps the numberings of one order onto those of the
-    other with the same decided codes."""
+    other with the same decided codes. Such twins have the same fresh count,
+    so only the first of each class is tried as a first child."""
     n = len(adj)
     num = [0] * n
     order = [0] * n
 
-    def ties_then_wins(k: int, count: int, numbered: int) -> bool:
-        nb = adj[order[k]]
-        kids = nb & ~numbered
+    def wins_after(k: int, count: int, numbered: int) -> bool:
+        # rows 0..k tie the identity's, and order[0..count-1] are numbered
+        kids = adj[order[k]] & ~numbered
         j = kids.bit_count()
-        old = 0
-        m = nb & numbered
-        while m:
-            low = m & -m
-            m ^= low
-            w = num[low.bit_length() - 1]
-            if w > k:
-                old |= 1 << w
-        cj, cold = codes[k]
-        if j != cj:
-            return j < cj
-        if old != cold:
-            diff = old ^ cold
-            return bool(old & diff & -diff)  # the least differing member is ours
         if k + 1 == count + j:
             return False  # all numbered, or the root's component is closed
         if k + 1 < count and order[k + 1] > v:
             return False  # row k + 1 is not known yet, whatever the order
         numbered |= kids
+        cj, cold = codes[k + 1]
+        if k + 1 < count:
+            # an earlier vertex: its fresh count and its old numbers below
+            # count are the same in every order of the children
+            nb = adj[order[k + 1]]
+            fresh = (nb & ~numbered).bit_count()
+            if fresh != cj:
+                return fresh < cj
+            old = 0
+            m = nb & numbered & ~kids
+            while m:
+                low = m & -m
+                m ^= low
+                w = num[low.bit_length() - 1]
+                if w > k + 1:
+                    old |= 1 << w
+            settled = cold & ((1 << count) - 1)
+            if old != settled:
+                diff = old ^ settled
+                return bool(old & diff & -diff)  # the least differing member is ours
+            cold ^= settled
         # twins on one side of v: swapping them keeps the graph and rows 0..v
         twins: list[list[int]] = []
         children = []
-        while kids:
-            low = kids & -kids
-            kids ^= low
+        m = kids
+        while m:
+            low = m & -m
+            m ^= low
             c = low.bit_length() - 1
             children.append(c)
             for cls in twins:
@@ -145,22 +164,50 @@ def _beaten(adj: list[int], v: int, codes: list[tuple[int, int]]) -> bool:
                     break
             else:
                 twins.append([c])
+        heads = 0  # if row k + 1 expands the first child: the children that may be first
+        if k + 1 == count:
+            for cls in twins:
+                c = cls[0]
+                if c <= v:
+                    fresh = (adj[c] & ~numbered).bit_count()
+                    if fresh < cj:
+                        return True
+                    if fresh == cj:
+                        heads |= 1 << c
+            if not heads:
+                return False
         # with no twins, itertools gives the same orders faster
         perms = itertools.permutations(children) if len(twins) == j else _arrangements(twins)
         for perm in perms:
-            if k + 1 == count and perm[0] > v:
+            if heads and not heads >> perm[0] & 1:
                 continue
             for i, c in enumerate(perm, count):
                 num[c] = i
                 order[i] = c
-            if ties_then_wins(k + 1, count + j, numbered):
+            old = 0  # row k + 1's old numbers among the children
+            m = adj[order[k + 1]] & kids
+            while m:
+                low = m & -m
+                m ^= low
+                old |= 1 << num[low.bit_length() - 1]
+            if old != cold:
+                diff = old ^ cold
+                if old & diff & -diff:
+                    return True
+            elif wins_after(k + 1, count + j, numbered):
                 return True
         return False
 
+    j0 = codes[0][0]
     for r in range(v + 1):
+        j = adj[r].bit_count()  # row 0's old set is empty from every root
+        if j != j0:
+            if j < j0:
+                return True
+            continue
         num[r] = 0
         order[0] = r
-        if ties_then_wins(0, 1, 1 << r):
+        if wins_after(0, 1, 1 << r):
             return True
     return False
 

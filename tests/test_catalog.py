@@ -183,9 +183,11 @@ def test_generator_emits_least_row_code_numbering():
         assert codes[min(codes)] == upper_key(h)
 
 
-@pytest.mark.parametrize("n,d", [(8, 3), (9, 4), (10, 3)])
+@pytest.mark.parametrize("n,d", [(8, 3), (9, 4), (10, 3), (9, 6), (10, 4)])
 def test_canonicity_test_matches_every_order_at_every_node(n, d, monkeypatch):
-    # keeping one order of each pair of twins changes no node's verdict
+    # keeping one order of each pair of twins, and settling the part of a
+    # row's code that no order of the children before it changes, changes
+    # no node's verdict; (9, 6) and (10, 4) reach those early exits most
     beaten = catalog._beaten
     verdicts = []
 
@@ -196,7 +198,8 @@ def test_canonicity_test_matches_every_order_at_every_node(n, d, monkeypatch):
         return got
 
     monkeypatch.setattr(catalog, "_beaten", checked)
-    assert len(list(_raw_connected_regular(n, d))) == KNOWN_CONNECTED_COUNTS[(n, d)]
+    count = {**KNOWN_CONNECTED_COUNTS, **KNOWN_CONNECTED_COUNTS_N10}[(n, d)]
+    assert len(list(_raw_connected_regular(n, d))) == count
     assert True in verdicts and False in verdicts
 
 
@@ -379,6 +382,18 @@ def test_twelve_vertex_quartic_list_is_pinned():
     assert len(lines) == 1544
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "0e0ee97fa29235e389c3e5332777632e2a10e5aa4f04082c7ce1e4b65368845e"
+
+
+@pytest.mark.parametrize("n,d,count,digest", [
+    (11, 4, 265, "b0976dfb344e62186ccc5ec77fb58c5a2ec86954284deed2b1044b8649edd33d"),
+    (14, 3, 509, "91ebc2e77e3061836e93b661f65394e3434cccc567097aee12aa048090eeab68"),
+], ids=["11-4", "14-3"])
+def test_catalogue_list_is_pinned(n, d, count, digest):
+    # the lists as the canonicity test gave them before it settled the
+    # order-free part of each row's code (OEIS A006820, A002851)
+    lines = [serialize_graph6(g) for g in catalog.connected_regular_graphs.__wrapped__(n, d)]
+    assert len(lines) == count
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 def _invariant_projection(g):
