@@ -12,6 +12,7 @@ ones, so only a handful of (n, d) pairs are ever searched directly.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -104,8 +105,9 @@ def _beaten(adj: list[int], v: int, codes: list[tuple[int, int]]) -> bool:
     fresh count, or in its old set below the children's numbers, decides
     every order alike. If it expands the first child, the fresh count is
     that child's own: a first child with a smaller count than codes[k + 1]
-    wins in every order, and one with a larger count is never put first. An
-    order is then compared on row k + 1's neighbours among the children
+    wins in every order, and one with a larger count is never put first:
+    only the orders that a child with an equal count leads are generated.
+    An order is then compared on row k + 1's neighbours among the children
     only.
 
     Two children with the same neighbours apart from each other, both at
@@ -164,8 +166,9 @@ def _beaten(adj: list[int], v: int, codes: list[tuple[int, int]]) -> bool:
                     break
             else:
                 twins.append([c])
-        heads = 0  # if row k + 1 expands the first child: the children that may be first
+        heads = -1  # the children that may come first: any, unless row k + 1 expands it
         if k + 1 == count:
+            heads = 0
             for cls in twins:
                 c = cls[0]
                 if c <= v:
@@ -176,11 +179,17 @@ def _beaten(adj: list[int], v: int, codes: list[tuple[int, int]]) -> bool:
                         heads |= 1 << c
             if not heads:
                 return False
-        # with no twins, itertools gives the same orders faster
-        perms = itertools.permutations(children) if len(twins) == j else _arrangements(twins)
+        if len(twins) < j:
+            perms = _arrangements(twins, heads)
+        elif heads == -1:  # with no twins, itertools gives the same orders faster
+            perms = itertools.permutations(children)
+        else:  # listed first, the heads lead the first (j - 1)! orders each
+            lead = [c for c in children if heads >> c & 1]
+            lead += [c for c in children if not heads >> c & 1]
+            perms = itertools.islice(
+                itertools.permutations(lead), heads.bit_count() * math.factorial(j - 1)
+            )
         for perm in perms:
-            if heads and not heads >> perm[0] & 1:
-                continue
             for i, c in enumerate(perm, count):
                 num[c] = i
                 order[i] = c
@@ -212,14 +221,15 @@ def _beaten(adj: list[int], v: int, codes: list[tuple[int, int]]) -> bool:
     return False
 
 
-def _arrangements(classes: list[list[int]]) -> Iterator[list[int]]:
+def _arrangements(classes: list[list[int]], heads: int = -1) -> Iterator[list[int]]:
     """Every order of the members of classes that keeps each class in its
-    own order: each distinct order of the class labels once."""
+    own order: each distinct order of the class labels once. With heads,
+    only the orders whose first member is in that bit mask."""
     if not any(classes):
         yield []
         return
     for i, cls in enumerate(classes):
-        if cls:
+        if cls and heads >> cls[0] & 1:
             classes[i] = cls[1:]
             for rest in _arrangements(classes):
                 yield [cls[0]] + rest

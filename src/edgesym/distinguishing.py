@@ -2,8 +2,11 @@
 
 The index computation is witness-first: cheap constructive candidates are
 verified before the exhaustive lexicographic enumeration decides
-non-existence. Both paths go through the same verifier (is_distinguishing),
-and exhaustive enumeration is the sole authority for negative answers.
+non-existence. Every nontrivial automorphism a verification finds is kept
+as a killer for the rest of the call, and a candidate that a killer
+preserves is rejected without a search. Every candidate accepted is checked
+by the same verifier, and exhaustive enumeration is the sole authority for
+negative answers.
 """
 
 from __future__ import annotations
@@ -15,7 +18,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .aut import AutConstraint, SizeGuardError, all_automorphisms, find_automorphism, is_isomorphic
+from .aut import (
+    AutConstraint,
+    Permutation,
+    SizeGuardError,
+    all_automorphisms,
+    find_automorphism,
+    is_isomorphic,
+)
 from .colouring import GREEN, PALETTE, RED, EdgeColouring, satisfies_blue_rule
 from .graph import (
     Graph,
@@ -73,13 +83,17 @@ def is_distinguishing(g: Graph, c: EdgeColouring) -> bool:
     c.check_domain(g)
     if not c.is_total(g):
         raise ValueError("is_distinguishing requires a total colouring")
+    return _breaker(g, c) is None
+
+
+def _breaker(g: Graph, c: EdgeColouring) -> Optional[Permutation]:
+    """A nontrivial automorphism preserving the total colouring c, or None."""
     if g.n <= 1:
-        return True
-    w = find_automorphism(
+        return None
+    return find_automorphism(
         g,
         AutConstraint(colour_preserve=c, nontrivial_on=frozenset(range(g.n))),
     )
-    return w is None
 
 
 # -- witness probes -----------------------------------------------------------
@@ -201,7 +215,9 @@ class _Budget:
             raise BudgetExceededError("colouring enumeration budget exhausted")
 
 
-def _edge_index_perms(g: Graph, perms) -> list[tuple[int, ...]]:
+def _edge_rows(g: Graph, perms: Iterable[Permutation]) -> list[tuple[int, ...]]:
+    """Each non-identity automorphism in perms as the permutation it induces
+    on edge indices: row[i] is the index of the image of g.edges[i]."""
     index = {e: i for i, e in enumerate(g.edges)}
     rows = []
     for p in perms:
@@ -210,13 +226,27 @@ def _edge_index_perms(g: Graph, perms) -> list[tuple[int, ...]]:
     return rows
 
 
+def _preserved(cols: Sequence[str], killers: list[tuple[int, ...]]) -> bool:
+    """Whether some killer preserves the colours cols (cols[i] on edge i).
+    The killer that does moves to the front: recent killers go first."""
+    m = len(cols)
+    for idx, row in enumerate(killers):
+        if all(cols[i] == cols[row[i]] for i in range(m)):
+            if idx:
+                killers.insert(0, killers.pop(idx))
+            return True
+    return False
+
+
 def _meets_blue_rule(g: Graph, c: EdgeColouring) -> bool:
     """search_colouring's star constraint: at most one vertex sees only
     blue, none at all on a complete graph."""
     return satisfies_blue_rule(g, c, g.n >= 2 and g.edge_count == g.n * (g.n - 1) // 2)
 
 
-def _exhaustive_witness(g: Graph, k: int, budget: _Budget, star: bool) -> Optional[EdgeColouring]:
+def _exhaustive_witness(
+    g: Graph, k: int, budget: _Budget, star: bool, killers: list[tuple[int, ...]]
+) -> Optional[EdgeColouring]:
     """Scan k-colourings in lexicographic order over the sorted edge list,
     the first edge red only. Let c be distinguishing and, under the blue
     rule (star), meet it, and O be the Aut(G)-orbit of edge 0. If c colours
@@ -225,48 +255,70 @@ def _exhaustive_witness(g: Graph, k: int, budget: _Budget, star: bool) -> Option
     red. Otherwise O is all blue; recolour it red. A map preserving the new
     colouring maps O onto O, so it preserves c and is the identity, and the
     all-blue vertices only shrink. So the red block, first in the scan of
-    every first colour, holds a witness whenever one exists."""
+    every first colour, holds a witness whenever one exists.
+
+    A colouring a killer preserves is skipped. Up to _GROUP_ENUM_LIMIT
+    automorphisms the killers are the whole group, so the verifier must
+    accept every colouring left; above it they are the given killers, and
+    each colouring the verifier rejects adds its witness to them."""
     m = g.edge_count
     palette = PALETTE[:k]
     group = all_automorphisms(g, limit=_GROUP_ENUM_LIMIT)
-    killers = None if group is None else _edge_index_perms(g, group)
+    if group is not None:
+        killers = _edge_rows(g, group)
 
     for cols in itertools.product(*([(RED,)] + [palette] * (m - 1))[:m]):
         budget.spend()
-        preserved = False
-        for idx, row in enumerate(killers or ()):
-            if all(cols[i] == cols[row[i]] for i in range(m)):
-                preserved = True
-                if idx:  # move-to-front: recent killers go first
-                    killers.insert(0, killers.pop(idx))
-                break
-        if preserved:
+        if _preserved(cols, killers):
             continue
         c = EdgeColouring.on_graph(g, cols)
-        if not is_distinguishing(g, c):
-            if killers is not None:
+        w = _breaker(g, c)
+        if w is not None:
+            if group is not None:
                 raise RuntimeError("enumeration disagreed with the verifier")
+            killers[:0] = _edge_rows(g, [w])
             continue
         if not star or _meets_blue_rule(g, c):
             return c
     return None
 
 
-def _witness(g: Graph, k: int, budget: _Budget, star: bool = False) -> Optional[EdgeColouring]:
+def _witness(
+    g: Graph,
+    k: int,
+    budget: _Budget,
+    star: bool = False,
+    killers: Optional[list[tuple[int, ...]]] = None,
+) -> Optional[EdgeColouring]:
+    """The first probe that is distinguishing (and, under star, meets the
+    blue rule), else the exhaustive scan's answer.
+
+    killers holds the edge-index forms of nontrivial automorphisms found so
+    far in this call, and gains the witness of every probe whose search
+    fails. A probe a killer preserves is rejected without a search, so the
+    probes accepted and the answer are those of verifying every probe."""
+    killers = [] if killers is None else killers
     allowed = set(PALETTE[:k])
+    total = k ** g.edge_count  # k-colourings of the edges
     # on small graphs the random probes repeat; a verdict never changes. A
     # proven probe is checked even when an equal probe was rejected before.
     rejected: set[EdgeColouring] = set()
     for cand, proven in _probe_candidates(g, k):
         if (cand in rejected and not proven) or not cand.colours_used() <= allowed:
             continue
-        if is_distinguishing(g, cand):
+        preserved = _preserved([col for _, col in cand.items()], killers)
+        if not preserved and (w := _breaker(g, cand)) is not None:
+            killers[:0] = _edge_rows(g, [w])
+            preserved = True
+        if not preserved:
             if not star or _meets_blue_rule(g, cand):
                 return cand
         elif proven:
             raise RuntimeError("spider colouring failed verification")
         rejected.add(cand)
-    return _exhaustive_witness(g, k, budget, star)
+        if len(rejected) == total:
+            break  # every k-colouring is rejected: no later probe can succeed
+    return _exhaustive_witness(g, k, budget, star, killers)
 
 
 # -- the index -----------------------------------------------------------------
@@ -288,10 +340,12 @@ def distinguishing_index_with_witness(
         # the endpoint swap fixes the single edge, whatever its colour
         return NOT_DISTINGUISHABLE, None
     tracker = _Budget(budget)
-    if find_automorphism(g, AutConstraint(nontrivial_on=frozenset(range(g.n)))) is None:
+    symmetry = find_automorphism(g, AutConstraint(nontrivial_on=frozenset(range(g.n))))
+    if symmetry is None:
         return 1, EdgeColouring.on_graph(g, [RED] * g.edge_count)
+    killers = _edge_rows(g, [symmetry])  # shared by every k
     for k in range(2, max_colours + 1):
-        w = _witness(g, k, tracker)
+        w = _witness(g, k, tracker, killers=killers)
         if w is not None:
             return k, w
     raise MaxColoursExceededError(

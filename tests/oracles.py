@@ -9,7 +9,7 @@ definition. Expected values frozen in the tests were computed with these.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -188,11 +188,16 @@ def random_constraint(g: Graph, rng):
 
 
 def _edge_perms(g: Graph, perms: list[tuple[int, ...]]) -> np.ndarray:
-    index = {e: i for i, e in enumerate(g.edges)}
-    rows = []
-    for p in perms:
-        rows.append([index[edge(p[u], p[v])] for u, v in g.edges])
-    return np.array(rows, dtype=np.int64)
+    """Row r, column i: the index of the image of g.edges[i] under perms[r]."""
+    n, m = g.n, g.edge_count
+    index = np.full((n, n), -1, dtype=np.int64)
+    for i, (u, v) in enumerate(g.edges):
+        index[u, v] = index[v, u] = i
+    if not perms or not m:
+        return np.zeros((len(perms), m), dtype=np.int64)
+    images = np.array(perms, dtype=np.int64)
+    ends = np.array(g.edges, dtype=np.int64)
+    return index[images[:, ends[:, 0]], images[:, ends[:, 1]]]
 
 
 def exists_distinguishing_colouring_brute(
@@ -264,6 +269,72 @@ def distinguishing_index_brute(g: Graph, max_colours: int = 3):
         if exists_distinguishing_colouring_brute(g, k, perms):
             return k
     return f">{max_colours}"
+
+
+def witness_by_every_probe(
+    g: Graph,
+    k: int,
+    probes: Iterable[Sequence[str]],
+    star: bool = False,
+    perms: Optional[list[tuple[int, ...]]] = None,
+) -> Optional[tuple[str, ...]]:
+    """The witness search with nothing filtered: verify every distinct probe
+    (a colour list over g.edges) within the first k palette colours, in
+    order, against every nontrivial automorphism, then scan every k-colouring
+    with edge 0 red, the rest in lexicographic order over red, green, blue.
+    Returns the first colouring that no nontrivial automorphism preserves
+    and, under star, that meets the blue rule, or None."""
+    palette = ("red", "green", "blue")[:k]
+    if perms is None:
+        perms = automorphisms_by_backtracking(g)
+    nontrivial = [p for p in perms if any(p[v] != v for v in range(g.n))]
+    m = g.edge_count
+    eperms = _edge_perms(g, nontrivial)
+    incident = [[j for j, e in enumerate(g.edges) if v in e] for v in range(g.n)]
+    blue_allowed = 0 if m == g.n * (g.n - 1) // 2 else 1
+
+    def accepted(cols) -> bool:
+        digits = np.array([palette.index(col) for col in cols], dtype=np.int64)
+        if (digits[eperms] == digits[None, :]).all(axis=1).any():
+            return False
+        if star:
+            all_blue = sum(1 for inc in incident if inc and all(cols[j] == "blue" for j in inc))
+            return all_blue <= blue_allowed
+        return True
+
+    seen = set()
+    for cols in probes:
+        cols = tuple(cols)
+        if cols in seen or not set(cols) <= set(palette):
+            continue
+        seen.add(cols)
+        if accepted(cols):
+            return cols
+    for cols in itertools.product(*([("red",)] + [palette] * (m - 1))[:m]):
+        if accepted(cols):
+            return cols
+    return None
+
+
+def distinguishing_index_by_every_probe(
+    g: Graph, probes_of, max_colours: int = 3, perms: Optional[list[tuple[int, ...]]] = None
+):
+    """(index, witness colour tuple) from witness_by_every_probe at k = 2,
+    3, ..., with probes_of(k) giving the probes; ("not_distinguishable",
+    None) when a nontrivial automorphism fixes every edge setwise, and
+    (">max_colours", None) when the palette runs out."""
+    if perms is None:
+        perms = automorphisms_by_backtracking(g)
+    nontrivial = [p for p in perms if any(p[v] != v for v in range(g.n))]
+    if any(all(edge(p[u], p[v]) == (u, v) for u, v in g.edges) for p in nontrivial):
+        return "not_distinguishable", None
+    if not nontrivial:
+        return 1, ("red",) * g.edge_count
+    for k in range(2, max_colours + 1):
+        w = witness_by_every_probe(g, k, probes_of(k), perms=perms)
+        if w is not None:
+            return k, w
+    return f">{max_colours}", None
 
 
 # -- equitable partitions ------------------------------------------------------

@@ -1,9 +1,11 @@
 import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
+from edgesym.catalog import connected_regular_upto
 from edgesym.colouring import BLUE, GREEN, PALETTE, RED, EdgeColouring
 from edgesym.distinguishing import (
     NOT_DISTINGUISHABLE,
@@ -24,6 +26,7 @@ from edgesym.graph import (
     complete_bipartite,
     cycle,
     edge,
+    parse_graph6,
     petersen,
     random_regular,
     spider,
@@ -34,8 +37,13 @@ from oracles import (
     all_connected_graphs_upto,
     automorphisms_by_backtracking,
     distinguishing_index_brute,
+    distinguishing_index_by_every_probe,
     exists_distinguishing_colouring_brute,
+    witness_by_every_probe,
 )
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "corpus.g6"
 
 
 def _mono(g, colour=RED):
@@ -267,7 +275,10 @@ def test_probe_does_not_swallow_broken_invariants(monkeypatch):
 
 
 # K3 repeats a rejected probe before its first distinguishing one; K4 and
-# K3,3 have no distinguishing 2-colouring among 64 and 315 distinct probes
+# K3,3 have no distinguishing 2-colouring among 64 and 315 distinct probes.
+# A probe is searched at most once, and not at all when an automorphism an
+# earlier search found preserves it, so those two need fewer searches than
+# they have distinct probes
 @pytest.mark.parametrize("g,k", [(complete(3), 3), (complete(4), 2), (complete_bipartite(3, 3), 2)])
 def test_witness_verifies_each_probe_colouring_once(monkeypatch, g, k):
     import edgesym.distinguishing as dist
@@ -275,24 +286,27 @@ def test_witness_verifies_each_probe_colouring_once(monkeypatch, g, k):
     allowed = set(PALETTE[:k])
     probes = [c for c, _ in dist._probe_candidates(g, k) if c.colours_used() <= allowed]
     first = next((c for c in probes if is_distinguishing(g, c)), None)
-    calls = []
+    searched = []
+    find = dist.find_automorphism
 
     def counted(g, c):
-        calls.append(c)
-        return is_distinguishing(g, c)
+        searched.append(c.colour_preserve)
+        return find(g, c)
 
-    monkeypatch.setattr(dist, "is_distinguishing", counted)
+    monkeypatch.setattr(dist, "find_automorphism", counted)
     w = dist._witness(g, k, dist._Budget(10**6))
-    assert len(calls) <= len(set(probes)) < len(probes)
     assert w == first
+    assert len(set(searched)) == len(searched) <= len(set(probes)) < len(probes)
+    if k == 2:
+        assert 0 < len(searched) < len(set(probes))
 
 
 def test_verifier_only_enumeration_matches_killer_list(monkeypatch):
     # above _GROUP_ENUM_LIMIT automorphisms the exhaustive scan checks each
-    # colouring with is_distinguishing instead of the list of automorphisms
-    # that preserve it; with the limit at 1 every symmetric graph here takes
-    # that branch, and the indices and witnesses must not change. K_{1,5}
-    # needs five colours, so both scans refuse it
+    # colouring that no automorphism found so far preserves with the
+    # verifier, instead of the whole group; with the limit at 1 every
+    # symmetric graph here takes that branch, and the indices and witnesses
+    # must not change. K_{1,5} needs five colours, so both scans refuse it
     import edgesym.distinguishing as dist
 
     graphs = [cycle(3), cycle(4), cycle(5), complete(4), complete(5),
@@ -321,6 +335,54 @@ def test_verifier_only_enumeration_matches_killer_list(monkeypatch):
     monkeypatch.setattr(dist, "all_automorphisms", enumerated)
     assert answers() == want
     assert len(over_limit) >= 8 and all(over_limit), over_limit
+
+
+def test_killer_filter_matches_verifying_every_probe():
+    # the oracle verifies every distinct probe against every automorphism,
+    # then scans every colouring; skipping the probes that a found
+    # automorphism preserves must not change an index, witness or answer
+    import edgesym.distinguishing as dist
+
+    exceptions = [complete(2), cycle(3), cycle(4), cycle(5), complete(4), complete(5),
+                  complete_bipartite(3, 3)]
+
+    def colours(c):
+        return None if c is None else tuple(col for _, col in c.items())
+
+    for g in connected_regular_upto(8) + [petersen()] + exceptions:
+        probes = {k: [colours(c) for c, _ in dist._probe_candidates(g, k)] for k in (2, 3)}
+        perms = automorphisms_by_backtracking(g)
+        try:
+            value, w = distinguishing_index_with_witness(g)
+            got = ("not_distinguishable" if value is NOT_DISTINGUISHABLE else value, colours(w))
+        except MaxColoursExceededError:
+            got = (">3", None)
+        assert got == distinguishing_index_by_every_probe(g, probes.get, perms=perms), g
+        for k in (2, 3):
+            for star in (False, True):
+                want = witness_by_every_probe(g, k, probes[k], star, perms)
+                assert colours(search_colouring(g, k, star)) == want, (g, k, star)
+
+
+def test_scan_over_the_group_limit_matches_the_unfiltered_scan(monkeypatch):
+    # above _GROUP_ENUM_LIMIT the exhaustive scan starts from the killers it
+    # is given and adds the witness of each colouring the verifier rejects.
+    # Started from none, it must give the oracle's scan's answers
+    import edgesym.distinguishing as dist
+
+    monkeypatch.setattr(dist, "_GROUP_ENUM_LIMIT", 1)
+    found = 0
+    for g in [cycle(3), cycle(4), cycle(5), cycle(6), complete(4), complete(5),
+              complete_bipartite(3, 3), complete_bipartite(2, 3)]:
+        perms = automorphisms_by_backtracking(g)
+        for k in (2, 3):
+            for star in (False, True):
+                killers = []
+                c = dist._exhaustive_witness(g, k, dist._Budget(10**6), star, killers)
+                got = None if c is None else tuple(col for _, col in c.items())
+                assert got == witness_by_every_probe(g, k, [], star, perms), (g, k, star)
+                found += len(killers)
+    assert found > 0
 
 
 def test_hamiltonian_path_finder():
@@ -426,6 +488,35 @@ def test_scan_pool_bounded_by_graphs_and_cores(monkeypatch):
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
             scan_conjecture(graphs, jobs=jobs)
+
+
+def test_corpus_scan_search_counts_are_pinned(monkeypatch):
+    # a serial scan of the 222 corpus graphs makes 439 kernel searches and
+    # draws 1,857 probes. Searching every probe a found automorphism
+    # preserves makes 1,254 searches, and drawing the rest of the random
+    # probes once every k-colouring is rejected draws 3,420
+    import edgesym.distinguishing as dist
+    from edgesym import kernel
+
+    counts = {"searches": 0, "probes": 0}
+    search = kernel.search_mapping
+    probe_stream = dist._probe_candidates
+
+    def counted(query, masks):
+        counts["searches"] += 1
+        return search(query, masks)
+
+    def drawn(g, k):
+        for probe in probe_stream(g, k):
+            counts["probes"] += 1
+            yield probe
+
+    monkeypatch.setattr(kernel, "search_mapping", counted)
+    monkeypatch.setattr(dist, "_probe_candidates", drawn)
+    graphs = [parse_graph6(line) for line in CORPUS.read_text().split()]
+    report = scan_conjecture(graphs)
+    assert len(report.rows) == 222 and len(report.exceptions) == 7
+    assert counts == {"searches": 439, "probes": 1857}
 
 
 def test_search_colouring_answers_are_pinned():
