@@ -223,16 +223,16 @@ def find_automorphism(g: Graph, c: Optional[AutConstraint] = None) -> Optional[P
 
     nontrivial_on becomes a ladder of positive searches over its sorted
     vertices: rung k pins the earlier probes to themselves and forbids the
-    k-th its own image. When every pinned vertex maps to itself and there
-    are no setwise pairs, a map meeting c fixes the pinned vertices and
-    preserves the edge labels, so it maps each cell of the coarsest
-    equitable partition of the labelled graph, refined from those vertices,
-    onto itself. The ladder then reads the level walk of _levels over the
-    probes, which individualises each probe once its rung fails (no
-    remaining map moves it). A probe alone in its cell is fixed by every
-    remaining map, so its rung is skipped; other constraints walk the probes
-    unrefined. The query is prepared on the first rung that runs, and those
-    rungs keep their masks, so the witness is the one the full ladder finds.
+    k-th its own image. A map meeting c fixes the vertices pinned to
+    themselves and preserves the edge labels, so it maps each cell of the
+    coarsest equitable partition of the labelled graph, refined from those
+    vertices, onto itself; other pins and setwise pairs only narrow the
+    masks. The ladder reads the level walk of _levels over the probes,
+    which individualises each probe once its rung fails (no remaining map
+    moves it). A probe alone in its cell is fixed by every remaining map,
+    so its rung is skipped. The query is prepared on the first rung that
+    runs, and those rungs keep their masks, so the witness is the one the
+    full ladder finds.
     """
     c = (c or AutConstraint()).normalised()
     _validate(g, c)
@@ -240,14 +240,10 @@ def find_automorphism(g: Graph, c: Optional[AutConstraint] = None) -> Optional[P
     if c.nontrivial_on is None:
         return _searcher(g, rows)(allowed, c)
 
-    probes = sorted(c.nontrivial_on)
-    if not c.setwise_pairs and all(v == w for v, w in c.pinned.items()):
-        walk = _levels(rows, c.pinned, probes)
-    else:
-        walk = ((x, -1) for x in probes)  # unrefined: one cell of every vertex
+    fixed = [v for v, w in c.pinned.items() if v == w]
     run = None
     masks = list(allowed)  # each passed probe pinned to itself
-    for x, cell in walk:
+    for x, cell in _levels(rows, fixed, sorted(c.nontrivial_on)):
         bit = 1 << x
         if cell != bit and masks[x] & ~bit:
             rung = list(masks)

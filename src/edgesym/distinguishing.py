@@ -3,10 +3,10 @@
 The index computation is witness-first: cheap constructive candidates are
 verified before the exhaustive lexicographic enumeration decides
 non-existence. Every nontrivial automorphism a verification finds is kept
-as a killer for the rest of the call, and a candidate that a killer
-preserves is rejected without a search. Every candidate accepted is checked
-by the same verifier, and exhaustive enumeration is the sole authority for
-negative answers.
+as a killer for the rest of the call, and a candidate or enumerated
+colouring that a killer preserves is rejected without a search. Every
+colouring accepted is checked by the same verifier, and exhaustive
+enumeration is the sole authority for negative answers.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .aut import (
     AutConstraint,
     Permutation,
     SizeGuardError,
-    all_automorphisms,
     find_automorphism,
     is_isomorphic,
 )
@@ -70,7 +69,6 @@ class ChordlessPathError(ValueError):
 
 
 DEFAULT_BUDGET = 10**8
-_GROUP_ENUM_LIMIT = 200_000
 _PROBE_TRIES = 512  # random k-colourings tried before the exhaustive scan
 _HAMILTON_NODES = 50_000  # search nodes hamiltonian_path may visit
 
@@ -215,15 +213,11 @@ class _Budget:
             raise BudgetExceededError("colouring enumeration budget exhausted")
 
 
-def _edge_rows(g: Graph, perms: Iterable[Permutation]) -> list[tuple[int, ...]]:
-    """Each non-identity automorphism in perms as the permutation it induces
-    on edge indices: row[i] is the index of the image of g.edges[i]."""
+def _edge_row(g: Graph, p: Permutation) -> tuple[int, ...]:
+    """The automorphism p as the permutation it induces on edge indices:
+    row[i] is the index of the image of g.edges[i]."""
     index = {e: i for i, e in enumerate(g.edges)}
-    rows = []
-    for p in perms:
-        if not p.is_identity:
-            rows.append(tuple(index[p.edge_image(e)] for e in g.edges))
-    return rows
+    return tuple(index[p.edge_image(e)] for e in g.edges)
 
 
 def _preserved(cols: Sequence[str], killers: list[tuple[int, ...]]) -> bool:
@@ -236,6 +230,23 @@ def _preserved(cols: Sequence[str], killers: list[tuple[int, ...]]) -> bool:
                 killers.insert(0, killers.pop(idx))
             return True
     return False
+
+
+def _distinguishing(
+    g: Graph, cols: Sequence[str], killers: list[tuple[int, ...]]
+) -> Optional[EdgeColouring]:
+    """The colouring of g with cols[i] on edge i if it is distinguishing,
+    else None. A killer that preserves it rejects it without a search;
+    otherwise the verifier decides, and the witness of a rejection joins
+    the killers, first."""
+    if _preserved(cols, killers):
+        return None
+    c = EdgeColouring.on_graph(g, cols)
+    w = _breaker(g, c)
+    if w is None:
+        return c
+    killers.insert(0, _edge_row(g, w))
+    return None
 
 
 def _meets_blue_rule(g: Graph, c: EdgeColouring) -> bool:
@@ -257,28 +268,15 @@ def _exhaustive_witness(
     all-blue vertices only shrink. So the red block, first in the scan of
     every first colour, holds a witness whenever one exists.
 
-    A colouring a killer preserves is skipped. Up to _GROUP_ENUM_LIMIT
-    automorphisms the killers are the whole group, so the verifier must
-    accept every colouring left; above it they are the given killers, and
-    each colouring the verifier rejects adds its witness to them."""
+    Each colouring is decided as a probe is, by _distinguishing: the scan
+    starts from the given killers, and each colouring the verifier rejects
+    adds its witness to them."""
     m = g.edge_count
     palette = PALETTE[:k]
-    group = all_automorphisms(g, limit=_GROUP_ENUM_LIMIT)
-    if group is not None:
-        killers = _edge_rows(g, group)
-
     for cols in itertools.product(*([(RED,)] + [palette] * (m - 1))[:m]):
         budget.spend()
-        if _preserved(cols, killers):
-            continue
-        c = EdgeColouring.on_graph(g, cols)
-        w = _breaker(g, c)
-        if w is not None:
-            if group is not None:
-                raise RuntimeError("enumeration disagreed with the verifier")
-            killers[:0] = _edge_rows(g, [w])
-            continue
-        if not star or _meets_blue_rule(g, c):
+        c = _distinguishing(g, cols, killers)
+        if c is not None and (not star or _meets_blue_rule(g, c)):
             return c
     return None
 
@@ -306,11 +304,7 @@ def _witness(
     for cand, proven in _probe_candidates(g, k):
         if (cand in rejected and not proven) or not cand.colours_used() <= allowed:
             continue
-        preserved = _preserved([col for _, col in cand.items()], killers)
-        if not preserved and (w := _breaker(g, cand)) is not None:
-            killers[:0] = _edge_rows(g, [w])
-            preserved = True
-        if not preserved:
+        if _distinguishing(g, [col for _, col in cand.items()], killers) is not None:
             if not star or _meets_blue_rule(g, cand):
                 return cand
         elif proven:
@@ -343,7 +337,7 @@ def distinguishing_index_with_witness(
     symmetry = find_automorphism(g, AutConstraint(nontrivial_on=frozenset(range(g.n))))
     if symmetry is None:
         return 1, EdgeColouring.on_graph(g, [RED] * g.edge_count)
-    killers = _edge_rows(g, [symmetry])  # shared by every k
+    killers = [_edge_row(g, symmetry)]  # shared by every k
     for k in range(2, max_colours + 1):
         w = _witness(g, k, tracker, killers=killers)
         if w is not None:
@@ -412,6 +406,9 @@ def _scan_one(g: Graph, max_n: int, budget: int, with_witness: bool) -> dict:
         "n": g.n,
         "degree": regularity(g),
     }
+    if g.n == 0:
+        row.update(dprime=None, status="error", error="empty graph")
+        return row
     if g.n > max_n:
         row.update(dprime=None, status="skipped_too_large")
         return row

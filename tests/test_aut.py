@@ -529,9 +529,10 @@ def _ladder_unpruned(g, c):
     return None
 
 
-def _ladder_constraint(g, rng):
+def _ladder_constraint(g, rng, perms):
     # a partial colouring, fixed points as pinned v -> v, a probe set; now and
-    # then a pin v -> w, which leaves the ladder unpruned
+    # then a pin v -> w, and now and then a setwise pair: a vertex set and its
+    # image under an automorphism from perms
     n = g.n
     density = rng.choice((0.0, 0.3, 0.7, 1.0))
     colours = {e: rng.choice((RED, GREEN, BLUE)) for e in g.edges if rng.random() < density}
@@ -543,8 +544,13 @@ def _ladder_constraint(g, rng):
     for v in fixed:  # skip a vertex already pinned or already an image
         if v not in pinned and v not in pinned.values():
             pinned[v] = v
+    setwise = []
+    if rng.random() < 0.2:
+        a, p = rng.sample(range(n), rng.randint(1, n)), rng.choice(perms)
+        setwise.append((frozenset(a), frozenset(p[v] for v in a)))
     return AutConstraint(
         pinned=pinned,
+        setwise_pairs=setwise,
         colour_preserve=colours,
         nontrivial_on=frozenset(probes),
     ).normalised()
@@ -598,11 +604,11 @@ def test_pruned_ladder_matches_brute_force_and_unpruned_witness(monkeypatch):
 
     monkeypatch.setattr(kernel, "search_mapping", counted)
     rng = random.Random(2014)
-    queries = skipped = unsearched = found = 0
+    queries = skipped = unsearched = found = setwise = moved_pins = 0
     for g in graphs:
         perms = automorphisms_by_backtracking(g)
         for _ in range(3):
-            c = _ladder_constraint(g, rng)
+            c = _ladder_constraint(g, rng, perms)
             searches[0] = 0
             got = find_automorphism(g, c)
             pruned = searches[0]
@@ -613,12 +619,18 @@ def test_pruned_ladder_matches_brute_force_and_unpruned_witness(monkeypatch):
             assert got == want, (g.edges, c)
             assert pruned <= searches[0]
             queries += 1
+            setwise += bool(c.setwise_pairs)
+            moved_pins += any(v != w for v, w in c.pinned.items())
             found += want is not None
             skipped += searches[0] - pruned
             unsearched += pruned == 0 < searches[0]
     assert len(graphs) == 1061 and found > 550, (len(graphs), found)
-    # 3,183 queries: 8,766 rungs skipped, 2,198 answered with no search
-    assert skipped > 7500 and unsearched > 1800, (queries, skipped, unsearched)
+    assert setwise > 600 and moved_pins > 200, (setwise, moved_pins)
+    # 3,183 queries (663 with a setwise pair, 257 with a pin v -> w): 9,181
+    # rungs skipped, 2,376 answered with no search. Walking the constraints
+    # with a pin v -> w or a setwise pair unrefined skips 7,006 and answers
+    # 1,757
+    assert skipped > 9000 and unsearched > 2300, (queries, skipped, unsearched)
 
 
 def test_group_order_matches_networkx():

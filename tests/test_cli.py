@@ -168,15 +168,18 @@ def test_scan_exit_code_on_doctored_report():
 def test_scan_malformed_line_becomes_error_row(tmp_path, capsys, jobs):
     corpus = tmp_path / "corpus.g6"
     c5, pet = serialize_graph6(cycle(5)), serialize_graph6(petersen())
-    corpus.write_text(f"{c5}\nnot_g6!\n\n{pet}\n")
+    # "?" parses to the graph with no vertices, which has no index
+    corpus.write_text(f"{c5}\nnot_g6!\n\n?\n{pet}\n")
     code, out, _ = run(capsys, "scan", "--file", str(corpus), "--jobs", jobs)
     assert code == 2
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert [(r["graph6"], r["status"]) for r in rows] == [
-        (c5, "known_exception"), ("not_g6!", "error"), (pet, "ok"),
+        (c5, "known_exception"), ("not_g6!", "error"), ("?", "error"), (pet, "ok"),
     ]
     assert rows[1]["line"] == 2 and "alphabet" in rows[1]["error"]
-    assert "line" not in rows[0] and "line" not in rows[2]
+    assert rows[2] == {"graph6": "?", "n": 0, "degree": 0, "dprime": None,
+                       "status": "error", "error": "empty graph"}
+    assert "line" not in rows[0] and "line" not in rows[3]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -301,40 +301,44 @@ def test_witness_verifies_each_probe_colouring_once(monkeypatch, g, k):
         assert 0 < len(searched) < len(set(probes))
 
 
-def test_verifier_only_enumeration_matches_killer_list(monkeypatch):
-    # above _GROUP_ENUM_LIMIT automorphisms the exhaustive scan checks each
-    # colouring that no automorphism found so far preserves with the
-    # verifier, instead of the whole group; with the limit at 1 every
-    # symmetric graph here takes that branch, and the indices and witnesses
-    # must not change. K_{1,5} needs five colours, so both scans refuse it
+def _colours(c):
+    return None if c is None else tuple(col for _, col in c.items())
+
+
+def test_scan_with_learned_killers_matches_the_oracle(monkeypatch):
+    # on the flagged graphs every probe fails and the exhaustive scan
+    # decides, starting from the probe phase's killers and adding the witness
+    # of each colouring the verifier rejects; the indices, witnesses and
+    # blue-rule answers must be the oracle's. K_{1,5} needs five colours, so
+    # both refuse it
     import edgesym.distinguishing as dist
 
+    scans = []
+    scan = dist._exhaustive_witness
+
+    def counted(g, k, budget, star, killers):
+        scans.append(g)
+        return scan(g, k, budget, star, killers)
+
+    monkeypatch.setattr(dist, "_exhaustive_witness", counted)
     graphs = [cycle(3), cycle(4), cycle(5), complete(4), complete(5),
               complete_bipartite(3, 3), complete_bipartite(1, 5)]
-
-    def index(g):
+    for g in graphs:
+        probes = {k: [_colours(c) for c, _ in dist._probe_candidates(g, k)] for k in (2, 3)}
+        perms = automorphisms_by_backtracking(g)
         try:
-            return distinguishing_index_with_witness(g)
+            value, w = distinguishing_index_with_witness(g)
+            got = (value, _colours(w))
         except MaxColoursExceededError:
-            return "refused"
-
-    def answers():
-        return ([index(g) for g in graphs],
-                [search_colouring(complete(n), 3, star_constraint=True) for n in (3, 4, 5)])
-
-    want = answers()
-    enumerate_group = dist.all_automorphisms
-    over_limit = []
-
-    def enumerated(g, limit):
-        group = enumerate_group(g, limit=limit)
-        over_limit.append(group is None)
-        return group
-
-    monkeypatch.setattr(dist, "_GROUP_ENUM_LIMIT", 1)
-    monkeypatch.setattr(dist, "all_automorphisms", enumerated)
-    assert answers() == want
-    assert len(over_limit) >= 8 and all(over_limit), over_limit
+            got = (">3", None)
+        assert got == distinguishing_index_by_every_probe(g, probes.get, perms=perms), g
+    assert got == (">3", None)
+    for n in (3, 4, 5):
+        g = complete(n)
+        probes = [_colours(c) for c, _ in dist._probe_candidates(g, 3)]
+        want = witness_by_every_probe(g, 3, probes, True, automorphisms_by_backtracking(g))
+        assert _colours(search_colouring(g, 3, star_constraint=True)) == want, g
+    assert len(scans) >= 8, len(scans)
 
 
 def test_killer_filter_matches_verifying_every_probe():
@@ -346,31 +350,27 @@ def test_killer_filter_matches_verifying_every_probe():
     exceptions = [complete(2), cycle(3), cycle(4), cycle(5), complete(4), complete(5),
                   complete_bipartite(3, 3)]
 
-    def colours(c):
-        return None if c is None else tuple(col for _, col in c.items())
-
     for g in connected_regular_upto(8) + [petersen()] + exceptions:
-        probes = {k: [colours(c) for c, _ in dist._probe_candidates(g, k)] for k in (2, 3)}
+        probes = {k: [_colours(c) for c, _ in dist._probe_candidates(g, k)] for k in (2, 3)}
         perms = automorphisms_by_backtracking(g)
         try:
             value, w = distinguishing_index_with_witness(g)
-            got = ("not_distinguishable" if value is NOT_DISTINGUISHABLE else value, colours(w))
+            got = ("not_distinguishable" if value is NOT_DISTINGUISHABLE else value, _colours(w))
         except MaxColoursExceededError:
             got = (">3", None)
         assert got == distinguishing_index_by_every_probe(g, probes.get, perms=perms), g
         for k in (2, 3):
             for star in (False, True):
                 want = witness_by_every_probe(g, k, probes[k], star, perms)
-                assert colours(search_colouring(g, k, star)) == want, (g, k, star)
+                assert _colours(search_colouring(g, k, star)) == want, (g, k, star)
 
 
-def test_scan_over_the_group_limit_matches_the_unfiltered_scan(monkeypatch):
-    # above _GROUP_ENUM_LIMIT the exhaustive scan starts from the killers it
-    # is given and adds the witness of each colouring the verifier rejects.
-    # Started from none, it must give the oracle's scan's answers
+def test_exhaustive_scan_from_no_killers_matches_the_unfiltered_scan():
+    # the exhaustive scan starts from the killers it is given and adds the
+    # witness of each colouring the verifier rejects. Started from none, it
+    # must give the oracle's scan's answers
     import edgesym.distinguishing as dist
 
-    monkeypatch.setattr(dist, "_GROUP_ENUM_LIMIT", 1)
     found = 0
     for g in [cycle(3), cycle(4), cycle(5), cycle(6), complete(4), complete(5),
               complete_bipartite(3, 3), complete_bipartite(2, 3)]:
@@ -379,8 +379,7 @@ def test_scan_over_the_group_limit_matches_the_unfiltered_scan(monkeypatch):
             for star in (False, True):
                 killers = []
                 c = dist._exhaustive_witness(g, k, dist._Budget(10**6), star, killers)
-                got = None if c is None else tuple(col for _, col in c.items())
-                assert got == witness_by_every_probe(g, k, [], star, perms), (g, k, star)
+                assert _colours(c) == witness_by_every_probe(g, k, [], star, perms), (g, k, star)
                 found += len(killers)
     assert found > 0
 
@@ -491,10 +490,12 @@ def test_scan_pool_bounded_by_graphs_and_cores(monkeypatch):
 
 
 def test_corpus_scan_search_counts_are_pinned(monkeypatch):
-    # a serial scan of the 222 corpus graphs makes 439 kernel searches and
+    # a serial scan of the 222 corpus graphs makes 402 kernel searches and
     # draws 1,857 probes. Searching every probe a found automorphism
-    # preserves makes 1,254 searches, and drawing the rest of the random
-    # probes once every k-colouring is rejected draws 3,420
+    # preserves makes 1,254 searches, enumerating the group for the
+    # exhaustive scans instead of learning their killers makes 439, and
+    # drawing the rest of the random probes once every k-colouring is
+    # rejected draws 3,420
     import edgesym.distinguishing as dist
     from edgesym import kernel
 
@@ -516,7 +517,7 @@ def test_corpus_scan_search_counts_are_pinned(monkeypatch):
     graphs = [parse_graph6(line) for line in CORPUS.read_text().split()]
     report = scan_conjecture(graphs)
     assert len(report.rows) == 222 and len(report.exceptions) == 7
-    assert counts == {"searches": 439, "probes": 1857}
+    assert counts == {"searches": 402, "probes": 1857}
 
 
 def test_search_colouring_answers_are_pinned():
