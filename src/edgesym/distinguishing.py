@@ -125,23 +125,17 @@ def hamiltonian_path(g: Graph) -> Optional[list[int]]:
     return None
 
 
-def hamiltonian_colouring(g: Graph, path: Sequence[int]) -> EdgeColouring:
+def _spider_colouring(g: Graph, path: Sequence[int]) -> EdgeColouring:
     """Two-colouring from a spanning spider built out of a Hamiltonian path.
 
     A chord from a path endpoint replaces the first path edge, leaving a tree
     with one degree-3 vertex and three legs of pairwise different lengths;
-    tree edges turn red, the rest green. Raises ChordlessPathError when no
-    endpoint admits a usable chord, and RuntimeError if the colouring fails
-    verification, which would be a bug.
+    tree edges turn red, the rest green. The colouring is distinguishing by
+    construction and is returned unverified; the caller's verification
+    doubles as its check. Raises ValueError for fewer than 7 vertices or a
+    path that is not a Hamiltonian path of g, and ChordlessPathError when no
+    endpoint admits a usable chord.
     """
-    col = _spider_colouring(g, path)
-    if not is_distinguishing(g, col):
-        raise RuntimeError("spider colouring failed verification")
-    return col
-
-
-def _spider_colouring(g: Graph, path: Sequence[int]) -> EdgeColouring:
-    """hamiltonian_colouring without its verification."""
     n = g.n
     if n < 7:
         raise ValueError("the spider construction needs at least 7 vertices")
@@ -458,14 +452,17 @@ def scan_conjecture(
     5 vertices, and the 3,3 complete bipartite graph.
 
     jobs > 1 scans in a process pool. The pool starts all its workers at
-    once, so it gets no more of them than there are graphs or cores."""
+    once, so it gets no more of them than there are graphs or cores that
+    the process may run on: its CPU affinity where the platform reports it
+    (taskset and cpusets narrow it), else the host's core count."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     graphs = list(corpus)
     scan = functools.partial(
         _scan_one, max_n=max_n, budget=budget, with_witness=with_witness
     )
-    workers = min(jobs, len(graphs), os.cpu_count() or 1)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(graphs), cores or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

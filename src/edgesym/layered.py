@@ -37,7 +37,6 @@ from .colouring import (
     PALETTE,
     RED,
     EdgeColouring,
-    all_blue_vertices,
     satisfies_blue_rule,
 )
 from .distinguishing import DEFAULT_BUDGET, is_distinguishing, search_colouring
@@ -185,12 +184,49 @@ def build_layering(g: Graph, r: int) -> OrbitLayering:
 # -- step state -----------------------------------------------------------------
 
 
+class StepColouring(dict):
+    """Every edge's colour, with a log of the writes for the step checks.
+
+    Each edge written through __setitem__ or update since written was last
+    cleared is a key of written, with its colour before the first such
+    write. non_blue[v] counts v's incident edges that are not blue, and
+    all_blue holds the vertices whose count is 0. Every edge is a key from
+    the start, so a write only recolours: writing a non-edge raises
+    KeyError."""
+
+    def __init__(self, colours: dict[Edge, str]):
+        super().__init__(colours)
+        self.written: dict[Edge, str] = {}
+        self.non_blue: dict[int, int] = {}
+        for e, c in self.items():
+            for v in e:
+                self.non_blue[v] = self.non_blue.get(v, 0) + (c != BLUE)
+        self.all_blue = {v for v, k in self.non_blue.items() if not k}
+
+    def __setitem__(self, e: Edge, colour: str) -> None:
+        old = self[e]
+        self.written.setdefault(e, old)
+        super().__setitem__(e, colour)
+        gain = (colour != BLUE) - (old != BLUE)
+        if gain:
+            for v in e:
+                self.non_blue[v] += gain
+                if self.non_blue[v]:
+                    self.all_blue.discard(v)
+                else:
+                    self.all_blue.add(v)
+
+    def update(self, colours: dict[Edge, str]) -> None:
+        for e, c in colours.items():
+            self[e] = c
+
+
 @dataclass
 class StepState:
     graph: Graph
     layering: OrbitLayering
     degree: int
-    colouring: dict[Edge, str]
+    colouring: StepColouring
     audit: list[dict] = field(default_factory=list)
     # slice i -> generators of its persistent group: the automorphisms that
     # fix every earlier slice pointwise and preserve slice i's horizontal
@@ -215,7 +251,7 @@ class StepState:
 def initial_colouring(g: Graph, r: int) -> StepState:
     """Blue at the root, green everywhere else."""
     layering = build_layering(g, r)
-    colours = {e: (BLUE if r in e else GREEN) for e in g.edges}
+    colours = StepColouring({e: (BLUE if r in e else GREEN) for e in g.edges})
     deg = regularity(g)
     if deg is None:
         raise ValueError("layered colouring expects a regular graph")
@@ -481,43 +517,50 @@ def assign_decorations(state: StepState, i: int) -> StepState:
 # -- step property checks -----------------------------------------------------------
 
 
-def check_step_properties(
-    state: StepState, i: int, previous: Optional[dict[Edge, str]] = None
-) -> list[str]:
+def check_step_properties(state: StepState, i: int) -> list[str]:
     """Audit the invariants that keep the construction on track after step
-    i; an empty list means the step is clean. Given the colouring from
-    before the step, also check that the step changed only slice i's
-    incident edges.
+    i; an empty list means the step is clean.
+
+    Step 0 scans every edge. After a later step only the edges the step
+    wrote are read, from the colouring's log: an edge outside slice i's
+    incident edges whose colour changed, the first edge beyond slice i that
+    is not green, and the first blue edge off the root that escapes the
+    settled region. The all-blue rule reads the colouring's counts. An
+    edge the step did not write keeps the colour that the check after step
+    i - 1 passed, and each rule after step i asks of it no more than that
+    check did, so checks made after every step from 0 on give the verdicts
+    of scanning every edge.
 
     For each slice j <= i, check that no root-fixing map preserving the
     colours settled by slice j moves a vertex of slice j. A slice of one
     vertex never moves; the others are decided together by one refinement
     carried from j to j (_settled_cells), and only a slice it leaves some
     vertex of in a cell of two or more vertices is searched."""
-    g = state.graph
     lay = state.layering
     r = lay.root
     col = state.colouring
     slice_of = lay.layer_of
     violations = []
 
-    blue_only = all_blue_vertices(g, col)
-    if blue_only != [r]:
-        violations.append(f"all-blue vertices {blue_only} instead of [{r}]")
+    if col.all_blue != {r}:
+        violations.append(f"all-blue vertices {sorted(col.all_blue)} instead of [{r}]")
 
-    if previous is not None and i > 0:
-        outside = [e for e in g.edges if col[e] != previous[e]
-                   and i not in (slice_of[e[0]], slice_of[e[1]])]
+    edges = state.graph.edges
+    if i > 0:
+        written = col.written
+        edges = sorted(written)
+        outside = [e for e in edges if col[e] != written[e]
+                   and slice_of[e[0]] != i != slice_of[e[1]]]
         if outside:
             violations.append(f"colours changed outside the layer: {outside}")
 
-    for e in g.edges:
-        if min(slice_of[e[0]], slice_of[e[1]]) > i and col[e] != GREEN:
+    for e in edges:
+        if slice_of[e[0]] > i < slice_of[e[1]] and col[e] != GREEN:
             violations.append(f"untouched edge {e} is {col[e]}, not green")
             break
 
-    for e, c in col.items():
-        if c == BLUE and r not in e and max(slice_of[e[0]], slice_of[e[1]]) > i:
+    for e in edges:
+        if col[e] == BLUE and r not in e and (slice_of[e[0]] > i or slice_of[e[1]] > i):
             violations.append(f"blue edge {e} escapes the settled region")
             break
 
@@ -608,10 +651,10 @@ def _layered_pipeline(
         if bad:
             raise StepPropertyError(0, bad)
     for i in range(1, state.layering.count):
-        previous = dict(state.colouring) if verify else None
+        state.colouring.written.clear()
         colour_horizontal(state, i, verify=verify, budget=budget)
         assign_decorations(state, i)
-        bad = check_step_properties(state, i, previous) if verify else []
+        bad = check_step_properties(state, i) if verify else []
         if bad:
             raise StepPropertyError(i, bad)
     if audit is not None:

@@ -13,6 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from edgesym.colouring import BLUE, GREEN, all_blue_vertices
 from edgesym.graph import Edge, Graph, edge
 
 
@@ -378,6 +379,44 @@ def equitable_cells_by_rounds(g: Graph, fixed, labels=None, seed=None) -> list[i
         if len(rank) == count:
             return cell
         count = len(rank)
+
+
+# -- step checks by scanning the whole colouring ----------------------------------
+
+
+def step_scan_violations(state, i: int, previous: Optional[dict] = None) -> list[str]:
+    """The scan rules of the layered construction's step check after step i,
+    over every edge and vertex: only the root sees only blue; given the
+    colouring before the step, no edge outside slice i's incident edges
+    changed; the first edge beyond slice i that is not green; the first
+    blue edge off the root that escapes the settled region."""
+    g = state.graph
+    lay = state.layering
+    r = lay.root
+    col = state.colouring
+    slice_of = lay.layer_of
+    violations = []
+
+    blue_only = all_blue_vertices(g, col)
+    if blue_only != [r]:
+        violations.append(f"all-blue vertices {blue_only} instead of [{r}]")
+
+    if previous is not None and i > 0:
+        outside = [e for e in g.edges if col[e] != previous[e]
+                   and i not in (slice_of[e[0]], slice_of[e[1]])]
+        if outside:
+            violations.append(f"colours changed outside the layer: {outside}")
+
+    for e in g.edges:
+        if min(slice_of[e[0]], slice_of[e[1]]) > i and col[e] != GREEN:
+            violations.append(f"untouched edge {e} is {col[e]}, not green")
+            break
+
+    for e, c in col.items():
+        if c == BLUE and r not in e and max(slice_of[e[0]], slice_of[e[1]]) > i:
+            violations.append(f"blue edge {e} escapes the settled region")
+            break
+    return violations
 
 
 # -- misc ----------------------------------------------------------------------

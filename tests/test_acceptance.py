@@ -16,8 +16,8 @@ from edgesym.colouring import EdgeColouring, satisfies_blue_rule
 from edgesym.distinguishing import (
     NOT_DISTINGUISHABLE,
     MaxColoursExceededError,
+    _spider_colouring,
     distinguishing_index,
-    hamiltonian_colouring,
     is_distinguishing,
     scan_conjecture,
 )
@@ -158,7 +158,7 @@ def test_criterion_4_hamiltonian_construction():
     bad = []
     for n in range(7, 11):
         g = complete(n)
-        c = hamiltonian_colouring(g, list(range(n)))
+        c = _spider_colouring(g, list(range(n)))
         if len(c.colours_used()) != 2 or not is_distinguishing(g, c):
             bad.append(n)
     _report(4, not bad, f"spanning-spider 2-colourings verified for K7..K10; bad: {bad}")
@@ -178,11 +178,11 @@ def test_criterion_5_step_properties_and_decoration_supply(corpus_upto_10):
         if bad:
             violations.append((serialize_graph6(g), 0, bad))
         for i in range(1, state.layering.count):
-            previous = dict(state.colouring)
+            state.colouring.written.clear()
             colour_horizontal(state, i, verify=True)
             assign_decorations(state, i)
             checked_steps += 1
-            bad = check_step_properties(state, i, previous)
+            bad = check_step_properties(state, i)
             if bad:
                 violations.append((serialize_graph6(g), i, bad))
         if deg >= 5:

@@ -12,9 +12,9 @@ from edgesym.distinguishing import (
     BudgetExceededError,
     ChordlessPathError,
     MaxColoursExceededError,
+    _spider_colouring,
     distinguishing_index,
     distinguishing_index_with_witness,
-    hamiltonian_colouring,
     hamiltonian_path,
     is_distinguishing,
     scan_conjecture,
@@ -229,19 +229,19 @@ def test_cycle_colouring_two_colours_up_to_64():
 
 def test_hamiltonian_colouring_k7():
     g = complete(7)
-    c = hamiltonian_colouring(g, list(range(7)))
+    c = _spider_colouring(g, list(range(7)))
     assert c.colours_used() == {RED, GREEN}
     assert is_distinguishing(g, c)
 
 
 def test_hamiltonian_colouring_cycle_has_no_chord():
     with pytest.raises(ChordlessPathError):
-        hamiltonian_colouring(cycle(7), list(range(7)))
+        _spider_colouring(cycle(7), list(range(7)))
 
 
 def test_hamiltonian_colouring_k8_legs():
     g = complete(8)
-    c = hamiltonian_colouring(g, list(range(8)))
+    c = _spider_colouring(g, list(range(8)))
     red = [e for e, col in c.assignment.items() if col == RED]
     tree_deg = {}
     for u, v in red:
@@ -256,9 +256,9 @@ def test_hamiltonian_colouring_k8_legs():
 
 def test_hamiltonian_colouring_bad_path():
     with pytest.raises(ValueError):
-        hamiltonian_colouring(complete(7), [0, 1, 2, 3, 4, 5, 5])
+        _spider_colouring(complete(7), [0, 1, 2, 3, 4, 5, 5])
     with pytest.raises(ValueError):
-        hamiltonian_colouring(complete(5), [0, 1, 2, 3, 4])
+        _spider_colouring(complete(5), [0, 1, 2, 3, 4])
 
 
 def test_probe_does_not_swallow_broken_invariants(monkeypatch):
@@ -451,7 +451,9 @@ def test_scan_parallel_matches_serial():
 
 
 def test_scan_pool_bounded_by_graphs_and_cores(monkeypatch):
-    # a fake pool records its size and maps serially, so no process starts
+    # a fake pool records its size and maps serially, so no process starts.
+    # The cores are those of the process's CPU affinity, or the host's count
+    # where the platform has no affinity call
     import concurrent.futures
     import os
 
@@ -471,14 +473,23 @@ def test_scan_pool_bounded_by_graphs_and_cores(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+
+    def affinity(cores):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores or 0)))
+
+    def host_count(cores):  # a platform with no affinity call
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+
     graphs = [cycle(n) for n in range(3, 8)]
     serial = scan_conjecture(graphs).rows
-    for cores, jobs, want in [(2, 2, [2]), (2, 1000, [2]), (8, 3, [3]), (8, 1000, [5]),
-                              (None, 1000, []), (1, 4, [])]:
-        sizes.clear()
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        assert scan_conjecture(graphs, jobs=jobs).rows == serial
-        assert sizes == want, (cores, jobs, sizes)
+    for cores_of in (affinity, host_count):
+        for cores, jobs, want in [(2, 2, [2]), (2, 1000, [2]), (8, 3, [3]), (8, 1000, [5]),
+                                  (None, 1000, []), (1, 4, [])]:
+            sizes.clear()
+            cores_of(cores)
+            assert scan_conjecture(graphs, jobs=jobs).rows == serial
+            assert sizes == want, (cores_of.__name__, cores, jobs, sizes)
     sizes.clear()
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert scan_conjecture(graphs[:1], jobs=4).rows == serial[:1]

@@ -27,6 +27,7 @@ from edgesym.layered import (
     Decoration,
     DecorationShortageError,
     NotColourableError,
+    StepColouring,
     StepState,
     _component_orbits,
     _decoration_back_edges,
@@ -44,7 +45,12 @@ from edgesym.layered import (
     initial_colouring,
 )
 
-from oracles import automorphisms_by_backtracking, constraint_holds_naive, equitable_cells_by_rounds
+from oracles import (
+    automorphisms_by_backtracking,
+    constraint_holds_naive,
+    equitable_cells_by_rounds,
+    step_scan_violations,
+)
 
 BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
@@ -691,10 +697,10 @@ def test_check_step_properties_clean_on_petersen_run():
     state = initial_colouring(g, 0)
     assert check_step_properties(state, 0) == []
     for i in range(1, state.layering.count):
-        previous = dict(state.colouring)
+        state.colouring.written.clear()
         colour_horizontal(state, i)
         assign_decorations(state, i)
-        assert check_step_properties(state, i, previous) == []
+        assert check_step_properties(state, i) == []
 
 
 def test_check_step_properties_detects_blue_escape():
@@ -719,20 +725,21 @@ def test_check_step_properties_detects_moved_layer():
 
 
 def _stepped_states(graphs):
-    """(graph, state, i, colouring before step i) after every step i of the
-    layered construction, the initial colouring being step 0 with no
-    colouring before it, on each graph that has layer steps."""
+    """(graph, state, i) after every step i of the layered construction, the
+    initial colouring being step 0, on each graph that has layer steps. The
+    colouring's write log holds the writes of step i alone, as in the
+    pipeline."""
     for g in graphs:
         deg = regularity(g)
         if g.n <= 2 or deg == 2 or deg == g.n - 1:
             continue  # cycle and complete-graph branches have no layer steps
         state = initial_colouring(g, 0)
-        yield g, state, 0, None
+        yield g, state, 0
         for i in range(1, state.layering.count):
-            previous = dict(state.colouring)
+            state.colouring.written.clear()
             colour_horizontal(state, i)
             assign_decorations(state, i)
-            yield g, state, i, previous
+            yield g, state, i
 
 
 MOVED = "a root-fixing map preserving the settled colouring moves layer {}"
@@ -752,14 +759,28 @@ def _settled_search(state, j):
     )
 
 
-def _checked_moves(state, i, previous):
+def _checked_moves(state, i):
     """The slice verdicts check_step_properties reports after step i."""
-    return [v for v in check_step_properties(state, i, previous) if v.startswith(MOVED.format(""))]
+    return [v for v in check_step_properties(state, i) if v.startswith(MOVED.format(""))]
 
 
 def _searched_moves(state, i):
     """The slice verdicts of a loop that searches every slice j <= i."""
     return [MOVED.format(j) for j in range(i + 1) if _settled_search(state, j) is not None]
+
+
+def _rewritten(state, colours, through_update=False):
+    """A copy of state, its colouring's write log and counts included, with
+    colours written over its colouring through __setitem__, or through
+    update."""
+    col = StepColouring(state.colouring)
+    col.written.update(state.colouring.written)
+    if through_update:
+        col.update(colours)
+    else:
+        for e, c in colours.items():
+            col[e] = c
+    return dataclasses.replace(state, colouring=col)
 
 
 def test_step_check_skips_only_slices_the_root_stabiliser_fixes():
@@ -772,7 +793,7 @@ def test_step_check_skips_only_slices_the_root_stabiliser_fixes():
     large = [parse_graph6(line) for line in (BENCH_DATA / "large.g6").read_text().split()]
     one_vertex = {False: 0, True: 0}  # keyed by "on a large graph"
     multi_vertex = recoloured_moves = 0
-    for g, state, i, previous in _stepped_states(small + large):
+    for g, state, i in _stepped_states(small + large):
         lay = state.layering
         on_large = any(g is h for h in large)
         for j in range(i + 1):
@@ -781,7 +802,7 @@ def test_step_check_skips_only_slices_the_root_stabiliser_fixes():
                 one_vertex[on_large] += 1
             else:
                 multi_vertex += 1
-        assert _checked_moves(state, i, previous) == _searched_moves(state, i)
+        assert _checked_moves(state, i) == _searched_moves(state, i)
         if on_large:
             continue
         for j in range(1, i):
@@ -789,15 +810,69 @@ def test_step_check_skips_only_slices_the_root_stabiliser_fixes():
                 for c in (RED, GREEN, BLUE):
                     if c == state.colouring[e]:
                         continue
-                    recoloured = dataclasses.replace(state, colouring={**state.colouring, e: c})
+                    recoloured = _rewritten(state, {e: c})
                     if _settled_search(recoloured, j) is None:
                         continue
-                    moves = _checked_moves(recoloured, i, previous)
+                    moves = _checked_moves(recoloured, i)
                     assert MOVED.format(j) in moves
                     assert moves == _searched_moves(recoloured, i)
                     recoloured_moves += 1
     assert one_vertex[False] >= 176 and one_vertex[True] >= 2892, one_vertex
     assert multi_vertex >= 93 and recoloured_moves >= 10, (multi_vertex, recoloured_moves)
+
+
+def _scan_verdicts(state, i, previous):
+    """The scan rules' verdicts after step i, once the step check's and the
+    full scan's are seen to agree: the check reports the full scan's, then
+    only slice verdicts."""
+    got = check_step_properties(state, i)
+    want = step_scan_violations(state, i, previous)
+    assert got[:len(want)] == want, (state.graph.edges, i, got, want)
+    assert all(v.startswith(MOVED.format("")) for v in got[len(want):]), (i, got)
+    return want
+
+
+def test_logged_step_check_matches_a_full_scan():
+    # at every step of the n <= 8 catalogue, Petersen and the benchmark's
+    # large graphs, checked in pipeline order, the step check reading the
+    # write log reports what a scan of the whole colouring reports. After
+    # each step i > 0, four faults are written through __setitem__ and
+    # again through update, and both report each with the same text: a
+    # recoloured edge outside slice i's incident edges, an untouched edge
+    # turned red, a blue edge beyond slice i and a vertex left all blue
+    small = connected_regular_upto(8) + [petersen()]
+    large = [parse_graph6(line) for line in (BENCH_DATA / "large.g6").read_text().split()]
+    faults = {"outside": 0, "untouched": 0, "blue": 0, "all-blue": 0}
+    previous = None
+    for g, state, i in _stepped_states(small + large):
+        assert _scan_verdicts(state, i, previous if i else None) == []
+        previous = dict(state.colouring)
+        if i == 0:
+            continue
+        lay = state.layering
+        slice_of = lay.layer_of
+        outside = [e for e in g.edges if i not in (slice_of[e[0]], slice_of[e[1]])]
+        untouched = [e for e in g.edges if min(slice_of[e[0]], slice_of[e[1]]) > i]
+        cases = []
+        if outside:
+            e = outside[0]
+            c = PALETTE[(PALETTE.index(state.colouring[e]) + 1) % 3]
+            cases.append(("outside", {e: c}, f"colours changed outside the layer: [{e}]"))
+        if untouched:
+            e = untouched[0]
+            cases.append(("untouched", {e: RED}, f"untouched edge {e} is red, not green"))
+        if lay.classes[i].forward:
+            e = lay.classes[i].forward[0]
+            cases.append(("blue", {e: BLUE}, f"blue edge {e} escapes the settled region"))
+        v = lay.layers[i][0]
+        cases.append(("all-blue", {e: BLUE for e in g.edges if v in e}, "all-blue vertices"))
+        for kind, colours, text in cases:
+            for through_update in (False, True):
+                faulty = _rewritten(state, colours, through_update)
+                assert any(w.startswith(text) for w in _scan_verdicts(faulty, i, previous)), (
+                    kind, through_update, g.edges, i)
+            faults[kind] += 1
+    assert min(faults.values()) >= 200, faults
 
 
 def _labels_settled_by(state, j):
@@ -825,7 +900,7 @@ def test_carried_step_cells_equal_a_refinement_from_the_slices():
     large = [parse_graph6(line) for line in (BENCH_DATA / "large.g6").read_text().split()]
     circulants = [circulant(16, [1, 7]), circulant(32, [1, 7])]
     compared = undecided = 0
-    for g, state, i, _ in _stepped_states(small + large + circulants):
+    for g, state, i in _stepped_states(small + large + circulants):
         lay = state.layering
         if i == 0:
             i = lay.count - 1
@@ -856,7 +931,7 @@ def test_carried_step_cells_are_unions_of_orbits():
     for g in connected_regular_upto(8):
         perms = None
         index = {e: k for k, e in enumerate(g.edges)}
-        for _, state, i, _ in _stepped_states([g]):
+        for _, state, i in _stepped_states([g]):
             if perms is None:
                 perms = [p for p in automorphisms_by_backtracking(g) if p[0] == 0]
             lay = state.layering
