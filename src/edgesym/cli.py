@@ -9,6 +9,7 @@ step invariant) or unexpected scan exception.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import json
 import sys
@@ -23,7 +24,7 @@ from .distinguishing import (
     BudgetExceededError,
     MaxColoursExceededError,
     distinguishing_index_with_witness,
-    scan_conjecture,
+    scan_rows,
 )
 from .graph import (
     Graph,
@@ -203,26 +204,45 @@ def evaluate_scan_rows(rows: list[dict]) -> int:
 
 
 def cmd_scan(args) -> int:
-    with _open_input(args.file) as fh:
-        lines = [(k, line.strip()) for k, line in enumerate(fh, 1) if line.strip()]
-    graphs, bad = [], {}  # a malformed line becomes an error row in its place
-    for k, text in lines:
-        try:
-            graphs.append(parse_graph6(text))
-        except GraphError as exc:
-            bad[k] = {"line": k, "graph6": text, "status": "error", "error": str(exc)}
-    report = scan_conjecture(
-        graphs,
-        max_n=args.max_n,
-        budget=args.budget,
-        with_witness=args.witness,
-        jobs=args.jobs,
-    )
-    scanned = iter(report.rows)
-    rows = [bad[k] if k in bad else next(scanned) for k, _ in lines]
+    # Each input line's row is printed once it and every row before it are
+    # ready. The graphs are drawn lazily, by a pool's feeder thread when the
+    # scan runs in a pool, so reading queues each malformed line's error row
+    # in pending, behind a None for each graph read before it whose row has
+    # not been printed yet. Only the reader appends and only this thread
+    # pops and prints, so the deque needs no lock.
+    pending: collections.deque = collections.deque()
+    statuses = set()
+
+    def emit(row: dict) -> None:
+        statuses.add(row["status"])
+        print(json.dumps(row), flush=True)
+
+    def graphs():
+        with _open_input(args.file) as fh:
+            for k, line in enumerate(fh, 1):
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    g = parse_graph6(text)
+                except GraphError as exc:
+                    pending.append({"line": k, "graph6": text, "status": "error",
+                                    "error": str(exc)})
+                    continue
+                pending.append(None)
+                yield g
+
+    rows = scan_rows(graphs(), max_n=args.max_n, budget=args.budget,
+                     with_witness=args.witness, jobs=args.jobs)
     for row in rows:
-        print(json.dumps(row))
-    return evaluate_scan_rows(rows)
+        while (bad := pending.popleft()) is not None:
+            emit(bad)
+        emit(row)
+        while pending and pending[0] is not None:
+            emit(pending.popleft())
+    while pending:
+        emit(pending.popleft())
+    return evaluate_scan_rows([{"status": s} for s in statuses])
 
 
 def cmd_aut(args) -> int:

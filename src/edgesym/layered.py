@@ -16,6 +16,7 @@ vertices) and complete graphs (an exhaustive search) are coloured directly.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -92,8 +93,9 @@ class LayerEdgeClasses:
 class OrbitLayering:
     """Vertex slices (root-stabiliser orbits ordered by distance) with their
     incident edges split by direction in classes, the furthest slice each
-    prefix of slices touches, and the root stabiliser's generators (the
-    pointwise stabiliser of slice 0).
+    prefix of slices touches, the ascending indices of the slices of two or
+    more vertices, and the root stabiliser's generators (the pointwise
+    stabiliser of slice 0).
 
     Once slices 0..i are coloured, the edges with both ends in slices up to
     reach[i] are settled. outward_edges lists every edge by the slice of its
@@ -107,6 +109,7 @@ class OrbitLayering:
     reach: list[int]
     outward_edges: tuple[Edge, ...]
     settled_count: list[int]
+    multi_slices: tuple[int, ...]
     root_generators: list[Permutation]
 
     @property
@@ -177,8 +180,9 @@ def build_layering(g: Graph, r: int) -> OrbitLayering:
     # up_to[s]: the edges whose later end lies in slice s or before
     up_to = list(itertools.accumulate(map(len, by_later_end)))
     outward = tuple(itertools.chain.from_iterable(by_later_end))
+    multi = tuple(i for i, layer in enumerate(layers) if len(layer) > 1)
     return OrbitLayering(r, layers, layer_of, classes, reach, outward,
-                         [up_to[x] for x in reach], gens)
+                         [up_to[x] for x in reach], multi, gens)
 
 
 # -- step state -----------------------------------------------------------------
@@ -595,7 +599,7 @@ def _settled_cells(state: StepState, i: int) -> Iterator[tuple[int, list[int]]]:
     built.
     """
     lay = state.layering
-    multi = [j for j in range(i + 1) if len(lay.layers[j]) > 1]
+    multi = lay.multi_slices[: bisect.bisect_right(lay.multi_slices, i)]
     if not multi:
         return
     g = state.graph

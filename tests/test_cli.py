@@ -169,17 +169,52 @@ def test_scan_malformed_line_becomes_error_row(tmp_path, capsys, jobs):
     corpus = tmp_path / "corpus.g6"
     c5, pet = serialize_graph6(cycle(5)), serialize_graph6(petersen())
     # "?" parses to the graph with no vertices, which has no index
-    corpus.write_text(f"{c5}\nnot_g6!\n\n?\n{pet}\n")
+    corpus.write_text(f"first!\n{c5}\nnot_g6!\n\n?\n{pet}\nlast!\n")
     code, out, _ = run(capsys, "scan", "--file", str(corpus), "--jobs", jobs)
     assert code == 2
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert [(r["graph6"], r["status"]) for r in rows] == [
-        (c5, "known_exception"), ("not_g6!", "error"), ("?", "error"), (pet, "ok"),
+        ("first!", "error"), (c5, "known_exception"), ("not_g6!", "error"), ("?", "error"),
+        (pet, "ok"), ("last!", "error"),
     ]
-    assert rows[1]["line"] == 2 and "alphabet" in rows[1]["error"]
-    assert rows[2] == {"graph6": "?", "n": 0, "degree": 0, "dprime": None,
+    assert [rows[k]["line"] for k in (0, 2, 5)] == [1, 3, 7]
+    assert all("alphabet" in rows[k]["error"] for k in (0, 2, 5))
+    assert rows[3] == {"graph6": "?", "n": 0, "degree": 0, "dprime": None,
                        "status": "error", "error": "empty graph"}
-    assert "line" not in rows[0] and "line" not in rows[3]
+    assert "line" not in rows[1] and "line" not in rows[4]
+
+
+def test_scan_rows_keep_input_order_with_more_workers_than_cores(tmp_path, capsys, monkeypatch):
+    # the pool's feeder thread reads the lines and queues each malformed
+    # line's row while the main thread prints: with four workers on the
+    # host's cores and frequent thread switches, every row must still come
+    # out in its line's place, as in the serial scan
+    import os
+    import random
+    import sys
+    from pathlib import Path
+
+    corpus_g6 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "corpus.g6"
+    lines = corpus_g6.read_text().split()
+    rng = random.Random(7)
+    for k in sorted(rng.sample(range(len(lines) + 1), 60), reverse=True):
+        lines[k:k] = ["bad!"] * rng.randint(1, 3)
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    outs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for jobs in ("1", "4"):
+            code, out, _ = run(capsys, "scan", "--file", str(corpus), "--jobs", jobs)
+            assert code == 2
+            outs.append(out)
+    finally:
+        sys.setswitchinterval(interval)
+    rows = [json.loads(line) for line in outs[0].splitlines()]
+    assert [r["graph6"] for r in rows] == lines
+    assert outs[1] == outs[0]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

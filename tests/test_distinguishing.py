@@ -18,6 +18,7 @@ from edgesym.distinguishing import (
     hamiltonian_path,
     is_distinguishing,
     scan_conjecture,
+    scan_rows,
     search_colouring,
 )
 from edgesym.graph import (
@@ -442,26 +443,68 @@ def test_scan_skips_bad_inputs(monkeypatch):
         scan_conjecture([cycle(66), complete(7)], max_n=100)
 
 
-def test_scan_parallel_matches_serial():
-    graphs = [cycle(5), complete(4), petersen(), complete_bipartite(3, 3)]
+def _two_cores(monkeypatch):
+    # the pool gets min(jobs, graphs, cores) workers: report two cores so
+    # that jobs=2 starts a pool on any host
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_scan_parallel_matches_serial(monkeypatch):
+    # every corpus graph, so rows cross many chunks of the pool: a pool that
+    # yielded chunks as they finish, not in input order, would fail
+    import edgesym.distinguishing as dist
+
+    _two_cores(monkeypatch)
+    graphs = [parse_graph6(line) for line in CORPUS.read_text().split()]
     serial = scan_conjecture(graphs, with_witness=True)
     par = scan_conjecture(graphs, with_witness=True, jobs=2)
+    assert len(graphs) == 222 and dist._SCAN_CHUNK < len(graphs) // 2
     assert par.rows == serial.rows
-    assert sum("witness_colouring" in r for r in serial.rows) == 4
+    assert sum("witness_colouring" in r for r in serial.rows) == 221  # all but K2
+
+
+def test_scan_rows_yields_each_row_before_drawing_the_next_graph():
+    graphs = [cycle(5), petersen(), complete(4)]
+    drawn = []
+
+    def corpus():
+        for g in graphs:
+            drawn.append(g)
+            yield g
+
+    rows = scan_rows(corpus())
+    first = next(rows)
+    assert first == scan_conjecture(graphs[:1]).rows[0] and len(drawn) == 1
+    assert [first, *rows] == scan_conjecture(graphs).rows and len(drawn) == 3
+
+
+def test_closing_a_pooled_scan_stops_its_workers(monkeypatch):
+    import multiprocessing
+
+    _two_cores(monkeypatch)
+    graphs = [cycle(n) for n in range(3, 43)]
+    rows = scan_rows(iter(graphs), max_n=50, jobs=2)
+    assert next(rows) == scan_conjecture(graphs[:1]).rows[0]
+    assert len(multiprocessing.active_children()) == 2
+    rows.close()
+    assert multiprocessing.active_children() == []
 
 
 def test_scan_pool_bounded_by_graphs_and_cores(monkeypatch):
     # a fake pool records its size and maps serially, so no process starts.
     # The cores are those of the process's CPU affinity, or the host's count
-    # where the platform has no affinity call
-    import concurrent.futures
+    # where the platform has no affinity call. The corpus may be a one-shot
+    # iterator: the pool is sized by the graphs drawn before it starts
+    import multiprocessing
     import os
 
     sizes = []
 
     class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, processes):
+            sizes.append(processes)
 
         def __enter__(self):
             return self
@@ -469,32 +512,37 @@ def test_scan_pool_bounded_by_graphs_and_cores(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def imap(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
 
     def affinity(cores):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores or 0)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores or 0)),
+                            raising=False)
 
     def host_count(cores):  # a platform with no affinity call
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
 
+    def one_shot(graphs):
+        return (g for g in graphs)
+
     graphs = [cycle(n) for n in range(3, 8)]
     serial = scan_conjecture(graphs).rows
-    for cores_of in (affinity, host_count):
-        for cores, jobs, want in [(2, 2, [2]), (2, 1000, [2]), (8, 3, [3]), (8, 1000, [5]),
-                                  (None, 1000, []), (1, 4, [])]:
-            sizes.clear()
-            cores_of(cores)
-            assert scan_conjecture(graphs, jobs=jobs).rows == serial
-            assert sizes == want, (cores_of.__name__, cores, jobs, sizes)
-    sizes.clear()
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert scan_conjecture(graphs[:1], jobs=4).rows == serial[:1]
-    assert scan_conjecture([], jobs=4).rows == []
-    assert sizes == []
+    for corpus_of in (list, one_shot):
+        for cores_of in (affinity, host_count):
+            for cores, jobs, want in [(2, 2, [2]), (2, 1000, [2]), (8, 3, [3]), (8, 1000, [5]),
+                                      (None, 1000, []), (1, 4, [])]:
+                sizes.clear()
+                cores_of(cores)
+                assert scan_conjecture(corpus_of(graphs), jobs=jobs).rows == serial
+                assert sizes == want, (corpus_of.__name__, cores_of.__name__, cores, jobs, sizes)
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert scan_conjecture(corpus_of(graphs[:1]), jobs=4).rows == serial[:1]
+        assert scan_conjecture(corpus_of([]), jobs=4).rows == []
+        assert sizes == []
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
             scan_conjecture(graphs, jobs=jobs)
