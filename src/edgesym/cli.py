@@ -247,6 +247,8 @@ def cmd_scan(args) -> int:
 
 def cmd_aut(args) -> int:
     g = _load_graph(args)
+    if g.n == 0:
+        raise _InputError("empty graph")
     order = group_order(g)  # SizeGuardError is a ValueError: main exits with 2
     root = args.root
     gens = stabiliser_generators(g, root)

@@ -237,6 +237,29 @@ class StepState:
     # colouring. They fix the root, so they map every slice onto itself.
     # colour_horizontal sets them when it installs slice i's colours
     persistent_gens: dict[int, list[Permutation]] = field(default_factory=dict)
+    # (i, chain_cells(i)) for the latest i asked for, and the edge rows it refines
+    _carried: tuple[int, list[int]] = field(default=(0, []), init=False, repr=False)
+    _edge_rows: list = field(default_factory=list, init=False, repr=False)
+
+    def chain_cells(self, i: int) -> list[int]:
+        """Q_i, the start of every chain slice i asks for: the coarsest
+        equitable partition of the uncoloured graph finer than {each vertex
+        of slices 0..i-1 alone, the rest}, as bitmask cells. The graph is
+        regular, so Q_0 is one cell. Every equitable partition finer than
+        Q_{i+1}'s start is finer than Q_i, so refining Q_i with slice i's
+        vertices made singletons, the only splitters, gives Q_{i+1}. Only
+        the latest Q_i is kept; an earlier slice is reached again from Q_0."""
+        g = self.graph
+        rows = self._edge_rows = self._edge_rows or [(0, g.adjacency_mask(v)) for v in range(g.n)]
+        at, cells = self._carried
+        if at > i or not cells:
+            at, cells = 0, [(1 << g.n) - 1]
+        for layer in self.layering.layers[at:i]:
+            bits = [1 << v for v in layer]
+            rest = ~sum(bits)
+            cells = _equitable_cells(rows, bits + [x & rest for x in cells if x & rest], bits)
+        self._carried = (i, cells)
+        return cells
 
     def earlier_stabiliser(
         self, i: int, colours: Optional[dict[Edge, str]] = None
@@ -244,11 +267,12 @@ class StepState:
         """Generators of the automorphisms that fix every slice before i
         pointwise and preserve colours. Slice 0 is the root alone, so for
         i = 1 and no colours that is the root stabiliser, whose generators
-        build_layering kept."""
+        build_layering kept. Otherwise the chain starts from chain_cells(i),
+        the partition it would refine first: its generators are the same."""
         if i == 1 and not colours:
             return self.layering.root_generators
         return pointwise_stabiliser_generators(
-            self.graph, self.layering.earlier_vertices(i), colours
+            self.graph, self.layering.earlier_vertices(i), colours, cells=self.chain_cells(i)
         )
 
 

@@ -262,6 +262,13 @@ def test_aut_size_guard(capsys):
     assert code == 0 and json.loads(out)["group_order"] == 40
 
 
+@pytest.mark.parametrize("command", ["colour", "dprime", "aut"])
+def test_empty_graph_is_an_input_error(capsys, command):
+    # "?" parses to the graph with no vertices
+    code, out, err = run(capsys, command, "--g6", "?")
+    assert code == 2 and not out and err == "error: empty graph\n"
+
+
 @pytest.mark.parametrize("spec", ["cycle 6", "complete 5", "petersen"])
 @pytest.mark.parametrize("root", ["99", "-1"])
 def test_colour_root_out_of_range_exit_code(capsys, spec, root):

@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from edgesym.aut import AutConstraint, Permutation, find_automorphism, pointwise_stabiliser_generators
+from edgesym.aut import (
+    AutConstraint,
+    Permutation,
+    _levels,
+    find_automorphism,
+    pointwise_stabiliser_generators,
+)
 from edgesym.catalog import connected_regular_upto
 from edgesym.colouring import BLUE, GREEN, PALETTE, RED, EdgeColouring, all_blue_vertices, satisfies_blue_rule
 from edgesym.distinguishing import is_distinguishing
@@ -151,6 +157,84 @@ def test_layering_keeps_root_stabiliser_for_slice_one():
                 assert state.earlier_stabiliser(2) == pointwise_stabiliser_generators(g, earlier)
             nontrivial += bool(kept)
     assert nontrivial > 40, nontrivial
+
+
+def _chain_graphs():
+    large = [parse_graph6(line) for line in (BENCH_DATA / "large.g6").read_text().split()]
+    return connected_regular_upto(8) + [petersen(), circulant(64, [1, 7]),
+                                        complete_bipartite(4, 4)] + large
+
+
+def _fresh_start_cells(g, fixed):
+    """The partition _levels refines from scratch before its first level:
+    each vertex's cell from a one-base walk (a discrete one yields none)."""
+    rows = [(0, g.adjacency_mask(v)) for v in range(g.n)]
+    cells, covered = [], 0
+    for v in range(g.n):
+        if not covered >> v & 1:
+            cell = next(_levels(rows, fixed, [v]), (v, 1 << v))[1]
+            cells.append(cell)
+            covered |= cell
+    return cells
+
+
+def test_carried_chain_cells_equal_a_fresh_refinement():
+    # at every slice of the n <= 8 catalogue, Petersen, C64(1,7), K_{4,4}
+    # and the benchmark's large graphs, from the first and the last root,
+    # the cells a state carries for slice i are the partition that _levels
+    # refines from scratch with slices 0..i-1 fixed: in pipeline order, and
+    # after the last slice again from the last back to slice 0
+    compared = split = 0
+    for g, state, i in _stepped_states(_chain_graphs(), last_root=True):
+        lay = state.layering
+        for j in [i] if i < lay.count - 1 else range(i, -1, -1):
+            cells = state.chain_cells(j)
+            assert _blocks(cells) == _blocks(_fresh_start_cells(g, lay.earlier_vertices(j))), (
+                g.edges, lay.root, j)
+            compared += 1
+            split += 1 < len(cells) < g.n
+    assert compared >= 1300 and split >= 120, (compared, split)
+
+
+def test_earlier_stabiliser_from_carried_cells_equals_a_fresh_chain():
+    # on the same graphs and roots, every slice's earlier stabiliser, with
+    # the installed colours and without, is the chain refined from scratch;
+    # after the last slice each is asked for again from the last back
+    checked = nontrivial = 0
+    for g, state, i in _stepped_states(_chain_graphs(), last_root=True):
+        lay = state.layering
+        if i == 0:
+            continue
+        colours = slice_colours(state, i)
+        for j, c in [(i, colours), (i, None)] + [(j, None) for j in range(i, 0, -1)
+                                                 if i == lay.count - 1]:
+            gens = state.earlier_stabiliser(j, c)
+            assert gens == pointwise_stabiliser_generators(g, lay.earlier_vertices(j), c), (
+                g.edges, lay.root, j, c)
+            checked += 1
+            nontrivial += bool(gens)
+    assert checked >= 1800 and nontrivial >= 200, (checked, nontrivial)
+
+
+def test_slice_chains_start_from_the_carried_cells(monkeypatch):
+    # a verified run refines one chain from scratch, the root chain in
+    # build_layering; every slice's chain starts from the carried cells
+    import edgesym.aut as aut_module
+
+    chain = aut_module._chain_transversals
+    started = []
+
+    def counted(g, start_fixed, colour_preserve=None, cells=None):
+        started.append(None if cells is not None else list(start_fixed))
+        return chain(g, start_fixed, colour_preserve, cells)
+
+    monkeypatch.setattr(aut_module, "_chain_transversals", counted)
+    for g in [random_regular(64, 3, s) for s in (1, 2, 3)] + [circulant(64, [1, 7])]:
+        started.clear()
+        colour_regular(g, verify=True)
+        assert [f for f in started if f is not None] == [[0]], g.edges
+        # each slice after the first asks for at least one chain
+        assert len(started) >= build_layering(g, 0).count - 1, (g.edges, len(started))
 
 
 def test_layering_matches_brute_classification():
@@ -724,22 +808,23 @@ def test_check_step_properties_detects_moved_layer():
     assert any("moves layer" in v for v in violations)
 
 
-def _stepped_states(graphs):
+def _stepped_states(graphs, last_root=False):
     """(graph, state, i) after every step i of the layered construction, the
-    initial colouring being step 0, on each graph that has layer steps. The
-    colouring's write log holds the writes of step i alone, as in the
-    pipeline."""
+    initial colouring being step 0, on each graph that has layer steps, from
+    root 0 and, with last_root, from root n - 1 too. The colouring's write
+    log holds the writes of step i alone, as in the pipeline."""
     for g in graphs:
         deg = regularity(g)
         if g.n <= 2 or deg == 2 or deg == g.n - 1:
             continue  # cycle and complete-graph branches have no layer steps
-        state = initial_colouring(g, 0)
-        yield g, state, 0
-        for i in range(1, state.layering.count):
-            state.colouring.written.clear()
-            colour_horizontal(state, i)
-            assign_decorations(state, i)
-            yield g, state, i
+        for r in (0, g.n - 1) if last_root else (0,):
+            state = initial_colouring(g, r)
+            yield g, state, 0
+            for i in range(1, state.layering.count):
+                state.colouring.written.clear()
+                colour_horizontal(state, i)
+                assign_decorations(state, i)
+                yield g, state, i
 
 
 MOVED = "a root-fixing map preserving the settled colouring moves layer {}"
