@@ -315,13 +315,9 @@ def connected_regular_graphs(n: int, d: int) -> tuple[Graph, ...]:
     """Every connected d-regular graph on n vertices, up to isomorphism."""
     if n < 1 or d < 0 or d >= n or (n * d) % 2:
         return ()
-    if d == 0:
-        return (Graph(1),) if n == 1 else ()
-    if d == 1:
-        return (complete(2),) if n == 2 else ()
-    if d == 2:
+    if d == 2:  # the generator would number C_n differently from cycle(n)
         return (cycle(n),) if n >= 3 else ()
-    if d == n - 1:
+    if d == n - 1:  # the complement path would walk every partition of n
         return (complete(n),)
     if 2 * d > n - 1:
         co = []

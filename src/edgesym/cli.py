@@ -9,7 +9,6 @@ step invariant) or unexpected scan exception.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import json
 import sys
@@ -150,12 +149,6 @@ def cmd_colour(args) -> int:
     except NotColourableError:
         print("error: the single edge admits no distinguishing colouring", file=sys.stderr)
         return EXIT_NOT_COLOURABLE
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (VerificationError, DecorationShortageError, StepPropertyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     extra = {
         "graph6": serialize_graph6(g),
         "n": g.n,
@@ -177,9 +170,6 @@ def cmd_dprime(args) -> int:
         value, witness = distinguishing_index_with_witness(
             g, max_colours=args.max_colours, budget=args.budget
         )
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except MaxColoursExceededError:
         print(json.dumps({"graph6": serialize_graph6(g), "dprime": f">{args.max_colours}"}))
         return EXIT_OK
@@ -204,44 +194,24 @@ def evaluate_scan_rows(rows: list[dict]) -> int:
 
 
 def cmd_scan(args) -> int:
-    # Each input line's row is printed once it and every row before it are
-    # ready. The graphs are drawn lazily, by a pool's feeder thread when the
-    # scan runs in a pool, so reading queues each malformed line's error row
-    # in pending, behind a None for each graph read before it whose row has
-    # not been printed yet. Only the reader appends and only this thread
-    # pops and prints, so the deque needs no lock.
-    pending: collections.deque = collections.deque()
-    statuses = set()
-
-    def emit(row: dict) -> None:
-        statuses.add(row["status"])
-        print(json.dumps(row), flush=True)
-
-    def graphs():
+    def corpus():
+        # a malformed line's error row rides the scan in the line's place
         with _open_input(args.file) as fh:
             for k, line in enumerate(fh, 1):
                 text = line.strip()
                 if not text:
                     continue
                 try:
-                    g = parse_graph6(text)
+                    item = parse_graph6(text)
                 except GraphError as exc:
-                    pending.append({"line": k, "graph6": text, "status": "error",
-                                    "error": str(exc)})
-                    continue
-                pending.append(None)
-                yield g
+                    item = {"line": k, "graph6": text, "status": "error", "error": str(exc)}
+                yield item
 
-    rows = scan_rows(graphs(), max_n=args.max_n, budget=args.budget,
-                     with_witness=args.witness, jobs=args.jobs)
-    for row in rows:
-        while (bad := pending.popleft()) is not None:
-            emit(bad)
-        emit(row)
-        while pending and pending[0] is not None:
-            emit(pending.popleft())
-    while pending:
-        emit(pending.popleft())
+    statuses = set()
+    for row in scan_rows(corpus(), max_n=args.max_n, budget=args.budget,
+                         with_witness=args.witness, jobs=args.jobs):
+        statuses.add(row["status"])
+        print(json.dumps(row), flush=True)
     return evaluate_scan_rows([{"status": s} for s in statuses])
 
 
@@ -313,9 +283,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_InputError, GraphError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # _InputError, GraphError, SizeGuardError, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except (VerificationError, DecorationShortageError, StepPropertyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

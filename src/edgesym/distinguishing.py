@@ -394,7 +394,9 @@ class ScanReport:
         return not self.unexpected
 
 
-def _scan_one(g: Graph, max_n: int, budget: int, with_witness: bool) -> dict:
+def _scan_one(g: Graph | dict, max_n: int, budget: int, with_witness: bool) -> dict:
+    if isinstance(g, dict):  # a finished row keeps its place unchanged
+        return g
     row: dict = {
         "graph6": serialize_graph6(g),
         "n": g.n,
@@ -446,24 +448,26 @@ _SCAN_CHUNK = 16
 
 
 def scan_rows(
-    corpus: Iterable[Graph],
+    corpus: Iterable[Graph | dict],
     max_n: int = 10,
     budget: int = DEFAULT_BUDGET,
     with_witness: bool = False,
     jobs: int = 1,
 ) -> Iterator[dict]:
-    """The row of each graph of the corpus, in input order, each yielded as
-    soon as its graph and every graph before it are scanned. The corpus is
-    read once, lazily, so it may be a one-shot iterator.
+    """The row of each item of the corpus, in input order, each yielded as
+    soon as its item and every item before it are done. An item is a Graph,
+    which is scanned, or a finished row (a dict, such as the CLI's row for a
+    malformed input line), which is yielded unchanged in its place. The
+    corpus is read once, lazily, so it may be a one-shot iterator.
 
-    jobs > 1 scans in a process pool, _SCAN_CHUNK graphs per task, with the
-    rows put back in input order. The pool gets no more workers than there
-    are graphs or cores that the process may run on: its CPU affinity where
-    the platform reports it (taskset and cpusets narrow it), else the host's
-    core count. So the first min(jobs, cores) graphs are drawn first, and a
-    pool of as many workers starts only if two or more arrived; otherwise
-    the graphs are scanned in-process, one at a time. Closing the generator
-    stops the pool's workers."""
+    jobs > 1 scans in a process pool, _SCAN_CHUNK items per task, with the
+    rows put back in input order, finished rows included. The pool gets no
+    more workers than there are items or cores that the process may run on:
+    its CPU affinity where the platform reports it (taskset and cpusets
+    narrow it), else the host's core count. So the first min(jobs, cores)
+    items are drawn first, and a pool of as many workers starts only if two
+    or more arrived; otherwise the items are scanned in-process, one at a
+    time. Closing the generator stops the pool's workers."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     scan = functools.partial(

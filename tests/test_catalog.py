@@ -79,6 +79,12 @@ def test_connected_counts_match_published(nd, count):
             assert not is_isomorphic(g, h)
 
 
+def test_complete_graph_skips_the_partition_walk():
+    # the complement path would enumerate all ~4e12 partitions of 200
+    (g,) = connected_regular_graphs.__wrapped__(200, 199)
+    assert g.n == 200 and g.edges == complete(200).edges
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("nd,count", sorted(KNOWN_CONNECTED_COUNTS_N10.items()))
 def test_connected_counts_ten_vertices(nd, count):

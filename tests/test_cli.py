@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from edgesym import layered
+from edgesym import cli, layered
 from edgesym.cli import evaluate_scan_rows, main
+from edgesym.distinguishing import BudgetExceededError
 from edgesym.graph import complete, cycle, parse_graph6, petersen, serialize_graph6
 
 
@@ -80,6 +81,27 @@ def test_colour_failed_construction_exit_code(capsys, monkeypatch, stage, error)
     assert code == 5 and out == ""
     assert err.startswith("error: layer 1: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["colour", "--gen", "petersen"], "colour_regular"),
+    (["dprime", "--gen", "petersen"], "distinguishing_index_with_witness"),
+    (["aut", "--gen", "petersen"], "group_order"),
+    (["scan", "--file", "-"], "scan_rows"),
+], ids=["colour", "dprime", "aut", "scan"])
+@pytest.mark.parametrize("error, expected", [
+    (BudgetExceededError("budget gone"), 4),
+    (layered.VerificationError("check failed"), 5),
+], ids=["budget", "verification"])
+def test_every_command_maps_errors_to_the_same_exit_codes(
+    capsys, monkeypatch, argv, name, error, expected
+):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, name, fail)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (expected, "", f"error: {error}\n")
 
 
 def test_colour_rejects_non_regular(capsys):
@@ -165,7 +187,11 @@ def test_scan_exit_code_on_doctored_report():
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_scan_malformed_line_becomes_error_row(tmp_path, capsys, jobs):
+def test_scan_malformed_line_becomes_error_row(tmp_path, capsys, monkeypatch, jobs):
+    import os
+
+    # two cores, so that --jobs 2 scans in a pool on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
     corpus = tmp_path / "corpus.g6"
     c5, pet = serialize_graph6(cycle(5)), serialize_graph6(petersen())
     # "?" parses to the graph with no vertices, which has no index
@@ -182,13 +208,20 @@ def test_scan_malformed_line_becomes_error_row(tmp_path, capsys, jobs):
     assert rows[3] == {"graph6": "?", "n": 0, "degree": 0, "dprime": None,
                        "status": "error", "error": "empty graph"}
     assert "line" not in rows[1] and "line" not in rows[4]
+    # malformed lines ahead of a single graph fill the pool's first places
+    corpus.write_text(f"first!\nsecond!\n{pet}\n")
+    serial, result = (run(capsys, "scan", "--file", str(corpus), "--jobs", j) for j in ("1", jobs))
+    assert result == serial
+    assert [(r["graph6"], r["status"]) for r in map(json.loads, serial[1].splitlines())] == [
+        ("first!", "error"), ("second!", "error"), (pet, "ok"),
+    ]
 
 
 def test_scan_rows_keep_input_order_with_more_workers_than_cores(tmp_path, capsys, monkeypatch):
-    # the pool's feeder thread reads the lines and queues each malformed
-    # line's row while the main thread prints: with four workers on the
-    # host's cores and frequent thread switches, every row must still come
-    # out in its line's place, as in the serial scan
+    # the pool's feeder thread reads the lines, malformed ones included, while
+    # the main thread prints: with four workers on the host's cores and
+    # frequent thread switches, every row must still come out in its line's
+    # place, as in the serial scan
     import os
     import random
     import sys
