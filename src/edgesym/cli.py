@@ -183,11 +183,10 @@ def cmd_dprime(args) -> int:
     return EXIT_OK
 
 
-def evaluate_scan_rows(rows: list[dict]) -> int:
-    """Exit code for a finished scan: 5 if a graph outside the known
-    exception list needs more than two colours, else 2 if an input line was
-    malformed, else 0."""
-    statuses = {r["status"] for r in rows}
+def scan_exit_code(statuses: set[str]) -> int:
+    """Exit code for a finished scan from the set of its rows' statuses: 5
+    if a graph outside the known exception list needs more than two colours,
+    else 2 if an input line was malformed, else 0."""
     if "unexpected_exception" in statuses:
         return EXIT_VERIFY
     return EXIT_INPUT if "error" in statuses else EXIT_OK
@@ -212,7 +211,7 @@ def cmd_scan(args) -> int:
                          with_witness=args.witness, jobs=args.jobs):
         statuses.add(row["status"])
         print(json.dumps(row), flush=True)
-    return evaluate_scan_rows([{"status": s} for s in statuses])
+    return scan_exit_code(statuses)
 
 
 def cmd_aut(args) -> int:

@@ -467,7 +467,9 @@ def scan_rows(
     narrow it), else the host's core count. So the first min(jobs, cores)
     items are drawn first, and a pool of as many workers starts only if two
     or more arrived; otherwise the items are scanned in-process, one at a
-    time. Closing the generator stops the pool's workers."""
+    time. Closing the generator stops the pool's workers. The pool sends a
+    task only once it is full or the corpus ends, so a slow corpus yields
+    no row before then; in-process, each row comes as its item is read."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     scan = functools.partial(

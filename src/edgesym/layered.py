@@ -100,7 +100,12 @@ class OrbitLayering:
     Once slices 0..i are coloured, the edges with both ends in slices up to
     reach[i] are settled. outward_edges lists every edge by the slice of its
     later end, so those are its first settled_count[i] edges: the settled
-    sets are nested, and each holds its slice's incident edges."""
+    sets are nested, and each holds its slice's incident edges.
+
+    chain_cells[i] is Q_i, the start of every chain slice i asks for: the
+    coarsest equitable partition of the uncoloured graph finer than {each
+    vertex of slices 0..i-1 alone, the rest}, as bitmask cells. From the
+    first discrete Q_i on, every later entry is that same list."""
 
     root: int
     layers: list[list[int]]
@@ -110,6 +115,7 @@ class OrbitLayering:
     outward_edges: tuple[Edge, ...]
     settled_count: list[int]
     multi_slices: tuple[int, ...]
+    chain_cells: list[list[int]]
     root_generators: list[Permutation]
 
     @property
@@ -181,8 +187,21 @@ def build_layering(g: Graph, r: int) -> OrbitLayering:
     up_to = list(itertools.accumulate(map(len, by_later_end)))
     outward = tuple(itertools.chain.from_iterable(by_later_end))
     multi = tuple(i for i, layer in enumerate(layers) if len(layer) > 1)
+    # Q_0 is the one cell refined by itself. Every equitable partition finer
+    # than Q_{i+1}'s start is finer than Q_i, so refining Q_i with slice i's
+    # vertices made singletons, the only splitters, gives Q_{i+1}. map, not a
+    # comprehension over g or rest, keeps closure cells out of this frame
+    rows = [(0, m) for m in map(g.adjacency_mask, range(g.n))]
+    chain_cells = [_equitable_cells(rows, [(1 << g.n) - 1], [(1 << g.n) - 1])]
+    for layer in layers[:-1]:
+        cells = chain_cells[-1]
+        if len(cells) < g.n:
+            bits = [1 << v for v in layer]
+            rest = ~sum(bits)
+            cells = _equitable_cells(rows, bits + list(filter(None, map(rest.__and__, cells))), bits)
+        chain_cells.append(cells)
     return OrbitLayering(r, layers, layer_of, classes, reach, outward,
-                         [up_to[x] for x in reach], multi, gens)
+                         [up_to[x] for x in reach], multi, chain_cells, gens)
 
 
 # -- step state -----------------------------------------------------------------
@@ -237,29 +256,6 @@ class StepState:
     # colouring. They fix the root, so they map every slice onto itself.
     # colour_horizontal sets them when it installs slice i's colours
     persistent_gens: dict[int, list[Permutation]] = field(default_factory=dict)
-    # (i, chain_cells(i)) for the latest i asked for, and the edge rows it refines
-    _carried: tuple[int, list[int]] = field(default=(0, []), init=False, repr=False)
-    _edge_rows: list = field(default_factory=list, init=False, repr=False)
-
-    def chain_cells(self, i: int) -> list[int]:
-        """Q_i, the start of every chain slice i asks for: the coarsest
-        equitable partition of the uncoloured graph finer than {each vertex
-        of slices 0..i-1 alone, the rest}, as bitmask cells. The graph is
-        regular, so Q_0 is one cell. Every equitable partition finer than
-        Q_{i+1}'s start is finer than Q_i, so refining Q_i with slice i's
-        vertices made singletons, the only splitters, gives Q_{i+1}. Only
-        the latest Q_i is kept; an earlier slice is reached again from Q_0."""
-        g = self.graph
-        rows = self._edge_rows = self._edge_rows or [(0, g.adjacency_mask(v)) for v in range(g.n)]
-        at, cells = self._carried
-        if at > i or not cells:
-            at, cells = 0, [(1 << g.n) - 1]
-        for layer in self.layering.layers[at:i]:
-            bits = [1 << v for v in layer]
-            rest = ~sum(bits)
-            cells = _equitable_cells(rows, bits + [x & rest for x in cells if x & rest], bits)
-        self._carried = (i, cells)
-        return cells
 
     def earlier_stabiliser(
         self, i: int, colours: Optional[dict[Edge, str]] = None
@@ -267,12 +263,14 @@ class StepState:
         """Generators of the automorphisms that fix every slice before i
         pointwise and preserve colours. Slice 0 is the root alone, so for
         i = 1 and no colours that is the root stabiliser, whose generators
-        build_layering kept. Otherwise the chain starts from chain_cells(i),
-        the partition it would refine first: its generators are the same."""
+        build_layering kept. Otherwise the chain starts from the layering's
+        chain_cells[i], the partition it would refine first: its generators
+        are the same."""
+        lay = self.layering
         if i == 1 and not colours:
-            return self.layering.root_generators
+            return lay.root_generators
         return pointwise_stabiliser_generators(
-            self.graph, self.layering.earlier_vertices(i), colours, cells=self.chain_cells(i)
+            self.graph, lay.earlier_vertices(i), colours, cells=lay.chain_cells[i]
         )
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from edgesym import cli, layered
-from edgesym.cli import evaluate_scan_rows, main
+from edgesym.cli import main, scan_exit_code
 from edgesym.distinguishing import BudgetExceededError
 from edgesym.graph import complete, cycle, parse_graph6, petersen, serialize_graph6
 
@@ -178,12 +178,8 @@ def test_scan_jsonl_round_trip(tmp_path, capsys):
 
 def test_scan_exit_code_on_doctored_report():
     # a hypothetical 5-regular graph with index 3 must trip the exit code
-    rows = [
-        {"graph6": "X", "n": 10, "degree": 5, "dprime": 3, "status": "unexpected_exception"},
-        {"graph6": "Y", "n": 6, "degree": 2, "dprime": 2, "status": "ok"},
-    ]
-    assert evaluate_scan_rows(rows) == 5
-    assert evaluate_scan_rows(rows[1:]) == 0
+    assert scan_exit_code({"unexpected_exception", "ok"}) == 5
+    assert scan_exit_code({"ok"}) == 0
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -259,11 +255,8 @@ def test_scan_rejects_jobs_below_one(tmp_path, capsys, jobs):
 
 
 def test_scan_exit_code_unexpected_beats_malformed():
-    bad = {"line": 1, "graph6": "?", "status": "error", "error": "bad"}
-    unexpected = {"graph6": "X", "n": 10, "degree": 5, "dprime": 3,
-                  "status": "unexpected_exception"}
-    assert evaluate_scan_rows([bad]) == 2
-    assert evaluate_scan_rows([bad, unexpected]) == 5
+    assert scan_exit_code({"error"}) == 2
+    assert scan_exit_code({"error", "unexpected_exception"}) == 5
 
 
 def test_aut_petersen(capsys):

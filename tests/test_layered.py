@@ -28,6 +28,7 @@ from edgesym.graph import (
     petersen,
     random_regular,
     regularity,
+    spider,
 )
 from edgesym.layered import (
     Decoration,
@@ -179,21 +180,25 @@ def _fresh_start_cells(g, fixed):
 
 
 def test_carried_chain_cells_equal_a_fresh_refinement():
-    # at every slice of the n <= 8 catalogue, Petersen, C64(1,7), K_{4,4}
-    # and the benchmark's large graphs, from the first and the last root,
-    # the cells a state carries for slice i are the partition that _levels
-    # refines from scratch with slices 0..i-1 fixed: in pipeline order, and
-    # after the last slice again from the last back to slice 0
+    # at every slice of the n <= 8 catalogue, Petersen, C64(1,7), K_{4,4},
+    # the benchmark's large graphs and two connected graphs that are not
+    # regular (so Q_0 is not one cell), from the first and the last root,
+    # the layering's chain cells for slice i are the partition that _levels
+    # refines from scratch with slices 0..i-1 fixed; the lists from the
+    # first discrete one on are one list
+    irregular = [spider([1, 2, 3]), Graph(10, petersen().edges[1:])]
     compared = split = 0
-    for g, state, i in _stepped_states(_chain_graphs(), last_root=True):
-        lay = state.layering
-        for j in [i] if i < lay.count - 1 else range(i, -1, -1):
-            cells = state.chain_cells(j)
-            assert _blocks(cells) == _blocks(_fresh_start_cells(g, lay.earlier_vertices(j))), (
-                g.edges, lay.root, j)
-            compared += 1
-            split += 1 < len(cells) < g.n
-    assert compared >= 1300 and split >= 120, (compared, split)
+    for g in _chain_graphs() + irregular:
+        for r in (0, g.n - 1):
+            lay = build_layering(g, r)
+            assert len(lay.chain_cells) == lay.count
+            for j, cells in enumerate(lay.chain_cells):
+                assert _blocks(cells) == _blocks(_fresh_start_cells(g, lay.earlier_vertices(j))), (
+                    g.edges, r, j)
+                compared += 1
+                split += 1 < len(cells) < g.n
+            assert len({id(c) for c in lay.chain_cells if len(c) == g.n}) <= 1, (g.edges, r)
+    assert compared >= 750 and split >= 100, (compared, split)
 
 
 def test_earlier_stabiliser_from_carried_cells_equals_a_fresh_chain():
