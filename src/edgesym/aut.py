@@ -1,10 +1,12 @@
 """Constrained automorphism search and orbit machinery.
 
 One declarative query type (AutConstraint) and one search primitive
-(find_automorphism) underlie everything else here: stabiliser generators,
-orbits, group order, and graph isomorphism all reduce to it. The stabiliser
-chain runs the primitive's prepared query (_searcher) directly, so that one
-query serves every target of the chain.
+(find_automorphism) underlie the group machinery here: stabiliser
+generators, orbits and group order all reduce to it. The stabiliser chain
+runs the primitive's prepared query (_searcher) directly, so that one query
+serves every target of the chain. Graph isomorphism (find_isomorphism) does
+not go through the primitive: it runs the same kernel on the rows of two
+graphs.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ class Permutation:
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self * other)(v) = self(other(v))."""
         return Permutation(tuple(self.images[w] for w in other.images))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(w == v for v, w in enumerate(self.images))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":

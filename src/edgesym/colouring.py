@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .graph import Edge, Graph, edge
@@ -105,9 +104,6 @@ class EdgeColouring:
 
     def colours_used(self) -> set[str]:
         return {PALETTE[i] for i in set(self._codes)}
-
-    def colour_counts(self) -> Counter:
-        return Counter(PALETTE[i] for i in self._codes)
 
     def is_total(self, g: Graph) -> bool:
         return self.edges is g.edges or set(g.edges) <= set(self.edges)

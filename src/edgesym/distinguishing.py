@@ -15,7 +15,6 @@ import functools
 import itertools
 import os
 import random
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .aut import (
@@ -86,8 +85,6 @@ def is_distinguishing(g: Graph, c: EdgeColouring) -> bool:
 
 def _breaker(g: Graph, c: EdgeColouring) -> Optional[Permutation]:
     """A nontrivial automorphism preserving the total colouring c, or None."""
-    if g.n <= 1:
-        return None
     return find_automorphism(
         g,
         AutConstraint(colour_preserve=c, nontrivial_on=frozenset(range(g.n))),
@@ -290,13 +287,12 @@ def _witness(
     fails. A probe a killer preserves is rejected without a search, so the
     probes accepted and the answer are those of verifying every probe."""
     killers = [] if killers is None else killers
-    allowed = set(PALETTE[:k])
     total = k ** g.edge_count  # k-colourings of the edges
     # on small graphs the random probes repeat; a verdict never changes. A
     # proven probe is checked even when an equal probe was rejected before.
     rejected: set[EdgeColouring] = set()
     for cand, proven in _probe_candidates(g, k):
-        if (cand in rejected and not proven) or not cand.colours_used() <= allowed:
+        if cand in rejected and not proven:
             continue
         if _distinguishing(g, [col for _, col in cand.items()], killers) is not None:
             if not star or _meets_blue_rule(g, cand):
@@ -322,8 +318,6 @@ def distinguishing_index_with_witness(
         raise ValueError("empty graph")
     if not 1 <= max_colours <= len(PALETTE):
         raise ValueError(f"max_colours must be between 1 and {len(PALETTE)}")
-    if g.n == 1:
-        return 1, EdgeColouring({})
     if g.n == 2:
         # the endpoint swap fixes the single edge, whatever its colour
         return NOT_DISTINGUISHABLE, None
@@ -375,23 +369,6 @@ def _known_exception_templates() -> list[Graph]:
         complete(5),
         complete_bipartite(3, 3),
     ]
-
-
-@dataclass
-class ScanReport:
-    rows: list[dict] = field(default_factory=list)
-
-    @property
-    def exceptions(self) -> list[dict]:
-        return [r for r in self.rows if r["status"].endswith("exception")]
-
-    @property
-    def unexpected(self) -> list[dict]:
-        return [r for r in self.rows if r["status"] == "unexpected_exception"]
-
-    @property
-    def ok(self) -> bool:
-        return not self.unexpected
 
 
 def _scan_one(g: Graph | dict, max_n: int, budget: int, with_witness: bool) -> dict:
@@ -494,13 +471,13 @@ def scan_conjecture(
     budget: int = DEFAULT_BUDGET,
     with_witness: bool = False,
     jobs: int = 1,
-) -> ScanReport:
+) -> list[dict]:
     """Distinguishing indices across a corpus; flags every graph that needs
     more than two colours. The expected flagged set at this scale is the
     single-edge graph, the 3-, 4- and 5-cycles, the complete graphs on 4 and
     5 vertices, and the 3,3 complete bipartite graph.
 
-    The report holds scan_rows' rows, in input order, once the last graph
-    is scanned; jobs > 1 scans in a process pool of min(jobs, graphs, cores)
+    Returns scan_rows' rows, in input order, once the last graph is
+    scanned; jobs > 1 scans in a process pool of min(jobs, graphs, cores)
     workers, as scan_rows describes."""
-    return ScanReport(list(scan_rows(corpus, max_n, budget, with_witness, jobs)))
+    return list(scan_rows(corpus, max_n, budget, with_witness, jobs))

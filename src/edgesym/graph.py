@@ -178,27 +178,6 @@ def regularity(g: Graph) -> Optional[int]:
     return None
 
 
-def girth(g: Graph) -> Optional[int]:
-    """Length of a shortest cycle, or None for forests."""
-    best: Optional[int] = None
-    for s in g.vertices():
-        dist = {s: 0}
-        parent = {s: -1}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for w in g.neighbours(u):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    q.append(w)
-                elif parent[u] != w:
-                    cyc = dist[u] + dist[w] + 1
-                    if best is None or cyc < best:
-                        best = cyc
-    return best
-
-
 # -- graph6 interchange format ---------------------------------------------
 # The header is byte n+63 for n <= 62, else '~' and n as three 6-bit bytes,
 # most significant first. Then the upper triangle read column-by-column,

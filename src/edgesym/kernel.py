@@ -41,8 +41,6 @@ class Query(NamedTuple):
 
 
 def prepare(n, src_rows, dst_rows) -> Query:
-    if n == 0:
-        return Query(0, [], [], [])
     # per-vertex label histograms; mismatched histograms can never map
     sig_dst: dict[tuple, int] = {}
     sigs = []
@@ -59,8 +57,6 @@ def prepare(n, src_rows, dst_rows) -> Query:
 
 def search_mapping(query: Query, allowed):
     n, src_groups, rows, sig_match = query
-    if n == 0:
-        return []
     full = (1 << n) - 1
 
     cand = []

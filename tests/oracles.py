@@ -423,7 +423,7 @@ def step_scan_violations(state, i: int, previous: Optional[dict] = None) -> list
 
 
 def bfs_girth(g: Graph) -> Optional[int]:
-    """Shortest cycle length by per-root BFS (independent of graph.girth)."""
+    """Shortest cycle length by per-root BFS over neighbour lists."""
     best = None
     for s in range(g.n):
         dist = {s: 0}
@@ -445,10 +445,10 @@ def bfs_girth(g: Graph) -> Optional[int]:
 
 def catalog_invariant_reference(g: Graph) -> tuple:
     """(n, m, girth, sorted triangle counts, sorted co-degree tuples, sorted
-    distance histograms) by list-based BFS through graph.girth and
+    distance histograms) by list-based BFS through bfs_girth and
     graph.distances_from: the catalogue's bucket key before it moved to
     bitmask BFS, kept as the reference for catalog._vertex_invariants."""
-    from edgesym.graph import distances_from, girth
+    from edgesym.graph import distances_from
 
     tri = []
     codeg = []
@@ -468,7 +468,7 @@ def catalog_invariant_reference(g: Graph) -> tuple:
     return (
         g.n,
         g.edge_count,
-        girth(g),
+        bfs_girth(g),
         tuple(sorted(tri)),
         tuple(sorted(codeg)),
         tuple(sorted(dist_profiles)),

@@ -28,6 +28,7 @@ from edgesym.catalog import connected_regular_upto
 from edgesym.colouring import BLUE, GREEN, RED, EdgeColouring
 from edgesym.graph import (
     Graph,
+    circulant,
     complete,
     complete_bipartite,
     cycle,
@@ -53,12 +54,13 @@ def test_permutation_algebra():
     q = Permutation((0, 2, 1))
     assert p(0) == 1 and p.edge_image((0, 2)) == (0, 1)
     assert p.compose(q).images == (1, 0, 2)
-    assert Permutation.identity(4).is_identity
+    assert Permutation.identity(4).images == (0, 1, 2, 3)
 
 
 def test_k3_has_nontrivial_automorphism():
     w = find_automorphism(complete(3), AutConstraint(nontrivial_on=frozenset({0, 1, 2})))
-    assert w is not None and not w.is_identity
+    assert w is not None and w.images != (0, 1, 2)
+    assert find_automorphism(Graph(1), AutConstraint(nontrivial_on=frozenset({0}))) is None
 
 
 def test_k2_swap_preserves_every_colouring():
@@ -201,6 +203,40 @@ def test_group_order_examples():
     assert group_order(cycle(17)) == 34
     with pytest.raises(SizeGuardError):
         group_order(Graph(65))
+
+
+def _hypercube(d):
+    return Graph(1 << d, [(u, u ^ 1 << i) for u in range(1 << d) for i in range(d)])
+
+
+def _generalised_petersen(n, k):
+    outer = [(i, (i + 1) % n) for i in range(n)]
+    spokes = [(i, n + i) for i in range(n)]
+    inner = [(n + i, n + (i + k) % n) for i in range(n)]
+    return Graph(2 * n, outer + spokes + inner)
+
+
+@pytest.mark.slow
+def test_group_order_matches_sympy():
+    # sympy's Schreier-Sims shares no code with aut: the group the chain's
+    # generators generate has the order group_order reports, and every
+    # generator maps edges onto edges. Orders reach 2 * (12!)^2 at K_{12,12}
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    graphs = [complete_bipartite(m, m) for m in range(1, 13)]
+    graphs += [_hypercube(d) for d in range(1, 7)]
+    graphs += [circulant(n, [1, 7]) for n in range(15, 65, 7)]
+    graphs += [petersen(), _generalised_petersen(10, 3), _generalised_petersen(12, 5)]
+    for g in graphs:
+        gens = automorphism_generators(g)
+        edges = set(g.edges)
+        for p in gens:
+            q = p.images
+            assert sorted(q) == list(range(g.n))
+            assert all((min(q[u], q[v]), max(q[u], q[v])) in edges for u, v in g.edges)
+        group = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(p.images)) for p in gens]
+        )
+        assert group.order() == group_order(g), g.n
 
 
 def test_group_order_matches_enumeration_on_random_graphs():

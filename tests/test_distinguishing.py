@@ -111,6 +111,7 @@ def test_index_witness_verified():
 
 def test_index_asymmetric_graph_is_one():
     assert distinguishing_index(spider([1, 2, 3])) == 1
+    assert distinguishing_index_with_witness(Graph(1)) == (1, EdgeColouring({}))
 
 
 def test_index_requires_connected():
@@ -393,29 +394,25 @@ def test_hamiltonian_path_finder():
 
 
 def test_scan_small_named_corpus():
-    report = scan_conjecture([complete(4), complete(5), complete(6)])
-    statuses = {r["graph6"]: r["status"] for r in report.rows}
-    dprimes = {r["graph6"]: r["dprime"] for r in report.rows}
+    rows = scan_conjecture([complete(4), complete(5), complete(6)])
+    statuses = {r["graph6"]: r["status"] for r in rows}
+    dprimes = {r["graph6"]: r["dprime"] for r in rows}
     from edgesym.graph import serialize_graph6
 
     k4, k5, k6 = (serialize_graph6(complete(i)) for i in (4, 5, 6))
     assert statuses[k4] == "known_exception" and dprimes[k4] == 3
     assert statuses[k5] == "known_exception" and dprimes[k5] == 3
     assert statuses[k6] == "ok" and dprimes[k6] == 2
-    assert report.ok
 
 
 def test_scan_two_regular_up_to_12():
-    report = scan_conjecture([cycle(n) for n in range(3, 13)], max_n=12)
-    flagged = sorted(r["n"] for r in report.exceptions)
-    assert flagged == [3, 4, 5]
-    assert all(r["status"] == "known_exception" for r in report.exceptions)
-    assert report.ok
+    rows = scan_conjecture([cycle(n) for n in range(3, 13)], max_n=12)
+    statuses = {r["n"]: r["status"] for r in rows}
+    assert statuses == {n: "known_exception" if n <= 5 else "ok" for n in range(3, 13)}
 
 
 def test_scan_flags_k2_not_distinguishable():
-    report = scan_conjecture([complete(2)])
-    row = report.rows[0]
+    [row] = scan_conjecture([complete(2)])
     assert row["dprime"] == "not_distinguishable"
     assert row["status"] == "known_exception"
 
@@ -428,8 +425,8 @@ def test_scan_skips_bad_inputs(monkeypatch):
     graphs = [disjoint_union([cycle(3), cycle(3)]), spider([1, 2, 3]), cycle(20), cycle(66)]
     for max_n, cycle20 in [(10, "skipped_too_large"), (100, "ok")]:
         for jobs in (1, 2):
-            report = scan_conjecture(graphs, max_n=max_n, jobs=jobs)
-            assert [r["status"] for r in report.rows] == [
+            rows = scan_conjecture(graphs, max_n=max_n, jobs=jobs)
+            assert [r["status"] for r in rows] == [
                 "skipped_disconnected",
                 "skipped_not_regular",
                 cycle20,
@@ -461,8 +458,8 @@ def test_scan_parallel_matches_serial(monkeypatch):
     serial = scan_conjecture(graphs, with_witness=True)
     par = scan_conjecture(graphs, with_witness=True, jobs=2)
     assert len(graphs) == 222 and dist._SCAN_CHUNK < len(graphs) // 2
-    assert par.rows == serial.rows
-    assert sum("witness_colouring" in r for r in serial.rows) == 221  # all but K2
+    assert par == serial
+    assert sum("witness_colouring" in r for r in serial) == 221  # all but K2
 
 
 def test_scan_rows_yields_each_row_before_drawing_the_next_graph():
@@ -476,8 +473,8 @@ def test_scan_rows_yields_each_row_before_drawing_the_next_graph():
 
     rows = scan_rows(corpus())
     first = next(rows)
-    assert first == scan_conjecture(graphs[:1]).rows[0] and len(drawn) == 1
-    assert [first, *rows] == scan_conjecture(graphs).rows and len(drawn) == 3
+    assert first == scan_conjecture(graphs[:1])[0] and len(drawn) == 1
+    assert [first, *rows] == scan_conjecture(graphs) and len(drawn) == 3
 
 
 def test_closing_a_pooled_scan_stops_its_workers(monkeypatch):
@@ -486,7 +483,7 @@ def test_closing_a_pooled_scan_stops_its_workers(monkeypatch):
     _two_cores(monkeypatch)
     graphs = [cycle(n) for n in range(3, 43)]
     rows = scan_rows(iter(graphs), max_n=50, jobs=2)
-    assert next(rows) == scan_conjecture(graphs[:1]).rows[0]
+    assert next(rows) == scan_conjecture(graphs[:1])[0]
     assert len(multiprocessing.active_children()) == 2
     rows.close()
     assert multiprocessing.active_children() == []
@@ -529,19 +526,19 @@ def test_scan_pool_bounded_by_graphs_and_cores(monkeypatch):
         return (g for g in graphs)
 
     graphs = [cycle(n) for n in range(3, 8)]
-    serial = scan_conjecture(graphs).rows
+    serial = scan_conjecture(graphs)
     for corpus_of in (list, one_shot):
         for cores_of in (affinity, host_count):
             for cores, jobs, want in [(2, 2, [2]), (2, 1000, [2]), (8, 3, [3]), (8, 1000, [5]),
                                       (None, 1000, []), (1, 4, [])]:
                 sizes.clear()
                 cores_of(cores)
-                assert scan_conjecture(corpus_of(graphs), jobs=jobs).rows == serial
+                assert scan_conjecture(corpus_of(graphs), jobs=jobs) == serial
                 assert sizes == want, (corpus_of.__name__, cores_of.__name__, cores, jobs, sizes)
         sizes.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert scan_conjecture(corpus_of(graphs[:1]), jobs=4).rows == serial[:1]
-        assert scan_conjecture(corpus_of([]), jobs=4).rows == []
+        assert scan_conjecture(corpus_of(graphs[:1]), jobs=4) == serial[:1]
+        assert scan_conjecture(corpus_of([]), jobs=4) == []
         assert sizes == []
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
@@ -574,8 +571,8 @@ def test_corpus_scan_search_counts_are_pinned(monkeypatch):
     monkeypatch.setattr(kernel, "search_mapping", counted)
     monkeypatch.setattr(dist, "_probe_candidates", drawn)
     graphs = [parse_graph6(line) for line in CORPUS.read_text().split()]
-    report = scan_conjecture(graphs)
-    assert len(report.rows) == 222 and len(report.exceptions) == 7
+    rows = scan_conjecture(graphs)
+    assert len(rows) == 222 and sum(r["status"].endswith("exception") for r in rows) == 7
     assert counts == {"searches": 402, "probes": 1857}
 
 
@@ -625,7 +622,10 @@ def test_brute_force_blue_rule_bites():
 
 def test_edgeless_graphs_scan_the_empty_colouring_once():
     # with no edges the scan has one colouring, the empty one, and spends one
-    # budget unit on it; K1 is distinguished by it, two isolated vertices not
+    # budget unit on it; K0 and K1 are distinguished by it, two isolated
+    # vertices not
+    assert is_distinguishing(Graph(0), EdgeColouring({}))
+    assert is_distinguishing(Graph(1), EdgeColouring({}))
     assert search_colouring(Graph(1), 1) == EdgeColouring({})
     assert search_colouring(Graph(2), 3, star_constraint=True) is None
     with pytest.raises(BudgetExceededError):

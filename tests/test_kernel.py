@@ -1,8 +1,10 @@
 import random
+import signal
 
 from edgesym import kernel
 from edgesym.aut import AutConstraint, _build_query, find_automorphism
-from edgesym.graph import Graph, petersen
+from edgesym.colouring import PALETTE, RED, EdgeColouring
+from edgesym.graph import Graph, complete_bipartite, petersen
 from oracles import find_label_mapping_brute, label_mapping_holds, random_constraint
 
 
@@ -77,6 +79,7 @@ def test_search_matches_brute_force_oracle():
             outcomes["found"] += 1
             outcomes["found_distinct"] += src != dst
     assert min(outcomes.values()) >= 20
+    assert kernel.search_mapping(kernel.prepare(0, [], []), []) == []  # the empty bijection
 
 
 def test_prepared_query_reused_across_searches():
@@ -138,3 +141,39 @@ def test_engine_consistency_via_public_api():
     g = petersen()
     w = find_automorphism(g, AutConstraint(pinned={0: 3}))
     assert w is not None and w(0) == 3
+
+
+def test_label_histograms_prune_coloured_complete_bipartite_searches():
+    # the coloured K_{m,m} below have nontrivial colour-preserving maps, and
+    # the per-vertex label histograms of prepare confine each vertex to the
+    # few with its colour counts. Without that prefilter the search for a
+    # map moving some vertex took 9.6 s at m = 24 and 24.9 s at m = 28 on a
+    # 2-core Xeon, against about 2 ms with it
+    def timeout(signum, frame):
+        raise TimeoutError("coloured K_{m,m} searches took over 10 s")
+
+    cases = []
+    for m, red_every in ((24, 5), (28, 3)):
+        g = complete_bipartite(m, m)
+        cols = [RED if i % red_every == 0 else PALETTE[7 * i % 3] for i in range(g.edge_count)]
+        cases.append((g, cols))
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        found = [
+            find_automorphism(g, AutConstraint(
+                colour_preserve=EdgeColouring.on_graph(g, cols),
+                nontrivial_on=frozenset(range(g.n)),
+            ))
+            for g, cols in cases
+        ]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    for (g, cols), w in zip(cases, found):
+        assert w is not None
+        p = w.images
+        assert sorted(p) == list(range(g.n)) and p != tuple(range(g.n))
+        colour_of = dict(zip(g.edges, cols))
+        for (u, v), col in colour_of.items():
+            assert colour_of.get((min(p[u], p[v]), max(p[u], p[v]))) == col
