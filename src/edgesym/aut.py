@@ -259,43 +259,67 @@ def find_automorphism(g: Graph, c: Optional[AutConstraint] = None) -> Optional[P
 # -- groups via stabiliser chains -------------------------------------------
 
 
+def _pieces(x: int, planes: Sequence[int]) -> list[int]:
+    """The pieces of cell x: its vertices grouped by their bits in the
+    planes. _equitable_cells calls it once for each cell a splitter reaches."""
+    pieces = [x]
+    for p in planes:
+        inside = x & p
+        if inside and inside != x:
+            split = []
+            for y in pieces:
+                inside = y & p
+                if inside and inside != y:
+                    split += [inside, y ^ inside]
+                else:
+                    split.append(y)
+            pieces = split
+    return pieces
+
+
 def _equitable_cells(rows, cells: list[int], splitters: list[int]) -> list[int]:
     """Coarsest equitable refinement of a partition, by a splitter queue.
 
     rows are label rows as _label_rows builds them; label 0, the non-edge,
     is ignored, because the other labels and the cells determine it. cells
-    are the partition's cells as disjoint bitmasks. For each cell that is
-    not among the splitters, the partition must already be equitable with
-    respect to that cell, or to that cell together with some splitters (as
-    when _levels individualises a base). Each splitter W splits every
-    non-singleton cell it reaches by each vertex's vector of per-label
-    neighbour counts in W; the pieces of a cell still queued replace it in
-    the queue, and otherwise every piece but one largest joins the queue.
-    The result, returned once no splitter is left or every cell is a
-    singleton, is the same set partition in whatever order the cells come.
+    are the partition's cells as disjoint bitmasks, and splitters some of
+    them. For each cell that is not among the splitters, the partition must
+    already be equitable with respect to that cell, or to that cell together
+    with some splitters (as when _levels individualises a base). Each
+    splitter W splits every non-singleton cell it reaches by each vertex's
+    vector of per-label neighbour counts in W. One largest piece keeps the
+    cell's place, in the queue too if the cell is queued, and every other
+    piece joins the queue (Hopcroft's rule). The result, returned once no
+    splitter is left or every cell is a singleton, is the same set
+    partition in whatever order the cells come.
 
     The counts are bit-sliced: the rows of W's vertices are added, label by
     label, into carry-save bitmask planes, plane i holding bit i of every
     vertex's count, and a cell splits by each plane with mask operations.
+    The cells W reaches are found through a vertex -> cell index from the
+    union of the planes, so a splitter costs time in its neighbourhood, not
+    in the number of cells; a split re-indexes only the vertices of the
+    pieces that leave the cell's place.
     """
     cells = list(cells)
     n = len(rows)
     labels = range(1, len(rows[0]) if rows else 0)
-    queue = list(splitters)
-    pending = set(queue)
+    cell_of = [0] * n
+    for k, x in enumerate(cells):
+        while x:
+            low = x & -x
+            x ^= low
+            cell_of[low.bit_length() - 1] = k
+    queue = [cell_of[(w & -w).bit_length() - 1] for w in splitters]  # cell indices
     while queue and len(cells) < n:
-        w = queue.pop()
-        if w not in pending:
-            continue  # split since it was queued; its pieces are queued instead
-        pending.discard(w)
+        w = cells[queue.pop()]
         if w & (w - 1) == 0:
             planes = rows[w.bit_length() - 1][1:]  # every count is 0 or 1
         else:
             wrows = []
-            m = w
-            while m:
-                low = m & -m
-                m ^= low
+            while w:
+                low = w & -w
+                w ^= low
                 wrows.append(rows[low.bit_length() - 1])
             planes = []
             for lab in labels:
@@ -314,33 +338,24 @@ def _equitable_cells(rows, cells: list[int], splitters: list[int]) -> list[int]:
         reach = 0
         for p in planes:
             reach |= p
-        out = []
-        for x in cells:
-            if x & (x - 1) == 0 or not x & reach:
-                out.append(x)
-                continue
-            pieces = [x]
-            for p in planes:
-                inside = x & p
-                if inside and inside != x:
-                    split = []
-                    for y in pieces:
-                        inside = y & p
-                        if inside and inside != y:
-                            split += [inside, y ^ inside]
-                        else:
-                            split.append(y)
-                    pieces = split
-            out += pieces
+        while reach:
+            k = cell_of[(reach & -reach).bit_length() - 1]
+            x = cells[k]
+            reach &= ~x
+            pieces = _pieces(x, planes)
             if len(pieces) == 1:
                 continue
-            if x in pending:
-                pending.discard(x)
-            else:
-                pieces.remove(max(pieces, key=int.bit_count))
-            pending.update(pieces)
-            queue += pieces
-        cells = out
+            big = max(pieces, key=int.bit_count)
+            cells[k] = big
+            for y in pieces:
+                if y != big:
+                    j = len(cells)
+                    cells.append(y)
+                    queue.append(j)
+                    while y:
+                        low = y & -y
+                        y ^= low
+                        cell_of[low.bit_length() - 1] = j
     return cells
 
 

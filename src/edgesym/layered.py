@@ -263,12 +263,20 @@ class StepState:
         """Generators of the automorphisms that fix every slice before i
         pointwise and preserve colours. Slice 0 is the root alone, so for
         i = 1 and no colours that is the root stabiliser, whose generators
-        build_layering kept. Otherwise the chain starts from the layering's
-        chain_cells[i], the partition it would refine first: its generators
-        are the same."""
+        build_layering kept.
+
+        This group lies in the previous one, the root stabiliser for i = 1
+        and slice i - 1's persistent group after that: a map fixing slice
+        i - 1 pointwise preserves its horizontal colouring. So once the
+        previous group has no generators, neither has this one, and no chain
+        runs. Otherwise the chain starts from the layering's chain_cells[i],
+        the partition it would refine first: its generators are the same."""
         lay = self.layering
         if i == 1 and not colours:
             return lay.root_generators
+        previous = lay.root_generators if i == 1 else self.persistent_gens.get(i - 1)
+        if previous == []:  # None: slice i - 1 is not coloured yet
+            return []
         return pointwise_stabiliser_generators(
             self.graph, lay.earlier_vertices(i), colours, cells=lay.chain_cells[i]
         )

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ from edgesym.aut import (
     AutConstraint,
     _build_query,
     _chain_transversals,
+    _equitable_cells,
     _label_rows,
     _levels,
     _searcher,
@@ -32,6 +34,7 @@ from edgesym.graph import (
     complete,
     complete_bipartite,
     cycle,
+    parse_graph6,
     path,
     petersen,
     random_regular,
@@ -545,6 +548,98 @@ def test_labelled_refinement_matches_round_reference():
             compared += 1
             finer += len(want) > len(set(equitable_cells_by_rounds(g, fixed + bases[:k])))
     assert compared > 400 and finer > 90, (compared, finer)
+
+
+LARGE = [parse_graph6(line) for line in
+         (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "large.g6").read_text().split()]
+
+
+def _refined(rows, fixed, seed=None):
+    # _equitable_cells from {each fixed vertex alone, the seed's classes},
+    # every cell a splitter, as a set of blocks
+    classes = {}
+    for v in range(len(rows)):
+        if v not in fixed:
+            key = 0 if seed is None else seed[v]
+            classes[key] = classes.get(key, 0) | 1 << v
+    cells = [1 << v for v in fixed] + list(classes.values())
+    return _blocks_of_masks(_equitable_cells(rows, cells, list(cells)))
+
+
+def test_equitable_cells_match_round_reference_on_named_graphs():
+    # the n <= 8 catalogue, Petersen, the benchmark's large graphs and
+    # K_{m,m} for m <= 8: the same set partition as whole rounds of colour
+    # refinement, with no fixed vertex, the first, the first and the last,
+    # and three at random
+    rng = random.Random(1932)
+    graphs = connected_regular_upto(8) + [petersen()] + LARGE
+    graphs += [complete_bipartite(m, m) for m in range(1, 9)]
+    compared = split = 0
+    for g in graphs:
+        rows = _adjacency(g)
+        for fixed in ([], [0], [0, g.n - 1], rng.sample(range(g.n), min(3, g.n))):
+            fixed = list(dict.fromkeys(fixed))
+            want = _blocks_of_labels(equitable_cells_by_rounds(g, fixed))
+            assert _refined(rows, fixed) == want, (g.edges, fixed)
+            compared += 1
+            split += len(fixed) + 1 < len(want) < g.n
+    assert compared == 4 * len(graphs) and split >= 60, (compared, split)
+
+
+def test_labelled_equitable_cells_match_round_reference_on_random_regular_graphs():
+    # random edge labellings and random seed partitions of random regular
+    # graphs up to n = 256, with and without fixed vertices
+    rng = random.Random(1933)
+    compared = finer = 0
+    for n, d in [(16, 3), (24, 4), (32, 5), (64, 3), (64, 4), (128, 3), (128, 5), (256, 3)]:
+        for s in range(3):
+            g = random_regular(n, d, s)
+            nlabels = rng.randint(1, 3)
+            labels = [rng.randint(1, nlabels) for _ in g.edges]
+            seed = None if s == 0 else [rng.randrange(s + 1) for _ in range(n)]
+            for fixed in ([], rng.sample(range(n), rng.randint(1, 2))):
+                want = _blocks_of_labels(equitable_cells_by_rounds(g, fixed, labels, seed))
+                rows = _label_rows(g, labels, nlabels + 1)
+                assert _refined(rows, fixed, seed) == want, (n, d, s, labels, seed, fixed)
+                compared += 1
+                finer += len(want) > len(fixed) + (1 if seed is None else len(set(seed)))
+    assert compared == 48 and finer >= 40, (compared, finer)
+
+
+def test_a_one_vertex_splitter_on_a_cubic_graph_examines_at_most_three_cells(monkeypatch):
+    # individualising v in an equitable partition, the first splitter popped
+    # is {v}; it examines only the cells of v's three neighbours, however
+    # many cells the partition has
+    import edgesym.aut as aut_module
+
+    pieces = aut_module._pieces
+    calls = []
+
+    def counted(x, planes):
+        calls.append(planes)
+        return pieces(x, planes)
+
+    monkeypatch.setattr(aut_module, "_pieces", counted)
+    cubic = [circulant(64, [1, 32]), circulant(96, [1, 48]), petersen(), random_regular(64, 3, 1)]
+    cubic += [g for g in LARGE if g.degree(0) == 3]
+    splits = many = 0
+    for g in cubic:
+        rows = _adjacency(g)
+        for fixed in ([0], [0, 5]):
+            start = [1 << v for v in fixed] + [(1 << g.n) - 1 - sum(1 << v for v in fixed)]
+            cells = _equitable_cells(rows, start, start)
+            for v in range(g.n):
+                bit = 1 << v
+                cell = next(x for x in cells if x & bit)
+                if cell == bit:
+                    continue
+                calls.clear()
+                _equitable_cells(rows, [bit, cell ^ bit, *(x for x in cells if x != cell)], [bit])
+                first = [p for p in calls if p is calls[0]]
+                assert 1 <= len(first) <= 3, (g.edges, fixed, v, len(first))
+                splits += 1
+                many += len(cells) >= 12
+    assert splits >= 150 and many >= 140, (splits, many)
 
 
 def _ladder_unpruned(g, c):

@@ -224,23 +224,67 @@ def test_earlier_stabiliser_from_carried_cells_equals_a_fresh_chain():
 
 def test_slice_chains_start_from_the_carried_cells(monkeypatch):
     # a verified run refines one chain from scratch, the root chain in
-    # build_layering; every slice's chain starts from the carried cells
+    # build_layering; every slice's chain starts from the carried cells. A
+    # slice's group lies in the one before it, so no chain starts after the
+    # first slice whose group is trivial: on these random cubic graphs the
+    # root stabiliser already is, and only the root chain runs. On C64(1,7)
+    # chains run up to that slice and none after it
     import edgesym.aut as aut_module
+    import edgesym.layered as layered_module
 
     chain = aut_module._chain_transversals
-    started = []
+    started, states = [], []
 
     def counted(g, start_fixed, colour_preserve=None, cells=None):
-        started.append(None if cells is not None else list(start_fixed))
+        started.append((len(start_fixed), cells is None))
         return chain(g, start_fixed, colour_preserve, cells)
 
+    def kept(g, r):
+        states.append(initial_colouring(g, r))
+        return states[-1]
+
     monkeypatch.setattr(aut_module, "_chain_transversals", counted)
-    for g in [random_regular(64, 3, s) for s in (1, 2, 3)] + [circulant(64, [1, 7])]:
+    monkeypatch.setattr(layered_module, "initial_colouring", kept)
+    for s in (1, 2, 3):
         started.clear()
-        colour_regular(g, verify=True)
-        assert [f for f in started if f is not None] == [[0]], g.edges
-        # each slice after the first asks for at least one chain
-        assert len(started) >= build_layering(g, 0).count - 1, (g.edges, len(started))
+        colour_regular(random_regular(64, 3, s), verify=True)
+        assert started == [(1, True)], (s, started)
+
+    states.clear()
+    started.clear()
+    colour_regular(circulant(64, [1, 7]), verify=True)
+    (state,) = states
+    lay = state.layering
+    groups = [lay.root_generators] + [state.persistent_gens[i] for i in range(1, lay.count)]
+    first_trivial = groups.index([])
+    slice_fixing = {len(lay.earlier_vertices(i)): i for i in range(1, lay.count)}
+    assert started[0] == (1, True) and all(not fresh for _, fresh in started[1:]), started
+    chained = [slice_fixing[k] for k, _ in started[1:]]
+    assert chained and max(chained) == first_trivial < lay.count - 1, (chained, first_trivial)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.SIGALRM")
+def test_verified_colouring_of_a_large_asymmetric_graph_is_near_linear(monkeypatch):
+    # a random cubic graph on 4,096 vertices, guard raised: the construction
+    # runs no slice chain, since every slice group is trivial, and each
+    # refinement splits only the cells its splitters reach. It takes about
+    # 0.25 s on a 2-core Xeon; with either half alone it took 8 s or more
+    import edgesym.aut as aut_module
+
+    monkeypatch.setattr(aut_module, "_MAX_SEARCH_N", 4096)
+    g = random_regular(4096, 3, 1)
+
+    def timeout(signum, frame):
+        raise TimeoutError("a verified colouring of random_regular(4096, 3, 1) took over 2 s")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        c = colour_regular(g, verify=True)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert c.is_total(g) and satisfies_blue_rule(g, c, False)
 
 
 def test_layering_matches_brute_classification():
