@@ -433,7 +433,10 @@ def _chain_transversals(
 
     gens: list[Permutation] = []
     run = None
-    for b, cell in _levels(edge_rows, pins, [b for b in range(n) if b not in pins], cells):
+    # the bases, lazily: the walk stops once its partition is discrete, and
+    # the loop pins only bases the generator has passed
+    bases = (b for b in range(n) if b not in pins)
+    for b, cell in _levels(edge_rows, pins, bases, cells):
         bit = 1 << b
         targets = cell ^ bit
         if targets and run is None:

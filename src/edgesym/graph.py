@@ -7,7 +7,6 @@ the ordered pair (min, max) everywhere in this package.
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import Iterable, Optional
 
 Edge = tuple[int, int]
@@ -148,17 +147,28 @@ class Graph:
 
 
 def distances_from(g: Graph, r: int) -> dict[int, int]:
-    """BFS distance map from r. Vertices absent from the map are unreachable."""
+    """BFS distance map from r. Vertices absent from the map are unreachable.
+
+    The search walks frontier bitmasks: each vertex of the frontier at
+    distance d adds its adjacency mask to the next one, less the vertices
+    already reached."""
     if not 0 <= r < g.n:
         raise GraphError(f"root {r} outside vertex range")
-    dist = {r: 0}
-    q = deque([r])
-    while q:
-        u = q.popleft()
-        for w in g.neighbours(u):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                q.append(w)
+    adj = g._adj
+    dist = {}
+    seen = frontier = 1 << r
+    d = 0
+    while frontier:
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            v = low.bit_length() - 1
+            dist[v] = d
+            reached |= adj[v]
+        frontier = reached & ~seen
+        seen |= frontier
+        d += 1
     return dist
 
 

@@ -137,9 +137,9 @@ def build_layering(g: Graph, r: int) -> OrbitLayering:
     across a slice (orbit property), else the layering is broken."""
     if not 0 <= r < g.n:
         raise ValueError(f"root {r} outside vertex range")
-    if not is_connected(g):
-        raise ValueError("layering requires a connected graph")
     dist = distances_from(g, r)
+    if len(dist) != g.n:
+        raise ValueError("layering requires a connected graph")
     gens = stabiliser_generators(g, r)
     layers = sorted(vertex_orbits(g, gens), key=lambda o: (dist[o[0]], o[0]))
     if layers[0] != [r]:
@@ -245,6 +245,22 @@ class StepColouring(dict):
 
 
 @dataclass
+class SettledCarry:
+    """What _settled_cells carries from one step check to the next: its
+    label rows, the colour it gave each of the first len(applied) edges of
+    outward_edges, the (j, cells, loose) it yielded for the multi-vertex
+    slices j whose settled edges are those, in ascending order, and the
+    vertices alone in their cells in the last of those partitions. A
+    partition that refinement left unsplit is the previous entry's list, so
+    the carry holds one list per distinct partition."""
+
+    rows: list[list[int]]
+    applied: list[str] = field(default_factory=list)
+    entries: list[tuple[int, list[int], list[int]]] = field(default_factory=list)
+    alone: int = 0
+
+
+@dataclass
 class StepState:
     graph: Graph
     layering: OrbitLayering
@@ -256,6 +272,9 @@ class StepState:
     # colouring. They fix the root, so they map every slice onto itself.
     # colour_horizontal sets them when it installs slice i's colours
     persistent_gens: dict[int, list[Permutation]] = field(default_factory=dict)
+    # _settled_cells' carry; not an __init__ argument, so that a copy made by
+    # dataclasses.replace starts without one
+    settled: Optional[SettledCarry] = field(default=None, init=False, repr=False)
 
     def earlier_stabiliser(
         self, i: int, colours: Optional[dict[Edge, str]] = None
@@ -569,7 +588,9 @@ def check_step_properties(state: StepState, i: int) -> list[str]:
     colours settled by slice j moves a vertex of slice j. A slice of one
     vertex never moves; the others are decided together by one refinement
     carried from j to j (_settled_cells), and only a slice it leaves some
-    vertex of in a cell of two or more vertices is searched."""
+    vertex of in a cell of two or more vertices is searched. The refinement
+    also carries from step to step, on the state, until a settled edge it
+    read has changed colour: then it starts again from the first slice."""
     lay = state.layering
     r = lay.root
     col = state.colouring
@@ -598,9 +619,7 @@ def check_step_properties(state: StepState, i: int) -> list[str]:
             violations.append(f"blue edge {e} escapes the settled region")
             break
 
-    for j, cells in _settled_cells(state, i):
-        alone = sum(x for x in cells if x & (x - 1) == 0)
-        loose = [v for v in lay.layers[j] if not alone >> v & 1]
+    for j, _, loose in _settled_cells(state, i):
         if loose and _settled_slice_movable(state, j, loose):
             violations.append(
                 f"a root-fixing map preserving the settled colouring moves layer {j}"
@@ -608,11 +627,14 @@ def check_step_properties(state: StepState, i: int) -> list[str]:
     return violations
 
 
-def _settled_cells(state: StepState, i: int) -> Iterator[tuple[int, list[int]]]:
-    """For each slice j <= i of two or more vertices, in ascending order, j
-    and the coarsest equitable partition finer than the slices, as bitmask
+def _settled_cells(
+    state: StepState, i: int
+) -> Iterator[tuple[int, list[int], list[int]]]:
+    """For each slice j <= i of two or more vertices, in ascending order, j,
+    the coarsest equitable partition finer than the slices, as bitmask
     cells, of the graph whose edges settled by slice j carry their colours
-    and whose other edges carry one label of their own.
+    and whose other edges carry one label of their own, and the vertices of
+    slice j left in cells of two or more vertices.
 
     Every map a step check asks about fixes the root, so it maps each slice
     onto itself, hence the edges slice j settles too, and preserves these
@@ -627,6 +649,15 @@ def _settled_cells(state: StepState, i: int) -> Iterator[tuple[int, list[int]]]:
     meeting one of their ends can have become unequitable: those are the
     splitters. When no slice 0..i has two or more vertices, nothing is
     built.
+
+    The rows, the partitions and the loose vertices also carry from step
+    to step, in state.settled. j's partition depends only on the colours of
+    the edges slice j settles, so a call whose carried edges all still have
+    the colours the carry gave them, whatever wrote the colouring since,
+    yields the carried entries and refines onward from the last. If any of
+    those colours differs, the carry starts afresh from the slices. A step
+    that recolours no settled edge thus costs one refinement per new
+    multi-vertex slice.
     """
     lay = state.layering
     multi = lay.multi_slices[: bisect.bisect_right(lay.multi_slices, i)]
@@ -635,22 +666,37 @@ def _settled_cells(state: StepState, i: int) -> Iterator[tuple[int, list[int]]]:
     g = state.graph
     col = state.colouring
     ids = {c: lab for lab, c in enumerate(PALETTE, 2)}  # 1: unsettled
-    rows = _label_rows(g, [1] * g.edge_count, len(PALETTE) + 2)
-    cells = [sum(1 << v for v in layer) for layer in lay.layers]
-    touched = (1 << g.n) - 1  # no partition is known equitable yet: every slice splits
-    done = 0
-    for j in multi:
+    carry = state.settled
+    if carry is None or any(col[e] != c for e, c in zip(lay.outward_edges, carry.applied)):
+        carry = state.settled = SettledCarry(_label_rows(g, [1] * g.edge_count, len(PALETTE) + 2))
+    rows, applied, entries = carry.rows, carry.applied, carry.entries
+
+    yield from entries[: len(multi)]
+    if entries:
+        cells, touched = entries[-1][1], 0
+    else:
+        cells = [sum(1 << v for v in layer) for layer in lay.layers]
+        touched = (1 << g.n) - 1  # no partition is known equitable yet: every slice splits
+    done = len(applied)
+    for j in multi[len(entries):]:
         for u, v in lay.outward_edges[done:lay.settled_count[j]]:
-            lab = ids[col[u, v]]
+            c = col[u, v]
+            lab = ids[c]
             rows[u][1] ^= 1 << v
             rows[u][lab] |= 1 << v
             rows[v][1] ^= 1 << u
             rows[v][lab] |= 1 << u
             touched |= 1 << u | 1 << v
+            applied.append(c)
         done = lay.settled_count[j]
-        cells = _equitable_cells(rows, cells, [x for x in cells if x & touched])
+        refined = _equitable_cells(rows, cells, [x for x in cells if x & touched])
+        if len(refined) > len(cells) or not entries:  # refinement only splits
+            cells = refined
+            carry.alone = sum(x for x in cells if x & (x - 1) == 0)
         touched = 0
-        yield j, cells
+        loose = [v for v in lay.layers[j] if not carry.alone >> v & 1]
+        entries.append((j, cells, loose))
+        yield j, cells, loose
 
 
 def _settled_slice_movable(state: StepState, j: int, loose: Sequence[int]) -> bool:

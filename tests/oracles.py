@@ -9,6 +9,7 @@ definition. Expected values frozen in the tests were computed with these.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -420,6 +421,20 @@ def step_scan_violations(state, i: int, previous: Optional[dict] = None) -> list
 
 
 # -- misc ----------------------------------------------------------------------
+
+
+def distances_by_deque_bfs(g: Graph, r: int) -> dict[int, int]:
+    """Distance map from r by a queue of vertices over neighbour lists; the
+    vertices r does not reach are absent."""
+    dist = {r: 0}
+    q = deque([r])
+    while q:
+        u = q.popleft()
+        for w in g.neighbours(u):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                q.append(w)
+    return dist
 
 
 def bfs_girth(g: Graph) -> Optional[int]:

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -24,7 +25,7 @@ from edgesym.graph import (
     spider,
 )
 
-from oracles import encode_graph6_reference
+from oracles import distances_by_deque_bfs, encode_graph6_reference
 
 
 def test_edge_canonical_order():
@@ -215,6 +216,29 @@ def test_distances_and_connectivity():
     two_triangles = disjoint_union([cycle(3), cycle(3)])
     assert not is_connected(two_triangles)
     assert max(distances_from(petersen(), 0).values()) == 2
+
+
+def test_distances_match_a_queue_bfs_on_random_graphs():
+    # G(n, p) for n <= 40 from sparse (mostly disconnected) to dense, every
+    # root: the frontier-mask search gives the queue search's distances, and
+    # is_connected says whether vertex 0 reaches every vertex
+    rng = random.Random(11)
+    disconnected = 0
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        p = rng.choice([0.02, 0.05, 0.1, 0.2, 0.5])
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        for r in range(n):
+            assert distances_from(g, r) == distances_by_deque_bfs(g, r), (g.edges, r)
+        connected = len(distances_by_deque_bfs(g, 0)) == n
+        assert is_connected(g) == connected
+        disconnected += not connected
+    assert 50 <= disconnected <= 250, disconnected
+    assert is_connected(Graph(0)) and is_connected(Graph(1))
+    assert distances_from(Graph(1), 0) == distances_by_deque_bfs(Graph(1), 0) == {0: 0}
+    for r in (-1, 0):
+        with pytest.raises(GraphError):
+            distances_from(Graph(0), r)
 
 
 def test_random_regular_reproducible():

@@ -135,8 +135,10 @@ def test_build_layering_cycle6():
 def test_build_layering_rejects_disconnected():
     from edgesym.graph import disjoint_union
 
-    with pytest.raises(ValueError):
-        build_layering(disjoint_union([cycle(3), cycle(3)]), 0)
+    for g in (disjoint_union([cycle(3), cycle(3)]), disjoint_union([petersen(), cycle(4)])):
+        for r in (0, g.n - 1):
+            with pytest.raises(ValueError, match="layering requires a connected graph"):
+                build_layering(g, r)
 
 
 def test_layering_keeps_root_stabiliser_for_slice_one():
@@ -1047,11 +1049,12 @@ def test_carried_step_cells_equal_a_refinement_from_the_slices():
                 states.append(dataclasses.replace(state, colouring={**state.colouring, e: c}))
         for s in states:
             yielded = list(_settled_cells(s, i))
-            assert [j for j, _ in yielded] == [j for j in range(i + 1) if len(lay.layers[j]) > 1]
-            for j, cells in yielded:
+            assert [j for j, *_ in yielded] == [j for j in range(i + 1) if len(lay.layers[j]) > 1]
+            for j, cells, loose in yielded:
                 ids = equitable_cells_by_rounds(g, [], _labels_settled_by(s, j), seed)
                 want = sorted(sorted(v for v in range(g.n) if ids[v] == c) for c in set(ids))
                 assert _blocks(cells) == want, (g.edges, i, j)
+                assert loose == [v for v in lay.layers[j] if ids.count(ids[v]) > 1], (g.edges, i, j)
                 compared += 1
                 undecided += any(x & (x - 1) and x & sum(1 << v for v in lay.layers[j])
                                  for x in cells)
@@ -1074,7 +1077,7 @@ def test_carried_step_cells_are_unions_of_orbits():
                 dataclasses.replace(state, colouring={**state.colouring, e: c})
                 for e in lay.settled_edges(i) for c in PALETTE if c != state.colouring[e]]
             for s in states:
-                for j, cells in _settled_cells(s, i):
+                for j, cells, _ in _settled_cells(s, i):
                     labels = _labels_settled_by(s, j)
                     for p in perms:
                         if all(labels[index[edge(p[u], p[v])]] == labels[k]
@@ -1084,6 +1087,75 @@ def test_carried_step_cells_are_unions_of_orbits():
                             moved += p != tuple(range(g.n))
                     checked += 1
     assert checked >= 2700 and moved >= 500, (checked, moved)
+
+
+def test_step_cells_carried_across_steps_follow_recolourings():
+    # one state per graph, stepped as the pipeline steps it. After a clean
+    # check at step i, an edge settled by the first multi-vertex slice and
+    # one first settled by the last (on graphs of at most 10 vertices each
+    # such edge in turn) is recoloured through the colouring and then
+    # restored. After each write the carried partitions equal whole rounds
+    # of refinement from the slices under the labels of that moment. A
+    # carry that kept partitions whose settled edges changed colour, or
+    # that compared the colours of only some of them, would fail here
+    graphs = connected_regular_upto(8) + [petersen(), circulant(16, [1, 7]), circulant(32, [1, 7])]
+    compared = changed = 0
+    for g, state, i in _stepped_states(graphs):
+        lay = state.layering
+        multi = [j for j in lay.multi_slices if j <= i]
+        assert check_step_properties(state, i) == [], (g.edges, i)
+        if not multi:
+            continue
+        seed = [lay.layer_of[v] for v in range(g.n)]
+        clean = [_blocks(cells) for _, cells, _ in _settled_cells(state, i)]
+        first = lay.settled_edges(multi[0])
+        last = lay.settled_edges(multi[-1])[len(lay.settled_edges(multi[-2])) if multi[1:] else 0:]
+        picked = first + last if g.n <= 10 else first[i % len(first):][:1] + last[-1:]
+        for e in dict.fromkeys(picked):
+            old = state.colouring[e]
+            for c in (PALETTE[(PALETTE.index(old) + 1) % 3], old):
+                state.colouring[e] = c
+                yielded = list(_settled_cells(state, i))
+                assert [j for j, *_ in yielded] == multi
+                for j, cells, loose in yielded:
+                    ids = equitable_cells_by_rounds(g, [], _labels_settled_by(state, j), seed)
+                    want = sorted(sorted(v for v in range(g.n) if ids[v] == x) for x in set(ids))
+                    assert _blocks(cells) == want, (g.edges, i, j, e, c)
+                    assert loose == [v for v in lay.layers[j] if ids.count(ids[v]) > 1]
+                    compared += 1
+                changed += c != old and [_blocks(cells) for _, cells, _ in yielded] != clean
+    assert compared >= 2500 and changed >= 100, (compared, changed)
+
+
+def test_step_checks_refine_once_per_multi_vertex_slice(monkeypatch):
+    # C_n(1,7) has n / 2 - 1 slices of two vertices. Refining from the
+    # first of them at every step cost 527 refinements at n = 64 and 2,075
+    # at n = 128; carried from step to step it is one per slice
+    import edgesym.aut as aut_module
+    import edgesym.layered as layered_module
+
+    inside, calls = [False], [0]
+    refine = layered_module._equitable_cells
+
+    def counted(*args):
+        calls[0] += inside[0]
+        return refine(*args)
+
+    def step_checks(*args):
+        inside[0] = True
+        try:
+            return check_step_properties(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(layered_module, "_equitable_cells", counted)
+    monkeypatch.setattr(layered_module, "check_step_properties", step_checks)
+    colour_regular(circulant(64, [1, 7]), verify=True)
+    assert calls == [31]
+    monkeypatch.setattr(aut_module, "_MAX_SEARCH_N", 128)
+    calls[0] = 0
+    colour_regular(circulant(128, [1, 7]), verify=True)
+    assert calls == [63]
 
 
 # SHA-256 of colour_regular(verify=True) on C64(1,7): its colouring and audit
