@@ -359,25 +359,19 @@ def _equitable_cells(rows, cells: list[int], splitters: list[int]) -> list[int]:
     return cells
 
 
-def _levels(
-    rows, fixed: Iterable[int], bases: Iterable[int], cells=None
-) -> Iterator[tuple[int, int]]:
+def _levels(rows, fixed: Iterable[int], bases: Iterable[int]) -> Iterator[tuple[int, int]]:
     """The level walk of the stabiliser chain and the nontrivial_on ladder.
 
     Refines {each fixed vertex alone, the rest} to its coarsest equitable
     partition, then yields each base with its cell (a bitmask) and, once the
     caller resumes it, individualises the base, splitting by {base} alone;
     it stops once the partition is discrete. The caller must resume only
-    when every map it still asks about fixes the base. A caller holding
-    that coarsest equitable partition passes it as cells, in any order, and
-    the walk starts from it: the partition is unique, and the walk depends
-    on it only as a set partition, so it is the same walk."""
-    if cells is None:
-        cells = [1 << v for v in fixed]
-        rest = (1 << len(rows)) - 1 - sum(cells)
-        if rest:
-            cells.append(rest)
-        cells = _equitable_cells(rows, cells, list(cells))
+    when every map it still asks about fixes the base."""
+    cells = [1 << v for v in fixed]
+    rest = (1 << len(rows)) - 1 - sum(cells)
+    if rest:
+        cells.append(rest)
+    cells = _equitable_cells(rows, cells, list(cells))
     for b in bases:
         if len(cells) == len(rows):
             return
@@ -390,8 +384,7 @@ def _levels(
 
 
 def _chain_transversals(
-    g: Graph, start_fixed: Sequence[int], colour_preserve: Optional[Mapping[Edge, str]] = None,
-    cells: Optional[Sequence[int]] = None,
+    g: Graph, start_fixed: Sequence[int], colour_preserve: Optional[Mapping[Edge, str]] = None
 ) -> list[Permutation]:
     """Transversal witnesses along the chain of pointwise stabilisers.
 
@@ -418,9 +411,7 @@ def _chain_transversals(
     pass over the n <= 10 catalogue from 1,119 to 948 but saved no time,
     because every chain then builds label rows.) The skipped searches
     are exactly ones that would fail, so the witnesses are those of the
-    unpruned chain. cells, if given, must be the walk's start partition,
-    which _levels then does not refine again; every level searches the same
-    targets in the same order, so the witnesses are the same.
+    unpruned chain.
     """
     pins = {v: v for v in start_fixed}
     c = AutConstraint(pins, colour_preserve=colour_preserve).normalised()
@@ -436,7 +427,7 @@ def _chain_transversals(
     # the bases, lazily: the walk stops once its partition is discrete, and
     # the loop pins only bases the generator has passed
     bases = (b for b in range(n) if b not in pins)
-    for b, cell in _levels(edge_rows, pins, bases, cells):
+    for b, cell in _levels(edge_rows, pins, bases):
         bit = 1 << b
         targets = cell ^ bit
         if targets and run is None:
@@ -469,17 +460,11 @@ def stabiliser_generators(g: Graph, r: int) -> list[Permutation]:
 
 
 def pointwise_stabiliser_generators(
-    g: Graph, fixed: Iterable[int], colour_preserve: Optional[Mapping[Edge, str]] = None, *,
-    cells: Optional[Sequence[int]] = None,
+    g: Graph, fixed: Iterable[int], colour_preserve: Optional[Mapping[Edge, str]] = None
 ) -> list[Permutation]:
     """Generators of the subgroup fixing every listed vertex and preserving
-    colour_preserve, if given, as AutConstraint does.
-
-    cells, if given, must be the coarsest equitable partition of the
-    uncoloured graph finer than {each fixed vertex alone, the rest}, as
-    bitmask cells in any order; the chain starts from it instead of
-    refining it, whatever the colours, and its generators do not change."""
-    return _chain_transversals(g, sorted(set(fixed)), colour_preserve, cells)
+    colour_preserve, if given, as AutConstraint does."""
+    return _chain_transversals(g, sorted(set(fixed)), colour_preserve)
 
 
 def _transversals(gens: Iterable[Permutation]) -> list[list[Permutation]]:

@@ -3,7 +3,8 @@
 Subcommands: gen, colour, dprime, scan, aut. Exit codes: 0 success,
 2 input error, 3 not colourable / not distinguishable, 4 budget exceeded,
 5 verification failure, failed construction (decoration shortage or broken
-step invariant) or unexpected scan exception.
+step invariant) or unexpected scan exception, 141 output pipe closed by its
+reader (128 + SIGPIPE), with nothing printed.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import Optional
 
@@ -51,6 +53,7 @@ EXIT_INPUT = 2
 EXIT_NOT_COLOURABLE = 3
 EXIT_BUDGET = 4
 EXIT_VERIFY = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer the signal stopped
 
 
 class _InputError(ValueError):
@@ -282,6 +285,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader left: stdout's last flush goes to the null device
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:  # _InputError, GraphError, SizeGuardError, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

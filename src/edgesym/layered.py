@@ -100,12 +100,7 @@ class OrbitLayering:
     Once slices 0..i are coloured, the edges with both ends in slices up to
     reach[i] are settled. outward_edges lists every edge by the slice of its
     later end, so those are its first settled_count[i] edges: the settled
-    sets are nested, and each holds its slice's incident edges.
-
-    chain_cells[i] is Q_i, the start of every chain slice i asks for: the
-    coarsest equitable partition of the uncoloured graph finer than {each
-    vertex of slices 0..i-1 alone, the rest}, as bitmask cells. From the
-    first discrete Q_i on, every later entry is that same list."""
+    sets are nested, and each holds its slice's incident edges."""
 
     root: int
     layers: list[list[int]]
@@ -115,7 +110,6 @@ class OrbitLayering:
     outward_edges: tuple[Edge, ...]
     settled_count: list[int]
     multi_slices: tuple[int, ...]
-    chain_cells: list[list[int]]
     root_generators: list[Permutation]
 
     @property
@@ -187,21 +181,8 @@ def build_layering(g: Graph, r: int) -> OrbitLayering:
     up_to = list(itertools.accumulate(map(len, by_later_end)))
     outward = tuple(itertools.chain.from_iterable(by_later_end))
     multi = tuple(i for i, layer in enumerate(layers) if len(layer) > 1)
-    # Q_0 is the one cell refined by itself. Every equitable partition finer
-    # than Q_{i+1}'s start is finer than Q_i, so refining Q_i with slice i's
-    # vertices made singletons, the only splitters, gives Q_{i+1}. map, not a
-    # comprehension over g or rest, keeps closure cells out of this frame
-    rows = [(0, m) for m in map(g.adjacency_mask, range(g.n))]
-    chain_cells = [_equitable_cells(rows, [(1 << g.n) - 1], [(1 << g.n) - 1])]
-    for layer in layers[:-1]:
-        cells = chain_cells[-1]
-        if len(cells) < g.n:
-            bits = [1 << v for v in layer]
-            rest = ~sum(bits)
-            cells = _equitable_cells(rows, bits + list(filter(None, map(rest.__and__, cells))), bits)
-        chain_cells.append(cells)
     return OrbitLayering(r, layers, layer_of, classes, reach, outward,
-                         [up_to[x] for x in reach], multi, chain_cells, gens)
+                         [up_to[x] for x in reach], multi, gens)
 
 
 # -- step state -----------------------------------------------------------------
@@ -288,17 +269,14 @@ class StepState:
         and slice i - 1's persistent group after that: a map fixing slice
         i - 1 pointwise preserves its horizontal colouring. So once the
         previous group has no generators, neither has this one, and no chain
-        runs. Otherwise the chain starts from the layering's chain_cells[i],
-        the partition it would refine first: its generators are the same."""
+        runs."""
         lay = self.layering
         if i == 1 and not colours:
             return lay.root_generators
         previous = lay.root_generators if i == 1 else self.persistent_gens.get(i - 1)
         if previous == []:  # None: slice i - 1 is not coloured yet
             return []
-        return pointwise_stabiliser_generators(
-            self.graph, lay.earlier_vertices(i), colours, cells=lay.chain_cells[i]
-        )
+        return pointwise_stabiliser_generators(self.graph, lay.earlier_vertices(i), colours)
 
 
 def initial_colouring(g: Graph, r: int) -> StepState:

@@ -353,3 +353,33 @@ def test_missing_input_file(tmp_path, capsys, command):
     code, out, err = run(capsys, command, "--file", str(missing))
     assert code == 2 and out == ""
     assert "error" in err and "absent.g6" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_into_a_reader_that_stops_early_exits_quietly(tmp_path, jobs):
+    # `edgesym scan ... | head -1`: the reader takes one row and closes the
+    # pipe long before the twenty corpora are scanned; the scan exits 141
+    # (128 + SIGPIPE) and writes nothing to stderr
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    corpus = tmp_path / "corpora.g6"
+    corpus.write_text((root / "perfbench" / "data" / "corpus.g6").read_text() * 20)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "edgesym.cli", "scan", "--file", "-", "--jobs", jobs]
+    with corpus.open() as stdin, subprocess.Popen(
+        argv, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        row = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+    assert row["status"] in ("ok", "known_exception")
+    assert (proc.returncode, err) == (141, b"")

@@ -11,7 +11,6 @@ import pytest
 from edgesym.aut import (
     AutConstraint,
     Permutation,
-    _levels,
     find_automorphism,
     pointwise_stabiliser_generators,
 )
@@ -29,7 +28,6 @@ from edgesym.graph import (
     petersen,
     random_regular,
     regularity,
-    spider,
 )
 from edgesym.layered import (
     Decoration,
@@ -165,49 +163,20 @@ def test_layering_keeps_root_stabiliser_for_slice_one():
 
 def _chain_graphs():
     large = [parse_graph6(line) for line in (BENCH_DATA / "large.g6").read_text().split()]
+    q4 = Graph(16, [(u, u ^ 1 << k) for u in range(16) for k in range(4)])
+    crown = Graph(10, [(u, 5 + v) for u in range(5) for v in range(5) if u != v])
     return connected_regular_upto(8) + [petersen(), circulant(64, [1, 7]),
-                                        complete_bipartite(4, 4)] + large
+                                        complete_bipartite(4, 4), q4, crown] + large
 
 
-def _fresh_start_cells(g, fixed):
-    """The partition _levels refines from scratch before its first level:
-    each vertex's cell from a one-base walk (a discrete one yields none)."""
-    rows = [(0, g.adjacency_mask(v)) for v in range(g.n)]
-    cells, covered = [], 0
-    for v in range(g.n):
-        if not covered >> v & 1:
-            cell = next(_levels(rows, fixed, [v]), (v, 1 << v))[1]
-            cells.append(cell)
-            covered |= cell
-    return cells
-
-
-def test_carried_chain_cells_equal_a_fresh_refinement():
-    # at every slice of the n <= 8 catalogue, Petersen, C64(1,7), K_{4,4},
-    # the benchmark's large graphs and two connected graphs that are not
-    # regular (so Q_0 is not one cell), from the first and the last root,
-    # the layering's chain cells for slice i are the partition that _levels
-    # refines from scratch with slices 0..i-1 fixed; the lists from the
-    # first discrete one on are one list
-    irregular = [spider([1, 2, 3]), Graph(10, petersen().edges[1:])]
-    compared = split = 0
-    for g in _chain_graphs() + irregular:
-        for r in (0, g.n - 1):
-            lay = build_layering(g, r)
-            assert len(lay.chain_cells) == lay.count
-            for j, cells in enumerate(lay.chain_cells):
-                assert _blocks(cells) == _blocks(_fresh_start_cells(g, lay.earlier_vertices(j))), (
-                    g.edges, r, j)
-                compared += 1
-                split += 1 < len(cells) < g.n
-            assert len({id(c) for c in lay.chain_cells if len(c) == g.n}) <= 1, (g.edges, r)
-    assert compared >= 750 and split >= 100, (compared, split)
-
-
-def test_earlier_stabiliser_from_carried_cells_equals_a_fresh_chain():
-    # on the same graphs and roots, every slice's earlier stabiliser, with
-    # the installed colours and without, is the chain refined from scratch;
-    # after the last slice each is asked for again from the last back
+def test_earlier_stabiliser_equals_a_fresh_chain():
+    # on the n <= 8 catalogue, Petersen, C64(1,7), K_{4,4}, Q4, the crown
+    # graph K_{5,5} minus a perfect matching and the benchmark's large
+    # graphs, from the first and the last root, every slice's earlier
+    # stabiliser, with the installed colours and without, is the chain
+    # pointwise_stabiliser_generators runs, whether or not earlier_stabiliser
+    # runs one; after the last slice each is asked for again from the last
+    # back
     checked = nontrivial = 0
     for g, state, i in _stepped_states(_chain_graphs(), last_root=True):
         lay = state.layering
@@ -224,22 +193,21 @@ def test_earlier_stabiliser_from_carried_cells_equals_a_fresh_chain():
     assert checked >= 1800 and nontrivial >= 200, (checked, nontrivial)
 
 
-def test_slice_chains_start_from_the_carried_cells(monkeypatch):
-    # a verified run refines one chain from scratch, the root chain in
-    # build_layering; every slice's chain starts from the carried cells. A
-    # slice's group lies in the one before it, so no chain starts after the
+def test_no_slice_chain_runs_after_the_first_trivial_group(monkeypatch):
+    # a slice's group lies in the one before it, so no chain runs after the
     # first slice whose group is trivial: on these random cubic graphs the
-    # root stabiliser already is, and only the root chain runs. On C64(1,7)
-    # chains run up to that slice and none after it
+    # root stabiliser already is, and only the root chain, in
+    # build_layering, runs. On C64(1,7) chains run up to that slice and
+    # none after it
     import edgesym.aut as aut_module
     import edgesym.layered as layered_module
 
     chain = aut_module._chain_transversals
     started, states = [], []
 
-    def counted(g, start_fixed, colour_preserve=None, cells=None):
-        started.append((len(start_fixed), cells is None))
-        return chain(g, start_fixed, colour_preserve, cells)
+    def counted(g, start_fixed, colour_preserve=None):
+        started.append(len(start_fixed))
+        return chain(g, start_fixed, colour_preserve)
 
     def kept(g, r):
         states.append(initial_colouring(g, r))
@@ -250,7 +218,7 @@ def test_slice_chains_start_from_the_carried_cells(monkeypatch):
     for s in (1, 2, 3):
         started.clear()
         colour_regular(random_regular(64, 3, s), verify=True)
-        assert started == [(1, True)], (s, started)
+        assert started == [1], (s, started)
 
     states.clear()
     started.clear()
@@ -260,8 +228,8 @@ def test_slice_chains_start_from_the_carried_cells(monkeypatch):
     groups = [lay.root_generators] + [state.persistent_gens[i] for i in range(1, lay.count)]
     first_trivial = groups.index([])
     slice_fixing = {len(lay.earlier_vertices(i)): i for i in range(1, lay.count)}
-    assert started[0] == (1, True) and all(not fresh for _, fresh in started[1:]), started
-    chained = [slice_fixing[k] for k, _ in started[1:]]
+    assert started[0] == 1, started
+    chained = [slice_fixing[k] for k in started[1:]]
     assert chained and max(chained) == first_trivial < lay.count - 1, (chained, first_trivial)
 
 
