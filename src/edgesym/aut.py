@@ -51,9 +51,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(n)))
 
-    def moved(self) -> list[int]:
-        return [v for v, w in enumerate(self.images) if w != v]
-
 
 @dataclass
 class AutConstraint:
@@ -385,8 +382,9 @@ def _levels(rows, fixed: Iterable[int], bases: Iterable[int]) -> Iterator[tuple[
 
 def _chain_transversals(
     g: Graph, start_fixed: Sequence[int], colour_preserve: Optional[Mapping[Edge, str]] = None
-) -> list[Permutation]:
-    """Transversal witnesses along the chain of pointwise stabilisers.
+) -> list[list[Permutation]]:
+    """Transversal witnesses along the chain of pointwise stabilisers, one
+    list per level, in the order of the levels' bases.
 
     The union of level transversals generates the pointwise stabiliser of
     start_fixed (the whole automorphism group when start_fixed is empty),
@@ -395,7 +393,8 @@ def _chain_transversals(
     find_automorphism(pinned={**pins, b: w}, colour_preserve) when one
     exists, where pins pins start_fixed and the earlier levels to
     themselves. One witness per other point of b's orbit under the maps
-    fixing pins: with the identity, a full transversal of that level.
+    fixing pins: with the identity, a full transversal of that level, and
+    the basic orbit has one more point than the level has witnesses.
 
     The constraint is validated once, on entry. Every level's query differs
     only in its pinned vertices, so the kernel query is prepared once (on
@@ -422,7 +421,7 @@ def _chain_transversals(
     for v in pins:
         masks[v] = 1 << v
 
-    gens: list[Permutation] = []
+    levels: list[list[Permutation]] = []
     run = None
     # the bases, lazily: the walk stops once its partition is discrete, and
     # the loop pins only bases the generator has passed
@@ -432,31 +431,33 @@ def _chain_transversals(
         targets = cell ^ bit
         if targets and run is None:
             run = _searcher(g, _build_query(g, c)[0])
+        level = []
         while targets:
             low = targets & -targets
             targets ^= low
             w = low.bit_length() - 1
-            level = list(masks)
-            level[b] = low
+            cand = list(masks)
+            cand[b] = low
             check = AutConstraint({**pins, b: w}, colour_preserve=c.colour_preserve)
-            witness = run(level, check)
+            witness = run(cand, check)
             if witness is not None:
-                gens.append(witness)
+                level.append(witness)
+        levels.append(level)
         pins[b] = b
         masks[b] = bit
-    return gens
+    return levels
 
 
 def automorphism_generators(g: Graph) -> list[Permutation]:
     """Generating set for the full automorphism group."""
-    return _chain_transversals(g, [])
+    return [p for level in _chain_transversals(g, []) for p in level]
 
 
 def stabiliser_generators(g: Graph, r: int) -> list[Permutation]:
     """Generators of the subgroup fixing vertex r."""
     if not 0 <= r < g.n:
         raise ConstraintError(f"root {r} outside vertex range")
-    return _chain_transversals(g, [r])
+    return [p for level in _chain_transversals(g, [r]) for p in level]
 
 
 def pointwise_stabiliser_generators(
@@ -464,24 +465,14 @@ def pointwise_stabiliser_generators(
 ) -> list[Permutation]:
     """Generators of the subgroup fixing every listed vertex and preserving
     colour_preserve, if given, as AutConstraint does."""
-    return _chain_transversals(g, sorted(set(fixed)), colour_preserve)
-
-
-def _transversals(gens: Iterable[Permutation]) -> list[list[Permutation]]:
-    """The levels of a chain's witnesses: each witness of level b fixes the
-    earlier bases and moves b, so bucketing by first moved vertex recovers
-    the levels, in the order of their bases. A level's witnesses with the
-    identity are a full transversal."""
-    levels: dict[int, list[Permutation]] = {}
-    for p in gens:
-        levels.setdefault(p.moved()[0], []).append(p)
-    return list(levels.values())
+    return [p for level in _chain_transversals(g, sorted(set(fixed)), colour_preserve)
+            for p in level]
 
 
 def group_order(g: Graph) -> int:
     """|Aut(G)| by an orbit-stabiliser chain: the product of the basic orbit
     sizes, each a level's witness count plus one for its base."""
-    return math.prod(len(t) + 1 for t in _transversals(_chain_transversals(g, [])))
+    return math.prod(len(t) + 1 for t in _chain_transversals(g, []))
 
 
 def all_automorphisms(g: Graph, limit: int = 1_000_000) -> Optional[list[Permutation]]:
@@ -492,7 +483,7 @@ def all_automorphisms(g: Graph, limit: int = 1_000_000) -> Optional[list[Permuta
     transversals are multiplied out deepest first: each element is
     t_0 t_1 ... t_k with t_b the identity or a witness of level b.
     """
-    levels = _transversals(automorphism_generators(g))
+    levels = _chain_transversals(g, [])
     if math.prod(len(t) + 1 for t in levels) > limit:
         return None
     out = [Permutation.identity(g.n)]

@@ -14,16 +14,15 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator
 
 from .aut import find_isomorphism
 from .graph import Graph, complete, cycle, disjoint_union, is_connected, serialize_graph6
 
 
-def _raw_connected_regular(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """One labelled d-regular connected graph per isomorphism class, as its
-    tuple of neighbour masks. A generator: each graph is yielded as soon as
-    its last row is filled.
+def _raw_connected_regular(n: int, d: int) -> Iterator[Graph]:
+    """One labelled d-regular connected graph per isomorphism class. A
+    generator: each graph is yielded as soon as its last row is filled.
 
     Vertex 0 is the root, a vertex's row is filled only once an earlier row
     has reached it, and its new neighbours take the next unused numbers. So
@@ -50,9 +49,9 @@ def _raw_connected_regular(n: int, d: int) -> Iterator[tuple[int, ...]]:
                 return False
         return True
 
-    def rows(v: int) -> Iterator[tuple[int, ...]]:
+    def rows(v: int) -> Iterator[Graph]:
         if v == n:
-            yield tuple(adj)
+            yield Graph(n, [(u, w) for u in range(n) for w in range(u + 1, n) if adj[u] >> w & 1])
             return
         if v > 0 and deg[v] == 0:
             return  # isolated so far: cannot reach vertex 0
@@ -236,19 +235,13 @@ def _arrangements(classes: list[list[int]], heads: int = -1) -> Iterator[list[in
             classes[i] = cls
 
 
-def _vertex_invariants(g: Graph) -> tuple[Optional[int], list[tuple]]:
-    """Girth of g (None for a forest) and, per vertex, the tuple (triangle
-    count, sorted co-degrees of its neighbours, number of vertices at each
-    distance 0, 1, 2, ...). One bitmask BFS per root gives all of it.
-
-    The girth is the least, over all roots, of 2k+1 for an edge inside BFS
-    layer k and 2k for a vertex of layer k with two neighbours in layer k-1;
-    each is the length of a closed walk that contains a cycle, and a root on
-    a shortest cycle attains its length.
-    """
+def _vertex_invariants(g: Graph) -> list[tuple]:
+    """Per vertex, the tuple (sorted co-degrees of its neighbours, number of
+    vertices at each distance 0, 1, 2, ...), by one bitmask BFS per root.
+    The co-degrees also give the vertex's triangle count: their sum is
+    twice it."""
     n = g.n
     adj = [g.adjacency_mask(v) for v in range(n)]
-    best = None
     per_vertex = []
     for r in range(n):
         nb = adj[r]
@@ -260,8 +253,7 @@ def _vertex_invariants(g: Graph) -> tuple[Optional[int], list[tuple]]:
             codeg.append((adj[low.bit_length() - 1] & nb).bit_count())
         codeg.sort()
         sizes = []
-        prev, layer, seen = 0, 1 << r, 1 << r
-        k = 0
+        layer = seen = 1 << r
         while layer:
             sizes.append(layer.bit_count())
             nxt = 0
@@ -269,36 +261,27 @@ def _vertex_invariants(g: Graph) -> tuple[Optional[int], list[tuple]]:
             while m:
                 low = m & -m
                 m ^= low
-                a = adj[low.bit_length() - 1]
-                nxt |= a
-                if best is None or 2 * k < best:
-                    if (a & prev).bit_count() > 1:
-                        best = 2 * k
-                    elif a & layer:
-                        best = 2 * k + 1
-            prev, layer = layer, nxt & ~seen
+                nxt |= adj[low.bit_length() - 1]
+            layer = nxt & ~seen
             seen |= layer
-            k += 1
-        per_vertex.append((sum(codeg) // 2, tuple(codeg), tuple(sizes)))
-    return best, per_vertex
+        per_vertex.append((tuple(codeg), tuple(sizes)))
+    return per_vertex
 
 
-def _dedup(candidates: Iterable[Sequence[int]]) -> list[Graph]:
-    """The graphs with the given neighbour masks, after checking that no two
-    are isomorphic. Raises RuntimeError if two are: _raw_connected_regular
-    yields one graph per class, so a positive answer means its canonicity
-    test is broken.
+def _dedup(candidates: Iterable[Graph]) -> list[Graph]:
+    """The candidate graphs, after checking that no two are isomorphic.
+    Raises RuntimeError if two are: _raw_connected_regular yields one graph
+    per class, so a positive answer means its canonicity test is broken.
 
-    Each graph is bucketed by (n, m, girth, sorted per-vertex invariants) and
+    Each graph is bucketed by (n, m, sorted per-vertex invariants) and
     compared only with the earlier graphs in its bucket, by an isomorphism
     search that maps each vertex only to vertices with the same per-vertex
     invariant."""
     buckets: dict[tuple, list[tuple[Graph, list[tuple]]]] = {}
     out = []
-    for masks in candidates:
-        g = Graph.from_masks(masks)
-        gir, labels = _vertex_invariants(g)
-        reps = buckets.setdefault((g.n, g.edge_count, gir, tuple(sorted(labels))), [])
+    for g in candidates:
+        labels = _vertex_invariants(g)
+        reps = buckets.setdefault((g.n, g.edge_count, tuple(sorted(labels))), [])
         for h, h_labels in reps:
             if find_isomorphism(g, h, labels, h_labels) is not None:
                 raise RuntimeError(

@@ -51,37 +51,6 @@ class Graph:
         self._adj = tuple(adj)
         self._edges = tuple(sorted(canon))
 
-    @classmethod
-    def from_masks(cls, adj: Iterable[int]) -> "Graph":
-        """The graph on len(adj) vertices whose vertex v has neighbour mask
-        adj[v]. Equal, with equal edges, to Graph(n, edges) for the same edges;
-        reads the edges straight off the masks instead of canonicalising them.
-        """
-        adj = tuple(adj)
-        n = len(adj)
-        edges = []
-        degree_sum = 0
-        for u, row in enumerate(adj):
-            if row >> n or row >> u & 1:
-                raise GraphError(f"mask of vertex {u} is not a loop-free subset of 0..{n - 1}")
-            degree_sum += row.bit_count()
-            m = row >> u + 1
-            v = u
-            while m:
-                low = m & -m
-                v += low.bit_length()
-                m >>= low.bit_length()
-                if not adj[v] >> u & 1:
-                    raise GraphError(f"masks are not symmetric at edge {(u, v)}")
-                edges.append((u, v))
-        if degree_sum != 2 * len(edges):
-            raise GraphError("masks are not symmetric")
-        g = cls.__new__(cls)
-        g.n = n
-        g._adj = adj
-        g._edges = tuple(edges)
-        return g
-
     # -- basic queries ----------------------------------------------------
 
     @property

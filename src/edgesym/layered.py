@@ -228,15 +228,15 @@ class StepColouring(dict):
 @dataclass
 class SettledCarry:
     """What _settled_cells carries from one step check to the next: its
-    label rows, the colour it gave each of the first len(applied) edges of
-    outward_edges, the (j, cells, loose) it yielded for the multi-vertex
-    slices j whose settled edges are those, in ascending order, and the
-    vertices alone in their cells in the last of those partitions. A
-    partition that refinement left unsplit is the previous entry's list, so
-    the carry holds one list per distinct partition."""
+    label rows, in which the edges settled by the last entry's slice carry
+    the labels of the colours they had when applied and the others label 1,
+    the (j, cells, loose) it yielded for the multi-vertex slices j, in
+    ascending order, and the vertices alone in their cells in the last of
+    those partitions. A partition that refinement left unsplit is the
+    previous entry's list, so the carry holds one list per distinct
+    partition."""
 
     rows: list[list[int]]
-    applied: list[str] = field(default_factory=list)
     entries: list[tuple[int, list[int], list[int]]] = field(default_factory=list)
     alone: int = 0
 
@@ -631,10 +631,12 @@ def _settled_cells(
     The rows, the partitions and the loose vertices also carry from step
     to step, in state.settled. j's partition depends only on the colours of
     the edges slice j settles, so a call whose carried edges all still have
-    the colours the carry gave them, whatever wrote the colouring since,
-    yields the carried entries and refines onward from the last. If any of
-    those colours differs, the carry starts afresh from the slices. A step
-    that recolours no settled edge thus costs one refinement per new
+    the colours the carry gave them yields the carried entries and refines
+    onward from the last. Every write since the previous call went through
+    the colouring's log, so only the logged edges can have changed: one
+    that the rows have moved off label 1 but that no longer has its row
+    label's colour starts the carry afresh from the slices. A step that
+    recolours no settled edge thus costs one refinement per new
     multi-vertex slice.
     """
     lay = state.layering
@@ -645,9 +647,12 @@ def _settled_cells(
     col = state.colouring
     ids = {c: lab for lab, c in enumerate(PALETTE, 2)}  # 1: unsettled
     carry = state.settled
-    if carry is None or any(col[e] != c for e, c in zip(lay.outward_edges, carry.applied)):
+    if carry is None or any(
+        not carry.rows[u][1] >> v & 1 and not carry.rows[u][ids[col[u, v]]] >> v & 1
+        for u, v in col.written
+    ):
         carry = state.settled = SettledCarry(_label_rows(g, [1] * g.edge_count, len(PALETTE) + 2))
-    rows, applied, entries = carry.rows, carry.applied, carry.entries
+    rows, entries = carry.rows, carry.entries
 
     yield from entries[: len(multi)]
     if entries:
@@ -655,17 +660,15 @@ def _settled_cells(
     else:
         cells = [sum(1 << v for v in layer) for layer in lay.layers]
         touched = (1 << g.n) - 1  # no partition is known equitable yet: every slice splits
-    done = len(applied)
+    done = lay.settled_count[entries[-1][0]] if entries else 0
     for j in multi[len(entries):]:
         for u, v in lay.outward_edges[done:lay.settled_count[j]]:
-            c = col[u, v]
-            lab = ids[c]
+            lab = ids[col[u, v]]
             rows[u][1] ^= 1 << v
             rows[u][lab] |= 1 << v
             rows[v][1] ^= 1 << u
             rows[v][lab] |= 1 << u
             touched |= 1 << u | 1 << v
-            applied.append(c)
         done = lay.settled_count[j]
         refined = _equitable_cells(rows, cells, [x for x in cells if x & touched])
         if len(refined) > len(cells) or not entries:  # refinement only splits

@@ -9,7 +9,7 @@ definition. Expected values frozen in the tests were computed with these.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -437,57 +437,20 @@ def distances_by_deque_bfs(g: Graph, r: int) -> dict[int, int]:
     return dist
 
 
-def bfs_girth(g: Graph) -> Optional[int]:
-    """Shortest cycle length by per-root BFS over neighbour lists."""
-    best = None
-    for s in range(g.n):
-        dist = {s: 0}
-        par = {s: -1}
-        q = [s]
-        while q:
-            u = q.pop(0)
-            for w in g.neighbours(u):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    par[w] = u
-                    q.append(w)
-                elif par[u] != w:
-                    c = dist[u] + dist[w] + 1
-                    if best is None or c < best:
-                        best = c
-    return best
-
-
-def catalog_invariant_reference(g: Graph) -> tuple:
-    """(n, m, girth, sorted triangle counts, sorted co-degree tuples, sorted
-    distance histograms) by list-based BFS through bfs_girth and
-    graph.distances_from: the catalogue's bucket key before it moved to
-    bitmask BFS, kept as the reference for catalog._vertex_invariants."""
+def catalog_invariant_reference(g: Graph) -> list[tuple]:
+    """Per vertex, in vertex order, (sorted co-degrees of its neighbours,
+    number of vertices at each distance 0, 1, 2, ...) by neighbour lists
+    and graph.distances_from: the reference for catalog._vertex_invariants,
+    which uses bitmask BFS."""
     from edgesym.graph import distances_from
 
-    tri = []
-    codeg = []
-    dist_profiles = []
+    out = []
     for v in g.vertices():
         nb = g.neighbours(v)
-        t = sum(1 for a, b in itertools.combinations(nb, 2) if g.has_edge(a, b))
-        tri.append(t)
-        codeg.append(
-            tuple(sorted(bin(g.adjacency_mask(v) & g.adjacency_mask(u)).count("1") for u in nb))
-        )
-        dd = distances_from(g, v)
-        hist: dict[int, int] = {}
-        for x in dd.values():
-            hist[x] = hist.get(x, 0) + 1
-        dist_profiles.append(tuple(sorted(hist.items())))
-    return (
-        g.n,
-        g.edge_count,
-        bfs_girth(g),
-        tuple(sorted(tri)),
-        tuple(sorted(codeg)),
-        tuple(sorted(dist_profiles)),
-    )
+        codeg = sorted(sum(1 for w in g.neighbours(u) if w in nb) for u in nb)
+        hist = Counter(distances_from(g, v).values())
+        out.append((tuple(codeg), tuple(hist[k] for k in range(len(hist)))))
+    return out
 
 
 def canonical_small(g: Graph) -> tuple:
@@ -562,7 +525,7 @@ def raw_connected_regular_reference(n: int, d: int):
 
     def rows(v: int):
         if v == n:
-            yield Graph.from_masks(adj)
+            yield Graph(n, [(u, w) for u in range(n) for w in range(u + 1, n) if adj[u] >> w & 1])
             return
         if v > 0 and deg[v] == 0:
             return

@@ -86,27 +86,6 @@ def test_graph_rejects_out_of_range():
         Graph(3, [(0, 3)])
 
 
-def _vertex_pairs(n):
-    vertex = st.integers(0, max(n - 1, 0))
-    return st.tuples(st.just(n), st.sets(st.tuples(vertex, vertex)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 12).flatmap(_vertex_pairs))
-def test_from_masks_equals_edge_constructor(data):
-    n, pairs = data
-    g = Graph(n, [(u, v) for u, v in pairs if u != v])
-    h = Graph.from_masks([g.adjacency_mask(v) for v in range(n)])
-    assert h.n == g.n and h.edges == g.edges and h._adj == g._adj
-    assert h == g and hash(h) == hash(g)
-
-
-@pytest.mark.parametrize("masks", [[0b10, 0b00], [0b00, 0b01], [0b01], [0b100, 0b000], [-1, 0]])
-def test_from_masks_rejects_inconsistent_masks(masks):
-    with pytest.raises(GraphError):
-        Graph.from_masks(masks)
-
-
 # graph6 values hand-checked against the published format definition and the
 # independent reference encoder in oracles.py
 
