@@ -258,7 +258,7 @@ def find_automorphism(g: Graph, c: Optional[AutConstraint] = None) -> Optional[P
 
 def _pieces(x: int, planes: Sequence[int]) -> list[int]:
     """The pieces of cell x: its vertices grouped by their bits in the
-    planes. _equitable_cells calls it once for each cell a splitter reaches."""
+    planes. Partition.refine calls it once for each cell a splitter reaches."""
     pieces = [x]
     for p in planes:
         inside = x & p
@@ -274,45 +274,65 @@ def _pieces(x: int, planes: Sequence[int]) -> list[int]:
     return pieces
 
 
-def _equitable_cells(rows, cells: list[int], splitters: list[int]) -> list[int]:
-    """Coarsest equitable refinement of a partition, by a splitter queue.
+class Partition:
+    """A partition of the vertices 0..n-1, refined in place: cells holds the
+    cells as disjoint bitmasks, and cell_of[v] is the index in cells of the
+    cell holding v. A split cell keeps its index for one of its pieces and
+    the other pieces are appended, so an index names the same cell, or a
+    piece of it, from then on."""
 
-    rows are label rows as _label_rows builds them; label 0, the non-edge,
-    is ignored, because the other labels and the cells determine it. cells
-    are the partition's cells as disjoint bitmasks, and splitters some of
-    them. For each cell that is not among the splitters, the partition must
-    already be equitable with respect to that cell, or to that cell together
-    with some splitters (as when _levels individualises a base). Each
-    splitter W splits every non-singleton cell it reaches by each vertex's
-    vector of per-label neighbour counts in W. One largest piece keeps the
-    cell's place, in the queue too if the cell is queued, and every other
-    piece joins the queue (Hopcroft's rule). The result, returned once no
-    splitter is left or every cell is a singleton, is the same set
-    partition in whatever order the cells come.
+    def __init__(self, cells: Iterable[int], n: int):
+        self.cells = list(cells)
+        self.cell_of = [0] * n
+        for k, x in enumerate(self.cells):
+            self._index(x, k)
 
-    The counts are bit-sliced: the rows of W's vertices are added, label by
-    label, into carry-save bitmask planes, plane i holding bit i of every
-    vertex's count, and a cell splits by each plane with mask operations.
-    The cells W reaches are found through a vertex -> cell index from the
-    union of the planes, so a splitter costs time in its neighbourhood, not
-    in the number of cells; a split re-indexes only the vertices of the
-    pieces that leave the cell's place.
-    """
-    cells = list(cells)
-    n = len(rows)
-    labels = range(1, len(rows[0]) if rows else 0)
-    cell_of = [0] * n
-    for k, x in enumerate(cells):
+    def _index(self, x: int, k: int) -> None:
+        cell_of = self.cell_of
         while x:
             low = x & -x
             x ^= low
             cell_of[low.bit_length() - 1] = k
-    queue = [cell_of[(w & -w).bit_length() - 1] for w in splitters]  # cell indices
-    while queue and len(cells) < n:
-        w = cells[queue.pop()]
-        if w & (w - 1) == 0:
-            planes = rows[w.bit_length() - 1][1:]  # every count is 0 or 1
-        else:
+
+    def individualise(self, v: int) -> int:
+        """Split v off its cell; returns the index of the cell {v}."""
+        k = self.cell_of[v]
+        if self.cells[k] != 1 << v:
+            self.cells[k] ^= 1 << v
+            k = self.cell_of[v] = len(self.cells)
+            self.cells.append(1 << v)
+        return k
+
+    def refine(self, rows, splitters: Iterable[int]) -> None:
+        """Refine to the coarsest equitable partition, by a splitter queue.
+
+        rows are label rows as _label_rows builds them; label 0, the
+        non-edge, is ignored, because the other labels and the cells
+        determine it. splitters are indices of cells. For each cell that is
+        not among them, the partition must already be equitable with respect
+        to that cell, or to that cell together with some splitters (as after
+        individualise). Each splitter W splits every non-singleton cell it
+        reaches by each vertex's vector of per-label neighbour counts in W.
+        One largest piece keeps the cell's index, and so its place in the
+        queue if it is queued, and every other piece joins the queue
+        (Hopcroft's rule). The result, reached once no splitter is left or
+        every cell is a singleton, is the same set partition in whatever
+        order the cells come.
+
+        The counts are bit-sliced: the rows of W's vertices are added, label
+        by label, into carry-save bitmask planes, plane i holding bit i of
+        every vertex's count, and a cell splits by each plane with mask
+        operations. The cells W reaches are found through cell_of from the
+        union of the planes, so a splitter costs time in its neighbourhood,
+        not in the number of cells; a split re-indexes only the vertices of
+        the pieces it appends.
+        """
+        cells, cell_of = self.cells, self.cell_of
+        n = len(cell_of)
+        labels = range(1, len(rows[0]) if rows else 0)
+        queue = list(splitters)
+        while queue and len(cells) < n:
+            w = cells[queue.pop()]
             wrows = []
             while w:
                 low = w & -w
@@ -332,28 +352,23 @@ def _equitable_cells(rows, cells: list[int], splitters: list[int]) -> list[int]:
                         if carry:
                             counter.append(carry)
                 planes += counter
-        reach = 0
-        for p in planes:
-            reach |= p
-        while reach:
-            k = cell_of[(reach & -reach).bit_length() - 1]
-            x = cells[k]
-            reach &= ~x
-            pieces = _pieces(x, planes)
-            if len(pieces) == 1:
-                continue
-            big = max(pieces, key=int.bit_count)
-            cells[k] = big
-            for y in pieces:
-                if y != big:
-                    j = len(cells)
-                    cells.append(y)
-                    queue.append(j)
-                    while y:
-                        low = y & -y
-                        y ^= low
-                        cell_of[low.bit_length() - 1] = j
-    return cells
+            reach = 0
+            for p in planes:
+                reach |= p
+            while reach:
+                k = cell_of[(reach & -reach).bit_length() - 1]
+                x = cells[k]
+                reach &= ~x
+                pieces = _pieces(x, planes)
+                if len(pieces) == 1:
+                    continue
+                big = max(pieces, key=int.bit_count)
+                cells[k] = big
+                for y in pieces:
+                    if y != big:
+                        queue.append(len(cells))
+                        self._index(y, len(cells))
+                        cells.append(y)
 
 
 def _levels(rows, fixed: Iterable[int], bases: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -361,23 +376,21 @@ def _levels(rows, fixed: Iterable[int], bases: Iterable[int]) -> Iterator[tuple[
 
     Refines {each fixed vertex alone, the rest} to its coarsest equitable
     partition, then yields each base with its cell (a bitmask) and, once the
-    caller resumes it, individualises the base, splitting by {base} alone;
-    it stops once the partition is discrete. The caller must resume only
-    when every map it still asks about fixes the base."""
+    caller resumes it, individualises the base and refines from {base}; it
+    stops once the partition is discrete. The caller must resume only when
+    every map it still asks about fixes the base."""
+    n = len(rows)
     cells = [1 << v for v in fixed]
-    rest = (1 << len(rows)) - 1 - sum(cells)
-    if rest:
-        cells.append(rest)
-    cells = _equitable_cells(rows, cells, list(cells))
+    rest = (1 << n) - 1 - sum(cells)
+    part = Partition(cells + [rest] if rest else cells, n)
+    part.refine(rows, range(len(part.cells)))
     for b in bases:
-        if len(cells) == len(rows):
+        if len(part.cells) == n:
             return
-        bit = 1 << b
-        cell = next(x for x in cells if x & bit)
+        cell = part.cells[part.cell_of[b]]
         yield b, cell
-        if cell != bit:
-            split = [bit, cell ^ bit, *(x for x in cells if x != cell)]
-            cells = _equitable_cells(rows, split, [bit])
+        if cell != 1 << b:
+            part.refine(rows, [part.individualise(b)])
 
 
 def _chain_transversals(

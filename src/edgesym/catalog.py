@@ -17,7 +17,9 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .aut import find_isomorphism
-from .graph import Graph, complete, cycle, disjoint_union, is_connected, serialize_graph6
+from .graph import (
+    Graph, complete, cycle, disjoint_union, distances_from, is_connected, serialize_graph6,
+)
 
 
 def _raw_connected_regular(n: int, d: int) -> Iterator[Graph]:
@@ -237,13 +239,12 @@ def _arrangements(classes: list[list[int]], heads: int = -1) -> Iterator[list[in
 
 def _vertex_invariants(g: Graph) -> list[tuple]:
     """Per vertex, the tuple (sorted co-degrees of its neighbours, number of
-    vertices at each distance 0, 1, 2, ...), by one bitmask BFS per root.
-    The co-degrees also give the vertex's triangle count: their sum is
-    twice it."""
-    n = g.n
-    adj = [g.adjacency_mask(v) for v in range(n)]
+    vertices at each distance 0, 1, 2, ...). The co-degrees also give the
+    vertex's triangle count: their sum is twice it. distances_from lists
+    the vertices in order of distance, so its values run in layers."""
+    adj = [g.adjacency_mask(v) for v in range(g.n)]
     per_vertex = []
-    for r in range(n):
+    for r in range(g.n):
         nb = adj[r]
         codeg = []
         m = nb
@@ -252,19 +253,9 @@ def _vertex_invariants(g: Graph) -> list[tuple]:
             m ^= low
             codeg.append((adj[low.bit_length() - 1] & nb).bit_count())
         codeg.sort()
-        sizes = []
-        layer = seen = 1 << r
-        while layer:
-            sizes.append(layer.bit_count())
-            nxt = 0
-            m = layer
-            while m:
-                low = m & -m
-                m ^= low
-                nxt |= adj[low.bit_length() - 1]
-            layer = nxt & ~seen
-            seen |= layer
-        per_vertex.append((tuple(codeg), tuple(sizes)))
+        dist = distances_from(g, r).values()
+        sizes = tuple(len(list(layer)) for _, layer in itertools.groupby(dist))
+        per_vertex.append((tuple(codeg), sizes))
     return per_vertex
 
 

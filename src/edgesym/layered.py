@@ -23,8 +23,8 @@ from typing import Iterator, Optional, Sequence
 
 from .aut import (
     AutConstraint,
+    Partition,
     Permutation,
-    _equitable_cells,
     _label_rows,
     carrier,
     find_automorphism,
@@ -230,15 +230,12 @@ class SettledCarry:
     """What _settled_cells carries from one step check to the next: its
     label rows, in which the edges settled by the last entry's slice carry
     the labels of the colours they had when applied and the others label 1,
-    the (j, cells, loose) it yielded for the multi-vertex slices j, in
-    ascending order, and the vertices alone in their cells in the last of
-    those partitions. A partition that refinement left unsplit is the
-    previous entry's list, so the carry holds one list per distinct
-    partition."""
+    the partition refined under those rows, and the (j, loose) it yielded
+    for the multi-vertex slices j, in ascending order."""
 
     rows: list[list[int]]
-    entries: list[tuple[int, list[int], list[int]]] = field(default_factory=list)
-    alone: int = 0
+    partition: Partition
+    entries: list[tuple[int, list[int]]] = field(default_factory=list)
 
 
 @dataclass
@@ -597,7 +594,7 @@ def check_step_properties(state: StepState, i: int) -> list[str]:
             violations.append(f"blue edge {e} escapes the settled region")
             break
 
-    for j, _, loose in _settled_cells(state, i):
+    for j, loose in _settled_cells(state, i):
         if loose and _settled_slice_movable(state, j, loose):
             violations.append(
                 f"a root-fixing map preserving the settled colouring moves layer {j}"
@@ -605,14 +602,13 @@ def check_step_properties(state: StepState, i: int) -> list[str]:
     return violations
 
 
-def _settled_cells(
-    state: StepState, i: int
-) -> Iterator[tuple[int, list[int], list[int]]]:
-    """For each slice j <= i of two or more vertices, in ascending order, j,
-    the coarsest equitable partition finer than the slices, as bitmask
-    cells, of the graph whose edges settled by slice j carry their colours
-    and whose other edges carry one label of their own, and the vertices of
-    slice j left in cells of two or more vertices.
+def _settled_cells(state: StepState, i: int) -> Iterator[tuple[int, list[int]]]:
+    """For each slice j <= i of two or more vertices, in ascending order, j
+    and loose, the vertices of slice j left in cells of two or more vertices
+    by j's partition: the coarsest equitable partition finer than the slices
+    of the graph whose edges settled by slice j carry their colours and
+    whose other edges carry one label of their own. When this call refines
+    j's partition, state.settled.partition is it while j is yielded.
 
     Every map a step check asks about fixes the root, so it maps each slice
     onto itself, hence the edges slice j settles too, and preserves these
@@ -624,12 +620,12 @@ def _settled_cells(
     labels thus gives the later partition. The settled sets are prefixes of
     outward_edges, so moving j's newly settled edges from the unsettled
     label to their colours' labels gives j's labels, and only the cells
-    meeting one of their ends can have become unequitable: those are the
+    holding one of their ends can have become unequitable: those are the
     splitters. When no slice 0..i has two or more vertices, nothing is
     built.
 
-    The rows, the partitions and the loose vertices also carry from step
-    to step, in state.settled. j's partition depends only on the colours of
+    The rows, the partition and the loose vertices also carry from step to
+    step, in state.settled. j's partition depends only on the colours of
     the edges slice j settles, so a call whose carried edges all still have
     the colours the carry gave them yields the carried entries and refines
     onward from the last. Every write since the previous call went through
@@ -651,16 +647,14 @@ def _settled_cells(
         not carry.rows[u][1] >> v & 1 and not carry.rows[u][ids[col[u, v]]] >> v & 1
         for u, v in col.written
     ):
-        carry = state.settled = SettledCarry(_label_rows(g, [1] * g.edge_count, len(PALETTE) + 2))
-    rows, entries = carry.rows, carry.entries
+        rows = _label_rows(g, [1] * g.edge_count, len(PALETTE) + 2)
+        slices = Partition([sum(1 << v for v in layer) for layer in lay.layers], g.n)
+        carry = state.settled = SettledCarry(rows, slices)
+    rows, part, entries = carry.rows, carry.partition, carry.entries
 
     yield from entries[: len(multi)]
-    if entries:
-        cells, touched = entries[-1][1], 0
-    else:
-        cells = [sum(1 << v for v in layer) for layer in lay.layers]
-        touched = (1 << g.n) - 1  # no partition is known equitable yet: every slice splits
     done = lay.settled_count[entries[-1][0]] if entries else 0
+    touched = [] if entries else list(range(g.n))  # a fresh partition: every slice splits
     for j in multi[len(entries):]:
         for u, v in lay.outward_edges[done:lay.settled_count[j]]:
             lab = ids[col[u, v]]
@@ -668,16 +662,13 @@ def _settled_cells(
             rows[u][lab] |= 1 << v
             rows[v][1] ^= 1 << u
             rows[v][lab] |= 1 << u
-            touched |= 1 << u | 1 << v
+            touched += u, v
         done = lay.settled_count[j]
-        refined = _equitable_cells(rows, cells, [x for x in cells if x & touched])
-        if len(refined) > len(cells) or not entries:  # refinement only splits
-            cells = refined
-            carry.alone = sum(x for x in cells if x & (x - 1) == 0)
-        touched = 0
-        loose = [v for v in lay.layers[j] if not carry.alone >> v & 1]
-        entries.append((j, cells, loose))
-        yield j, cells, loose
+        part.refine(rows, dict.fromkeys(part.cell_of[v] for v in touched))
+        touched = []
+        loose = [v for v in lay.layers[j] if part.cells[part.cell_of[v]] & ~(1 << v)]
+        entries.append((j, loose))
+        yield j, loose
 
 
 def _settled_slice_movable(state: StepState, j: int, loose: Sequence[int]) -> bool:

@@ -8,11 +8,11 @@ from edgesym.aut import (
     AutConstraint,
     _build_query,
     _chain_transversals,
-    _equitable_cells,
     _label_rows,
     _levels,
     _searcher,
     ConstraintError,
+    Partition,
     Permutation,
     SizeGuardError,
     all_automorphisms,
@@ -562,15 +562,16 @@ LARGE = [parse_graph6(line) for line in
 
 
 def _refined(rows, fixed, seed=None):
-    # _equitable_cells from {each fixed vertex alone, the seed's classes},
+    # Partition.refine from {each fixed vertex alone, the seed's classes},
     # every cell a splitter, as a set of blocks
     classes = {}
     for v in range(len(rows)):
         if v not in fixed:
             key = 0 if seed is None else seed[v]
             classes[key] = classes.get(key, 0) | 1 << v
-    cells = [1 << v for v in fixed] + list(classes.values())
-    return _blocks_of_masks(_equitable_cells(rows, cells, list(cells)))
+    part = Partition([1 << v for v in fixed] + list(classes.values()), len(rows))
+    part.refine(rows, range(len(part.cells)))
+    return _blocks_of_masks(part.cells)
 
 
 def test_equitable_cells_match_round_reference_on_named_graphs():
@@ -616,7 +617,8 @@ def test_labelled_equitable_cells_match_round_reference_on_random_regular_graphs
 def test_a_one_vertex_splitter_on_a_cubic_graph_examines_at_most_three_cells(monkeypatch):
     # individualising v in an equitable partition, the first splitter popped
     # is {v}; it examines only the cells of v's three neighbours, however
-    # many cells the partition has
+    # many cells the partition has. A one-vertex splitter takes the general
+    # path: its carry-save planes are its row's labels
     import edgesym.aut as aut_module
 
     pieces = aut_module._pieces
@@ -634,18 +636,18 @@ def test_a_one_vertex_splitter_on_a_cubic_graph_examines_at_most_three_cells(mon
         rows = _adjacency(g)
         for fixed in ([0], [0, 5]):
             start = [1 << v for v in fixed] + [(1 << g.n) - 1 - sum(1 << v for v in fixed)]
-            cells = _equitable_cells(rows, start, start)
+            part = Partition(start, g.n)
+            part.refine(rows, range(len(start)))
             for v in range(g.n):
-                bit = 1 << v
-                cell = next(x for x in cells if x & bit)
-                if cell == bit:
+                if part.cells[part.cell_of[v]] == 1 << v:
                     continue
                 calls.clear()
-                _equitable_cells(rows, [bit, cell ^ bit, *(x for x in cells if x != cell)], [bit])
+                walk = Partition(part.cells, g.n)
+                walk.refine(rows, [walk.individualise(v)])
                 first = [p for p in calls if p is calls[0]]
                 assert 1 <= len(first) <= 3, (g.edges, fixed, v, len(first))
                 splits += 1
-                many += len(cells) >= 12
+                many += len(part.cells) >= 12
     assert splits >= 150 and many >= 140, (splits, many)
 
 

@@ -991,16 +991,49 @@ def _blocks(cells):
     return sorted(sorted(v for v in range(c.bit_length()) if c >> v & 1) for c in cells)
 
 
+def _settled_yields(state, i):
+    """_settled_cells(state, i) run to its end: at each yield, j, the loose
+    vertices, the carried partition's blocks at that moment and the slice of
+    the carry's last entry, whose labels that partition is refined under
+    (j itself when j is yielded afresh)."""
+    out = []
+    for j, loose in _settled_cells(state, i):
+        carry = state.settled
+        out.append((j, loose, _blocks(carry.partition.cells), carry.entries[-1][0]))
+    return out
+
+
+def _check_settled_yields(state, i, yielded):
+    """The yields of _settled_yields hold exactly the slices j <= i of two or
+    more vertices; each loose list holds the vertices of slice j that whole
+    rounds of refinement from the slices leave in cells of two or more
+    under slice j's labels, and each partition is that of those rounds under
+    the labels of its last entry's slice."""
+    g, lay = state.graph, state.layering
+    assert [j for j, *_ in yielded] == [j for j in range(i + 1) if len(lay.layers[j]) > 1]
+    seed = [lay.layer_of[v] for v in range(g.n)]
+    rounds = {}
+    for j, loose, blocks, last in yielded:
+        for k in (j, last):
+            if k not in rounds:
+                rounds[k] = equitable_cells_by_rounds(g, [], _labels_settled_by(state, k), seed)
+        ids = rounds[j]
+        assert loose == [v for v in lay.layers[j] if ids.count(ids[v]) > 1], (g.edges, i, j)
+        ids = rounds[last]
+        assert blocks == sorted(sorted(v for v in range(g.n) if ids[v] == x) for x in set(ids)), (
+            g.edges, i, j, last)
+
+
 def test_carried_step_cells_equal_a_refinement_from_the_slices():
     # at every step i of the n <= 8 catalogue, Petersen, the benchmark's
     # large graphs, C16/C32(1,7) and the Shrikhande graph, _settled_cells
     # yields exactly the slices j <= i of two or more vertices, each with the
-    # partition that whole rounds of refinement from the slices give under
-    # slice j's labels. On graphs of at most 10 vertices each settled edge
-    # is also recoloured in turn, which leaves some slices undecided.
-    # The initial colouring is checked at every slice: on the Shrikhande
-    # graph it leaves the root's slices of 3 and 6 vertices at distance 2 in
-    # one cell when refined from {root, rest} instead
+    # loose vertices, and its partition at each yield, that whole rounds of
+    # refinement from the slices give. On graphs of at most 10 vertices each
+    # settled edge is also recoloured in turn, which leaves some slices
+    # undecided. The initial colouring is checked at every slice: on the
+    # Shrikhande graph it leaves the root's slices of 3 and 6 vertices at
+    # distance 2 in one cell when refined from {root, rest} instead
     small = connected_regular_upto(8) + [petersen(), shrikhande()]
     large = [parse_graph6(line) for line in (BENCH_DATA / "large.g6").read_text().split()]
     circulants = [circulant(16, [1, 7]), circulant(32, [1, 7])]
@@ -1009,30 +1042,26 @@ def test_carried_step_cells_equal_a_refinement_from_the_slices():
         lay = state.layering
         if i == 0:
             i = lay.count - 1
-        seed = [lay.layer_of[v] for v in range(g.n)]
         states = [state]
         if g.n <= 10:
             for e in lay.settled_edges(i):
                 c = PALETTE[(PALETTE.index(state.colouring[e]) + 1) % 3]
                 states.append(dataclasses.replace(state, colouring={**state.colouring, e: c}))
         for s in states:
-            yielded = list(_settled_cells(s, i))
-            assert [j for j, *_ in yielded] == [j for j in range(i + 1) if len(lay.layers[j]) > 1]
-            for j, cells, loose in yielded:
-                ids = equitable_cells_by_rounds(g, [], _labels_settled_by(s, j), seed)
-                want = sorted(sorted(v for v in range(g.n) if ids[v] == c) for c in set(ids))
-                assert _blocks(cells) == want, (g.edges, i, j)
-                assert loose == [v for v in lay.layers[j] if ids.count(ids[v]) > 1], (g.edges, i, j)
-                compared += 1
-                undecided += any(x & (x - 1) and x & sum(1 << v for v in lay.layers[j])
-                                 for x in cells)
+            yielded = _settled_yields(s, i)
+            _check_settled_yields(s, i, yielded)
+            compared += len(yielded)
+            undecided += sum(bool(loose) for _, loose, *_ in yielded)
     assert compared >= 1600 and undecided >= 100, (compared, undecided)
 
 
 def test_carried_step_cells_are_unions_of_orbits():
     # at n <= 8, every map of the brute-force automorphism group that fixes
-    # the root and preserves slice j's labels maps each carried cell onto
-    # itself, after every step and with each settled edge recoloured in turn
+    # the root and preserves slice j's labels fixes the vertices of slice j
+    # outside its loose list, and every map that preserves the labels of
+    # the carry's last slice maps each cell of the carried partition onto
+    # itself, at every yield, after every step and with each settled edge
+    # recoloured in turn
     checked = moved = 0
     for g in connected_regular_upto(8):
         perms = None
@@ -1045,27 +1074,32 @@ def test_carried_step_cells_are_unions_of_orbits():
                 dataclasses.replace(state, colouring={**state.colouring, e: c})
                 for e in lay.settled_edges(i) for c in PALETTE if c != state.colouring[e]]
             for s in states:
-                for j, cells, _ in _settled_cells(s, i):
-                    labels = _labels_settled_by(s, j)
-                    for p in perms:
-                        if all(labels[index[edge(p[u], p[v])]] == labels[k]
-                               for k, (u, v) in enumerate(g.edges)):
-                            for x in cells:
-                                assert sum(1 << p[v] for v in range(g.n) if x >> v & 1) == x
-                            moved += p != tuple(range(g.n))
+                for j, loose, blocks, last in _settled_yields(s, i):
+                    for k in dict.fromkeys((j, last)):
+                        labels = _labels_settled_by(s, k)
+                        for p in perms:
+                            if any(labels[index[edge(p[u], p[v])]] != labels[x]
+                                   for x, (u, v) in enumerate(g.edges)):
+                                continue
+                            if k == j:
+                                assert all(p[v] == v for v in lay.layers[j] if v not in loose)
+                            if k == last:
+                                assert all(sorted(p[v] for v in b) == b for b in blocks)
+                                moved += p != tuple(range(g.n))
                     checked += 1
     assert checked >= 2700 and moved >= 500, (checked, moved)
 
 
 def test_step_cells_carried_across_steps_follow_recolourings():
     # one state per graph, stepped as the pipeline steps it. After a clean
-    # check at step i, an edge settled by the first multi-vertex slice and
-    # one first settled by the last (on graphs of at most 10 vertices each
-    # such edge in turn) is recoloured through the colouring and then
-    # restored. After each write the carried partitions equal whole rounds
-    # of refinement from the slices under the labels of that moment. A
-    # carry that kept partitions whose settled edges changed colour, or
-    # that compared the colours of only some of them, would fail here
+    # check at step i the carry yields its entries again; then an edge
+    # settled by the first multi-vertex slice and one first settled by the
+    # last (on graphs of at most 10 vertices each such edge in turn) is
+    # recoloured through the colouring and then restored. After each write
+    # the loose vertices and the carried partition equal whole rounds of
+    # refinement from the slices under the labels of that moment. A carry
+    # that kept partitions whose settled edges changed colour, or that
+    # compared the colours of only some of them, would fail here
     graphs = connected_regular_upto(8) + [petersen(), circulant(16, [1, 7]), circulant(32, [1, 7])]
     compared = changed = 0
     for g, state, i in _stepped_states(graphs):
@@ -1074,8 +1108,10 @@ def test_step_cells_carried_across_steps_follow_recolourings():
         assert check_step_properties(state, i) == [], (g.edges, i)
         if not multi:
             continue
-        seed = [lay.layer_of[v] for v in range(g.n)]
-        clean = [_blocks(cells) for _, cells, _ in _settled_cells(state, i)]
+        yielded = _settled_yields(state, i)
+        _check_settled_yields(state, i, yielded)
+        compared += len(yielded)
+        clean = _settled_yields(dataclasses.replace(state), i)  # refined afresh
         first = lay.settled_edges(multi[0])
         last = lay.settled_edges(multi[-1])[len(lay.settled_edges(multi[-2])) if multi[1:] else 0:]
         picked = first + last if g.n <= 10 else first[i % len(first):][:1] + last[-1:]
@@ -1083,15 +1119,10 @@ def test_step_cells_carried_across_steps_follow_recolourings():
             old = state.colouring[e]
             for c in (PALETTE[(PALETTE.index(old) + 1) % 3], old):
                 state.colouring[e] = c
-                yielded = list(_settled_cells(state, i))
-                assert [j for j, *_ in yielded] == multi
-                for j, cells, loose in yielded:
-                    ids = equitable_cells_by_rounds(g, [], _labels_settled_by(state, j), seed)
-                    want = sorted(sorted(v for v in range(g.n) if ids[v] == x) for x in set(ids))
-                    assert _blocks(cells) == want, (g.edges, i, j, e, c)
-                    assert loose == [v for v in lay.layers[j] if ids.count(ids[v]) > 1]
-                    compared += 1
-                changed += c != old and [_blocks(cells) for _, cells, _ in yielded] != clean
+                yielded = _settled_yields(state, i)
+                _check_settled_yields(state, i, yielded)
+                compared += len(yielded)
+                changed += c != old and yielded != clean
     assert compared >= 2500 and changed >= 100, (compared, changed)
 
 
@@ -1103,7 +1134,7 @@ def test_step_checks_refine_once_per_multi_vertex_slice(monkeypatch):
     import edgesym.layered as layered_module
 
     inside, calls = [False], [0]
-    refine = layered_module._equitable_cells
+    refine = aut_module.Partition.refine
 
     def counted(*args):
         calls[0] += inside[0]
@@ -1116,7 +1147,7 @@ def test_step_checks_refine_once_per_multi_vertex_slice(monkeypatch):
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(layered_module, "_equitable_cells", counted)
+    monkeypatch.setattr(aut_module.Partition, "refine", counted)
     monkeypatch.setattr(layered_module, "check_step_properties", step_checks)
     colour_regular(circulant(64, [1, 7]), verify=True)
     assert calls == [31]
@@ -1124,6 +1155,76 @@ def test_step_checks_refine_once_per_multi_vertex_slice(monkeypatch):
     calls[0] = 0
     colour_regular(circulant(128, [1, 7]), verify=True)
     assert calls == [63]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.SIGALRM")
+def test_partition_index_names_the_cell_of_every_vertex(monkeypatch):
+    # after every individualise and refine (the level walks of the
+    # stabiliser chains, of the step checks' ladders and of one walk over
+    # every base per graph, and the step checks' carried refinement) and
+    # after every _settled_cells call, cell_of[v] names the cell holding v
+    # and the cells partition the vertices: at every step of the n <= 8
+    # catalogue, Petersen and C_n(1,7) for 15 <= n <= 32, with an edge
+    # settled by the first multi-vertex slice and one by the last
+    # recoloured in the carry, and on graphs of at most 10 vertices each
+    # edge settled by slice i recoloured in a copy's step check
+    import edgesym.aut as aut_module
+
+    checked = Counter()
+
+    def check(part, what):
+        union = 0
+        for x in part.cells:
+            union |= x
+        assert union == (1 << len(part.cell_of)) - 1, what
+        assert sum(x.bit_count() for x in part.cells) == len(part.cell_of), what
+        assert all(part.cells[k] >> v & 1 for v, k in enumerate(part.cell_of)), what
+        checked[what] += 1
+
+    for name in ("individualise", "refine"):
+        def wrapped(self, *args, method=getattr(aut_module.Partition, name), name=name):
+            out = method(self, *args)
+            check(self, name)
+            return out
+
+        monkeypatch.setattr(aut_module.Partition, name, wrapped)
+
+    graphs = connected_regular_upto(8) + [petersen()]
+    graphs += [circulant(n, [1, 7]) for n in range(15, 33)]
+
+    def timeout(signum, frame):  # a misnamed cell can keep a refinement from ending
+        raise TimeoutError("the walks took over 20 s")
+
+    moves = 0
+    old_handler = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 20.0)
+    try:
+        for g, state, i in _stepped_states(graphs):
+            if i == 0:  # a walk from no fixed vertex over every base
+                edge_rows = [(0, g.adjacency_mask(v)) for v in range(g.n)]
+                for _ in aut_module._levels(edge_rows, [], range(g.n)):
+                    pass
+            check_step_properties(state, i)
+            multi = [j for j in state.layering.multi_slices if j <= i]
+            if not multi:
+                continue
+            check(state.settled.partition, "_settled_cells")
+            lay = state.layering
+            for e in dict.fromkeys(lay.settled_edges(multi[0])[:1] + lay.settled_edges(multi[-1])[-1:]):
+                old = state.colouring[e]
+                for c in (PALETTE[(PALETTE.index(old) + 1) % 3], old):
+                    state.colouring[e] = c
+                    list(_settled_cells(state, i))
+                    check(state.settled.partition, "_settled_cells")
+            for e in lay.settled_edges(i) if g.n <= 10 else ():
+                for c in PALETTE:
+                    if c != state.colouring[e]:
+                        moves += bool(_checked_moves(_rewritten(state, {e: c}), i))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old_handler)
+    assert checked["individualise"] >= 200 and checked["refine"] >= 8000, checked
+    assert checked["_settled_cells"] >= 1200 and moves >= 150, (checked, moves)
 
 
 # SHA-256 of colour_regular(verify=True) on C64(1,7): its colouring and audit
