@@ -141,21 +141,16 @@ def cmd_gen(args) -> int:
 
 def cmd_colour(args) -> int:
     g = _load_graph(args)
-    degree = regularity(g)
-    if degree is None:
-        print("error: input graph is not regular", file=sys.stderr)
-        return EXIT_INPUT
     audit: list = []
     try:
-        c = colour_regular(g, root=args.root, verify=args.verify, budget=args.budget,
-                           audit=audit)
+        c = colour_regular(g, root=args.root, budget=args.budget, audit=audit)
     except NotColourableError:
         print("error: the single edge admits no distinguishing colouring", file=sys.stderr)
         return EXIT_NOT_COLOURABLE
     extra = {
         "graph6": serialize_graph6(g),
         "n": g.n,
-        "degree": degree,
+        "degree": regularity(g),
         "colours_used": len(c.colours_used()),
         "all_blue_vertices": all_blue_vertices(g, c),
         # colour_regular verified both before it returned
@@ -253,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("colour", help="3-colour distinguishing colouring")
     _add_input_options(p)
     p.add_argument("--root", type=int, default=0)
-    p.add_argument("--verify", action="store_true", help="check step invariants while colouring")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=("json", "dot", "text"), default="json")
     p.set_defaults(func=cmd_colour)

@@ -304,8 +304,7 @@ def _matching_orbit_colours(orbits: Sequence[Sequence[Edge]]) -> dict[Edge, str]
     return out
 
 
-def colour_horizontal(state: StepState, i: int, verify: bool = False,
-                      budget: int = DEFAULT_BUDGET) -> StepState:
+def colour_horizontal(state: StepState, i: int, budget: int = DEFAULT_BUDGET) -> StepState:
     """Colour the edges inside slice i.
 
     h = 0: nothing to do. h = 1: the slice's matching edges get a balanced
@@ -331,9 +330,10 @@ def colour_horizontal(state: StepState, i: int, verify: bool = False,
         for comp in cls.components:
             sub, labels = hgraph.induced(comp)
             try:
-                sub_colouring = colour_regular(sub, verify=verify, budget=budget)
+                sub_colouring = colour_regular(sub, budget=budget)
             except Exception as exc:
-                exc.args = (*exc.args, f"while colouring component {comp} inside layer {i}")
+                # one message, not a tuple, so the CLI prints one line
+                exc.args = (f"{exc} (while colouring component {comp} inside layer {i})",)
                 raise
             for (a, b), col in sub_colouring.assignment.items():
                 installed[edge(labels[a], labels[b])] = col
@@ -694,19 +694,14 @@ def _settled_slice_movable(state: StepState, j: int, loose: Sequence[int]) -> bo
 # -- the headline procedure ------------------------------------------------------------
 
 
-def _layered_pipeline(
-    g: Graph, root: int, verify: bool, budget: int, audit: Optional[list]
-) -> EdgeColouring:
+def _layered_pipeline(g: Graph, root: int, budget: int, audit: Optional[list]) -> EdgeColouring:
     state = initial_colouring(g, root)
-    if verify:
-        bad = check_step_properties(state, 0)
-        if bad:
-            raise StepPropertyError(0, bad)
-    for i in range(1, state.layering.count):
-        state.colouring.written.clear()
-        colour_horizontal(state, i, verify=verify, budget=budget)
-        assign_decorations(state, i)
-        bad = check_step_properties(state, i) if verify else []
+    for i in range(state.layering.count):
+        if i:
+            state.colouring.written.clear()
+            colour_horizontal(state, i, budget=budget)
+            assign_decorations(state, i)
+        bad = check_step_properties(state, i)
         if bad:
             raise StepPropertyError(i, bad)
     if audit is not None:
@@ -744,15 +739,18 @@ def _colour_cycle_graph(g: Graph, budget: int) -> EdgeColouring:
 def colour_regular(
     g: Graph,
     root: int = 0,
-    verify: bool = False,
+    verify: bool = True,
     budget: int = DEFAULT_BUDGET,
     audit: Optional[list] = None,
 ) -> EdgeColouring:
     """Distinguishing edge colouring with at most three colours for any
     connected regular graph except the single edge.
 
-    The result always verifies: distinguishing, within the palette, and with
-    at most one vertex (none on complete graphs) seeing only blue.
+    Every layered step is checked as it is taken (check_step_properties),
+    and the result always verifies: distinguishing, within the palette, and
+    with at most one vertex (none on complete graphs) seeing only blue.
+    verify is ignored; it stays only so that callers passing verify=True
+    keep working.
     """
     deg = regularity(g)
     if deg is None:
@@ -782,7 +780,7 @@ def colour_regular(
         if audit is not None:
             audit.append({"layer": None, "rule": "cycle", "decorations": []})
     else:
-        result = _layered_pipeline(g, root, verify, budget, audit)
+        result = _layered_pipeline(g, root, budget, audit)
 
     if not result.is_total(g):
         raise VerificationError("colouring is not total")

@@ -119,6 +119,20 @@ def automorphism_count_networkx(g: Graph) -> int:
     return sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
 
 
+def is_distinguishing_networkx(g: Graph, c) -> bool:
+    """Does no colour-preserving automorphism but the identity exist? Asked
+    of networkx's VF2 GraphMatcher with edge colours matched, stopping at
+    the second map it finds. Callers skip when networkx is absent."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from((u, v, {"colour": col}) for (u, v), col in c.items())
+    matcher = GraphMatcher(h, h, edge_match=lambda a, b: a["colour"] == b["colour"])
+    return len(list(itertools.islice(matcher.isomorphisms_iter(), 2))) == 1
+
+
 def constraint_holds_naive(g: Graph, c, p: tuple[int, ...]) -> bool:
     """Field-by-field constraint check used by the brute-force side."""
     es = set(g.edges)

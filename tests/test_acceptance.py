@@ -69,13 +69,13 @@ def test_criterion_1_three_colour_theorem_desk_scale(corpus_upto_10):
     for g in corpus_upto_10:
         if g.n == 2:
             try:
-                colour_regular(g, verify=True)
+                colour_regular(g)
                 failures.append("single edge was coloured")
             except NotColourableError:
                 pass
             continue
         try:
-            c = colour_regular(g, verify=True)
+            c = colour_regular(g)
             deg = regularity(g)
             complete_graph = g.n >= 2 and deg == g.n - 1
             if not is_distinguishing(g, c):
@@ -179,7 +179,7 @@ def test_criterion_5_step_properties_and_decoration_supply(corpus_upto_10):
             violations.append((serialize_graph6(g), 0, bad))
         for i in range(1, state.layering.count):
             state.colouring.written.clear()
-            colour_horizontal(state, i, verify=True)
+            colour_horizontal(state, i)
             assign_decorations(state, i)
             checked_steps += 1
             bad = check_step_properties(state, i)
@@ -305,7 +305,7 @@ def test_criterion_7_strict_success(corpus_upto_10):
     for k, g in enumerate(corpus + sample):
         audit = []
         try:
-            c = colour_regular(g, verify=True, audit=audit)
+            c = colour_regular(g, audit=audit)
         except Exception as exc:  # noqa: BLE001 - report, then fail
             failures.append(f"{serialize_graph6(g)}: {exc!r}")
             continue

@@ -47,7 +47,7 @@ def test_gen_bad_params(capsys):
 
 
 def test_colour_petersen_json(capsys):
-    code, out, _ = run(capsys, "colour", "--gen", "petersen", "--verify")
+    code, out, _ = run(capsys, "colour", "--gen", "petersen")
     assert code == 0
     payload = json.loads(out)
     assert payload["colours_used"] <= 3
@@ -77,10 +77,24 @@ def test_colour_failed_construction_exit_code(capsys, monkeypatch, stage, error)
         raise error
 
     monkeypatch.setattr(layered, stage, fail)
-    code, out, err = run(capsys, "colour", "--gen", "petersen", "--verify")
+    code, out, err = run(capsys, "colour", "--gen", "petersen")
     assert code == 5 and out == ""
     assert err.startswith("error: layer 1: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_colour_failed_component_check_prints_one_line(capsys, monkeypatch):
+    # slice 1 of G]~v~w induces a regular component that is coloured on its own
+    check = layered.check_step_properties
+
+    def fail_inside(state, i):
+        return ["broken"] if state.graph.n == 6 else check(state, i)
+
+    monkeypatch.setattr(layered, "check_step_properties", fail_inside)
+    code, out, err = run(capsys, "colour", "--g6", "G]~v~w")
+    assert code == 5 and out == ""
+    assert err.startswith("error: layer 0: broken (") and err.count("\n") == 1
+    assert "while colouring component" in err
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -105,8 +119,9 @@ def test_every_command_maps_errors_to_the_same_exit_codes(
 
 
 def test_colour_rejects_non_regular(capsys):
-    code, _, err = run(capsys, "colour", "--gen", "complete-bipartite 2 4")
-    assert code == 2 and "regular" in err
+    code, out, err = run(capsys, "colour", "--gen", "complete-bipartite 2 4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "regular" in err
 
 
 def test_colour_dot_output(capsys):

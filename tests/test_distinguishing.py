@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from edgesym.distinguishing import (
 )
 from edgesym.graph import (
     Graph,
+    circulant,
     complete,
     complete_bipartite,
     cycle,
@@ -40,11 +42,13 @@ from oracles import (
     distinguishing_index_brute,
     distinguishing_index_by_every_probe,
     exists_distinguishing_colouring_brute,
+    is_distinguishing_networkx,
     witness_by_every_probe,
 )
 
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "corpus.g6"
+LARGE = CORPUS.with_name("large.g6")
 
 
 def _mono(g, colour=RED):
@@ -74,6 +78,32 @@ def test_is_distinguishing_c6_pattern():
             (tuple(sorted((p[u], p[v]))) in red) == ((u, v) in red) for u, v in g.edges
         )
         assert preserved == all(p[v] == v for v in range(6))
+
+
+def test_is_distinguishing_matches_networkx_vf2():
+    pytest.importorskip("networkx")
+    rng = random.Random(1)
+    large = [parse_graph6(line) for line in LARGE.read_text().split()]
+    cases = [(g, colour_regular(g)) for g in large + [circulant(64, [1, 7])]]
+    for g in large[:6] + [petersen(), circulant(12, [1, 5]), random_regular(12, 3, 2)]:
+        for _ in range(4):
+            cases.append((g, EdgeColouring({e: rng.choice((RED, GREEN)) for e in g.edges})))
+    # constant on the edge orbits of the rotation by s, which preserves them
+    rotated = []
+    for n, steps, s in ((12, [1, 3], 4), (16, [1, 7], 8), (20, [1, 3], 5), (64, [1, 7], 32)):
+        g = circulant(n, steps)
+        for _ in range(3):
+            orbit_colour = {}
+            rotated.append((g, EdgeColouring({
+                (u, v): orbit_colour.setdefault(
+                    min(edge((u + t) % n, (v + t) % n) for t in range(0, n, s)),
+                    rng.choice(PALETTE))
+                for u, v in g.edges
+            })))
+    verdicts = [is_distinguishing(g, c) for g, c in cases + rotated]
+    assert verdicts == [is_distinguishing_networkx(g, c) for g, c in cases + rotated]
+    assert all(verdicts[:len(large) + 1]) and not any(verdicts[len(cases):])
+    assert verdicts.count(True) >= 40
 
 
 def test_is_distinguishing_rejects_partial():

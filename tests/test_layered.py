@@ -34,6 +34,7 @@ from edgesym.layered import (
     DecorationShortageError,
     NotColourableError,
     StepColouring,
+    StepPropertyError,
     StepState,
     _component_orbits,
     _decoration_back_edges,
@@ -217,12 +218,12 @@ def test_no_slice_chain_runs_after_the_first_trivial_group(monkeypatch):
     monkeypatch.setattr(layered_module, "initial_colouring", kept)
     for s in (1, 2, 3):
         started.clear()
-        colour_regular(random_regular(64, 3, s), verify=True)
+        colour_regular(random_regular(64, 3, s))
         assert started == [1], (s, started)
 
     states.clear()
     started.clear()
-    colour_regular(circulant(64, [1, 7]), verify=True)
+    colour_regular(circulant(64, [1, 7]))
     (state,) = states
     lay = state.layering
     groups = [lay.root_generators] + [state.persistent_gens[i] for i in range(1, lay.count)]
@@ -250,7 +251,7 @@ def test_verified_colouring_of_a_large_asymmetric_graph_is_near_linear(monkeypat
     old = signal.signal(signal.SIGALRM, timeout)
     signal.setitimer(signal.ITIMER_REAL, 2.0)
     try:
-        c = colour_regular(g, verify=True)
+        c = colour_regular(g)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
@@ -757,7 +758,7 @@ def test_similarity_cost_on_large_persistent_groups():
     old = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(60)
     try:
-        c = colour_regular(complete_bipartite(16, 16), verify=True)
+        c = colour_regular(complete_bipartite(16, 16))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
@@ -826,6 +827,51 @@ def test_check_step_properties_detects_moved_layer():
         state.colouring[e] = GREEN
     violations = check_step_properties(state, 2)
     assert any("moves layer" in v for v in violations)
+
+
+def test_plain_colourings_check_every_step(monkeypatch):
+    # no caller switches the step checks on: colour_regular runs one after
+    # every step, inside the colourings of nested components too
+    import edgesym.layered as layered_module
+
+    checked = []
+
+    def counted(state, i):
+        checked.append((state.graph.n, i))
+        return check_step_properties(state, i)
+
+    monkeypatch.setattr(layered_module, "check_step_properties", counted)
+    colour_regular(petersen())
+    assert checked == [(10, 0), (10, 1), (10, 2)]
+    checked.clear()
+    # slice 1 of this 6-regular graph induces a 4-regular graph on 6 vertices
+    colour_regular(parse_graph6("G]~v~w"))
+    assert checked == [(8, 0), (6, 0), (6, 1), (6, 2), (8, 1), (8, 2)]
+
+
+def test_a_failed_step_check_raises_from_a_plain_colouring(monkeypatch):
+    import edgesym.layered as layered_module
+
+    def broken_at(n, layer):
+        def check(state, i):
+            if (state.graph.n, i) == (n, layer):
+                return ["broken"]
+            return check_step_properties(state, i)
+        return check
+
+    monkeypatch.setattr(layered_module, "check_step_properties", broken_at(10, 1))
+    with pytest.raises(StepPropertyError) as info:
+        colour_regular(petersen())
+    assert (str(info.value), info.value.layer, info.value.violations) == (
+        "layer 1: broken", 1, ["broken"])
+    # a nested component's failure keeps its type and fields, and names the
+    # component in its one message
+    monkeypatch.setattr(layered_module, "check_step_properties", broken_at(6, 0))
+    with pytest.raises(StepPropertyError) as info:
+        colour_regular(parse_graph6("G]~v~w"))
+    assert info.value.args == (
+        "layer 0: broken (while colouring component (2, 3, 4, 5, 6, 7) inside layer 1)",)
+    assert (info.value.layer, info.value.violations) == (0, ["broken"])
 
 
 def _stepped_states(graphs, last_root=False):
@@ -1149,12 +1195,46 @@ def test_step_checks_refine_once_per_multi_vertex_slice(monkeypatch):
 
     monkeypatch.setattr(aut_module.Partition, "refine", counted)
     monkeypatch.setattr(layered_module, "check_step_properties", step_checks)
-    colour_regular(circulant(64, [1, 7]), verify=True)
+    colour_regular(circulant(64, [1, 7]))
     assert calls == [31]
     monkeypatch.setattr(aut_module, "_MAX_SEARCH_N", 128)
     calls[0] = 0
-    colour_regular(circulant(128, [1, 7]), verify=True)
+    colour_regular(circulant(128, [1, 7]))
     assert calls == [63]
+
+
+def test_step_checks_on_c_n_1_7_visit_cells_once(monkeypatch):
+    # what makes checking every step cheap at scale: the first step check
+    # that refines visits fewer than 4n cells (199, 454 and 967 below), and
+    # every other step check, reading the carried cells, visits none
+    import edgesym.aut as aut_module
+    import edgesym.layered as layered_module
+
+    inside, per_check = [False], []
+    pieces = aut_module._pieces
+
+    def counted(*args):
+        if inside[0]:
+            per_check[-1] += 1
+        return pieces(*args)
+
+    def step_checks(*args):
+        per_check.append(0)
+        inside[0] = True
+        try:
+            return check_step_properties(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(aut_module, "_pieces", counted)
+    monkeypatch.setattr(layered_module, "check_step_properties", step_checks)
+    monkeypatch.setattr(aut_module, "_MAX_SEARCH_N", 256)
+    for n in (64, 128, 256):
+        per_check.clear()
+        colour_regular(circulant(n, [1, 7]))
+        assert len(per_check) == build_layering(circulant(n, [1, 7]), 0).count
+        refining = [v for v in per_check if v]
+        assert len(refining) == 1 and refining[0] < 4 * n, (n, refining)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.SIGALRM")
@@ -1227,7 +1307,7 @@ def test_partition_index_names_the_cell_of_every_vertex(monkeypatch):
     assert checked["_settled_cells"] >= 1200 and moves >= 150, (checked, moves)
 
 
-# SHA-256 of colour_regular(verify=True) on C64(1,7): its colouring and audit
+# SHA-256 of colour_regular on C64(1,7): its colouring and audit
 # trail, as test_colourings_and_audits_match_pinned_digest hashes them
 C64_1_7_SHA256 = "ce05c3d6a89f2a3fee141145c74d1058ba9d027b07829fe56a82e2d6706c0925"
 
@@ -1264,7 +1344,7 @@ def test_step_checks_on_c64_1_7_make_no_search(monkeypatch):
     counted(layered_module, "find_automorphism")
     monkeypatch.setattr(layered_module, "check_step_properties", step_checks)
     audit = []
-    c = colour_regular(circulant(64, [1, 7]), verify=True, audit=audit)
+    c = colour_regular(circulant(64, [1, 7]), audit=audit)
     assert calls == {"_levels": 0, "find_automorphism": 0}
     digest = hashlib.sha256(json.dumps([c.to_json(), audit], sort_keys=True).encode())
     assert digest.hexdigest() == C64_1_7_SHA256
@@ -1273,7 +1353,7 @@ def test_step_checks_on_c64_1_7_make_no_search(monkeypatch):
 # -- the headline operation -------------------------------------------------------------
 
 
-# SHA-256 over the colourings and audit trails of colour_regular(verify=True)
+# SHA-256 over the colourings and audit trails of colour_regular
 # on the benchmark corpus; output is part of the contract, so a deliberate
 # change to it updates this digest and says why
 OUTPUT_CONTRACT_SHA256 = "3358830ad2ce78ed742b90e6ccbe3a3063b55ea84b8ec70ad046d127380c7f2e"
@@ -1285,7 +1365,7 @@ def test_colourings_and_audits_match_pinned_digest():
         for line in (BENCH_DATA / name).read_text().split():
             audit = []
             try:
-                c = colour_regular(parse_graph6(line), verify=True, audit=audit)
+                c = colour_regular(parse_graph6(line), audit=audit)
             except NotColourableError:
                 h.update(b"K2-refused")
                 continue
@@ -1320,7 +1400,7 @@ def test_colour_regular_single_vertex():
 
 def test_colour_regular_petersen_verified():
     g = petersen()
-    c = colour_regular(g, verify=True)
+    c = colour_regular(g)
     assert is_distinguishing(g, c)
     assert c.colours_used() <= {RED, GREEN, BLUE}
     assert satisfies_blue_rule(g, c, False)
@@ -1329,7 +1409,7 @@ def test_colour_regular_petersen_verified():
 def test_colour_regular_circulant_root_all_blue():
     for n in (12, 14):
         g = circulant(n, [1, 2, 3])
-        c = colour_regular(g, verify=True)
+        c = colour_regular(g)
         assert all_blue_vertices(g, c) == [0]
         assert is_distinguishing(g, c)
 
@@ -1368,14 +1448,14 @@ def test_colour_regular_root_override():
 def test_colour_regular_degree5_strict_path():
     g = complete_bipartite(5, 5)
     audit = []
-    c = colour_regular(g, verify=True, audit=audit)
+    c = colour_regular(g, audit=audit)
     assert is_distinguishing(g, c)
     assert satisfies_blue_rule(g, c, False)
 
 
 def test_colour_regular_frucht():
     g = frucht()
-    c = colour_regular(g, verify=True)
+    c = colour_regular(g)
     assert is_distinguishing(g, c)
 
 
@@ -1416,5 +1496,5 @@ def test_verification_ladders_are_pruned_at_the_root(monkeypatch):
         layered_module, "is_distinguishing", inside("final", is_distinguishing)
     )
     for n, d, seed in [(16, 3, 1), (16, 5, 3), (24, 4, 1), (24, 5, 1), (32, 3, 5), (32, 5, 1)]:
-        colour_regular(random_regular(n, d, seed=seed), verify=True)
+        colour_regular(random_regular(n, d, seed=seed))
     assert searches["step"] + searches["final"] <= 5, searches

@@ -35,7 +35,7 @@ def test_readme_constraint_fields_match_the_code():
 
 def test_readme_stage_signatures_match_the_code():
     # "The stage functions of `edgesym.layered` take the step state alone:
-    # `colour_horizontal(state, i, verify=False, budget=DEFAULT_BUDGET)`, ...
+    # `colour_horizontal(state, i, budget=DEFAULT_BUDGET)`, ...
     # and `check_step_properties(state, i)`, where ..."
     text = " ".join(README.read_text().split())
     sentence = text.split("The stage functions of `edgesym.layered` take the step state alone: ",
